@@ -7,7 +7,8 @@ departure azimuth, seeded with the astroid construction for nearly antipodal
 pairs.  Accuracy on WGS84 is far below a millimeter for non-antipodal pairs.
 
 Only the pieces this package needs are provided: distance plus azimuths for
-the inverse problem, and a reusable line object for the direct problem.  If
+the inverse problem, also in an array form (`Geodesic.inverse_many`) for
+batches of point pairs, and a reusable line object for the direct problem.  If
 the inverse iteration does not converge (possible only within a vanishing
 neighbourhood of antipodal pairs) the over-the-pole meridional path length is
 returned so the function stays total.
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 _TINY = math.sqrt(math.ldexp(1.0, -1022))
 _TOL0 = 2.220446049250313e-16
@@ -96,6 +99,66 @@ def _norm(s: float, c: float) -> tuple[float, float]:
     return s / r, c / r
 
 
+# Array forms of the angle helpers above, with the same arithmetic, for
+# `Geodesic.inverse_many`.  The scalar engine keeps its math-module versions,
+# which stay fast on single floats.
+
+
+def _elementwise(fn, nin):
+    # `fn` applied element by element.  NumPy's own arctan2, hypot and power
+    # differ from math.atan2, math.hypot and C pow (behind a float's `**`)
+    # by an ulp on a few percent of arguments, and the inverse amplifies one
+    # ulp to ~1e-9 m through its cancellations; calling the same functions
+    # as `inverse` keeps `inverse_many` bit-identical to it.
+    ufunc = np.frompyfunc(fn, nin, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=float)
+
+
+_atan2_many = _elementwise(math.atan2, 2)
+_hypot_many = _elementwise(math.hypot, 2)
+_pow_many = _elementwise(math.pow, 2)
+
+
+def _ang_normalize_many(x):
+    # fmod plus one shift by 360, exact by Sterbenz's lemma, gives the same
+    # representative in (-180, 180] as _ang_normalize.
+    y = np.fmod(x, 360.0)
+    y = np.where(y > 180.0, y - 360.0, y)
+    return np.where(y <= -180.0, y + 360.0, y)
+
+
+def _ang_round_many(x):
+    z = 1.0 / 16.0
+    y = np.abs(x)
+    y = np.where(y < z, z - (z - y), y)
+    return np.where(x < 0, -y, y)
+
+
+def _sincosd_many(x):
+    r = np.fmod(x, 360.0)
+    q = np.round(r / 90.0)
+    r = np.radians(r - 90.0 * q)
+    s, c = np.sin(r), np.cos(r)
+    q = q.astype(np.int64) % 4
+    s, c = np.choose(q, (s, c, -s, -c)), np.choose(q, (c, -s, -c, s))
+    nonzero = x != 0.0
+    return np.where(nonzero, 0.0 + s, s), np.where(nonzero, 0.0 + c, c)
+
+
+def _atan2d_many(y, x):
+    swap = np.abs(y) > np.abs(x)
+    x, y = np.where(swap, y, x), np.where(swap, x, y)
+    neg = x < 0
+    ang = np.degrees(_atan2_many(y, np.where(neg, -x, x)))
+    q = 2 * swap + neg
+    return np.choose(q, (ang, np.where(y >= 0, 180.0, -180.0) - ang, 90.0 - ang, -90.0 + ang))
+
+
+def _norm_many(s, c):
+    r = _hypot_many(s, c)
+    return s / r, c / r
+
+
 def _sin_cos_series(sinp: bool, sinx: float, cosx: float, c, n: int) -> float:
     # Clenshaw summation of sum(c[i] sin(2i x)) or sum(c[i] cos((2i+1) x));
     # c[0] is unused for the sine series.
@@ -144,6 +207,11 @@ def _astroid(x: float, y: float) -> float:
     return 0.0
 
 
+# The series helpers below also accept arrays and are shared by `inverse`
+# and `inverse_many`; none may update an argument in place (d = d * eps,
+# never d *= eps), since the caller's eps would change with it.
+
+
 def _a1m1f(eps: float) -> float:
     eps2 = eps * eps
     t = eps2 * (eps2 * (eps2 + 4) + 64) / 256
@@ -155,15 +223,15 @@ def _c1f(eps: float) -> list[float]:
     c = [0.0] * (_NC1 + 1)
     d = eps
     c[1] = d * ((6 - eps2) * eps2 - 16) / 32
-    d *= eps
+    d = d * eps
     c[2] = d * ((64 - 9 * eps2) * eps2 - 128) / 2048
-    d *= eps
+    d = d * eps
     c[3] = d * (9 * eps2 - 16) / 768
-    d *= eps
+    d = d * eps
     c[4] = d * (3 * eps2 - 5) / 512
-    d *= eps
+    d = d * eps
     c[5] = -7 * d / 1280
-    d *= eps
+    d = d * eps
     c[6] = -7 * d / 2048
     return c
 
@@ -173,15 +241,15 @@ def _c1pf(eps: float) -> list[float]:
     c = [0.0] * (_NC1P + 1)
     d = eps
     c[1] = d * (eps2 * (205 * eps2 - 432) + 768) / 1536
-    d *= eps
+    d = d * eps
     c[2] = d * (eps2 * (4005 * eps2 - 4736) + 3840) / 12288
-    d *= eps
+    d = d * eps
     c[3] = d * (116 - 225 * eps2) / 384
-    d *= eps
+    d = d * eps
     c[4] = d * (2695 - 7173 * eps2) / 7680
-    d *= eps
+    d = d * eps
     c[5] = 3467 * d / 7680
-    d *= eps
+    d = d * eps
     c[6] = 38081 * d / 61440
     return c
 
@@ -197,15 +265,15 @@ def _c2f(eps: float) -> list[float]:
     c = [0.0] * (_NC2 + 1)
     d = eps
     c[1] = d * (eps2 * (eps2 + 2) + 16) / 32
-    d *= eps
+    d = d * eps
     c[2] = d * (eps2 * (35 * eps2 + 64) + 384) / 2048
-    d *= eps
+    d = d * eps
     c[3] = d * (15 * eps2 + 80) / 768
-    d *= eps
+    d = d * eps
     c[4] = d * (7 * eps2 + 35) / 512
-    d *= eps
+    d = d * eps
     c[5] = 63 * d / 1280
-    d *= eps
+    d = d * eps
     c[6] = 77 * d / 2048
     return c
 
@@ -278,9 +346,10 @@ class Geodesic:
             c[k] *= mult
         return c
 
-    def _lengths(self, eps, sig12, ssig1, csig1, ssig2, csig2, cbet1, cbet2):
+    def _lengths(self, eps, sig12, ssig1, csig1, ssig2, csig2, cbet1, cbet2, sqrt=math.sqrt):
         # Distance and reduced length along an arc of the auxiliary sphere;
-        # both come back without their a/b factors.
+        # both come back without their a/b factors.  The array path passes
+        # sqrt=np.sqrt; every other operation here works on arrays as is.
         c1a = _c1f(eps)
         c2a = _c2f(eps)
         a1m1 = _a1m1f(eps)
@@ -295,8 +364,8 @@ class Geodesic:
         )
         m0 = a1m1 - a2m1
         j12 = m0 * sig12 + (ab1 - ab2)
-        w1 = math.sqrt(1 - self.e2 * cbet1 * cbet1)
-        w2 = math.sqrt(1 - self.e2 * cbet2 * cbet2)
+        w1 = sqrt(1 - self.e2 * cbet1 * cbet1)
+        w2 = sqrt(1 - self.e2 * cbet2 * cbet2)
         # Reduced length over a, distance over b.
         m12a = (w2 * (csig1 * ssig2) - w1 * (ssig1 * csig2)) - self.f1 * csig1 * csig2 * j12
         s12b = (1 + a1m1) * sig12 + ab1
@@ -529,6 +598,196 @@ class Geodesic:
         azi1 = _atan2d(salp1, calp1)
         azi2 = _atan2d(salp2, calp2)
         return Inverse(0.0 + s12, azi1, azi2)
+
+    def inverse_many(self, lat1, lon1, lat2, lon2) -> tuple[np.ndarray, np.ndarray]:
+        """Array form of `inverse`: (s12, azi1) for broadcast arguments.
+
+        The general case runs vectorized: canonical arrangement, short-line
+        start, Newton's method on lambda12 and the final lengths.  Elements
+        on a meridian, starting on the equator, nearly antipodal (astroid
+        start) or not converging are solved one at a time by `inverse`.
+        Every transcendental step uses the same function as `inverse` (see
+        `_elementwise`), so results equal those of `inverse`; the tests allow
+        |ds12| <= 1e-9 m + 1e-14 s12 in case a NumPy sin or cos differs.
+        """
+        args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lat1, lon1, lat2, lon2)))
+        shape = args[0].shape
+        olat1, olon1, olat2, olon2 = (v.ravel() for v in args)
+        s12 = np.empty(olat1.size)
+        azi1 = np.empty(olat1.size)
+
+        # Canonical arrangement, as in `inverse`.
+        lon12 = _ang_round_many(_ang_normalize_many(_ang_normalize_many(olon2) - _ang_normalize_many(olon1)))
+        lonsign = np.where(lon12 >= 0, 1.0, -1.0)
+        lon12 = lon12 * lonsign
+        lonsign = np.where(lon12 == 180, 1.0, lonsign)
+        lat1 = _ang_round_many(olat1)
+        lat2 = _ang_round_many(olat2)
+        swapp = np.where(np.abs(lat1) >= np.abs(lat2), 1.0, -1.0)
+        lonsign = lonsign * swapp
+        lat1, lat2 = np.where(swapp < 0, lat2, lat1), np.where(swapp < 0, lat1, lat2)
+        latsign = np.where(lat1 < 0, 1.0, -1.0)
+        lat1 = lat1 * latsign
+        lat2 = lat2 * latsign
+
+        sbet1, cbet1 = _sincosd_many(lat1)
+        cbet1 = np.where(lat1 == -90, _TINY, cbet1)
+        sbet1, cbet1 = _norm_many(sbet1 * self.f1, cbet1)
+        sbet2, cbet2 = _sincosd_many(lat2)
+        cbet2 = np.where(np.abs(lat2) == 90, _TINY, cbet2)
+        sbet2, cbet2 = _norm_many(sbet2 * self.f1, cbet2)
+        steep = cbet1 < -sbet1
+        sbet2 = np.where(steep & (cbet2 == cbet1), np.where(sbet2 < 0, sbet1, -sbet1), sbet2)
+        cbet2 = np.where(~steep & (np.abs(sbet2) == -sbet1), cbet1, cbet2)
+        lam12 = np.radians(lon12)
+        slam12 = _sincosd_many(lon12)[0]
+
+        # Meridional and equatorial starts go to the scalar path.
+        scalar = (lat1 == -90) | (slam12 == 0) | (sbet1 == 0)
+        g = np.flatnonzero(~scalar)
+        sb1, cb1, sb2, cb2, lam = sbet1[g], cbet1[g], sbet2[g], cbet2[g], lam12[g]
+
+        # Starting azimuth, as in `_inverse_start`.
+        sbet12 = sb2 * cb1 - cb2 * sb1
+        cbet12 = cb2 * cb1 + sb2 * sb1
+        sbet12a = sb2 * cb1 + cb2 * sb1
+        shortline = (cbet12 >= 0) & (sbet12 < 0.5) & (lam <= math.pi / 6)
+        w1 = np.sqrt(1 - self.e2 * cb1 * cb1)
+        omg12 = np.where(shortline, lam / w1, lam)
+        somg12, comg12 = np.sin(omg12), np.cos(omg12)
+        salp1 = cb2 * somg12
+        up = comg12 >= 0
+        den = np.where(up, 1 + comg12, 1 - comg12)
+        calp1 = np.where(
+            up,
+            sbet12 + cb2 * sb1 * somg12 * somg12 / den,
+            sbet12a - cb2 * sb1 * somg12 * somg12 / den,
+        )
+        ssig12 = _hypot_many(salp1, calp1)
+        csig12 = sb1 * sb2 + cb1 * cb2 * comg12
+        short = shortline & (ssig12 < self._etol2)
+        astroid = ~short & ~((csig12 >= 0) | (ssig12 >= 3 * abs(self.f) * math.pi * cb1 * cb1))
+        salp1, calp1 = _norm_many(salp1, calp1)
+
+        s12_g = np.zeros(g.size)
+        salp2 = np.zeros(g.size)
+        calp2 = np.zeros(g.size)
+        k = np.flatnonzero(short)
+        s12_g[k] = _atan2_many(ssig12[k], csig12[k]) * self.a * w1[k]
+        salp2[k], calp2[k] = _norm_many(
+            cb1[k] * somg12[k], sbet12[k] - cb1[k] * sb2[k] * somg12[k] * somg12[k] / (1 + comg12[k])
+        )
+
+        k = np.flatnonzero(~short & ~astroid)
+        s12_g[k], salp1[k], calp1[k], salp2[k], calp2[k], failed = self._newton_many(
+            sb1[k], cb1[k], sb2[k], cb2[k], lam[k], salp1[k], calp1[k]
+        )
+        scalar[g[astroid]] = True
+        scalar[g[k[failed]]] = True
+
+        # Undo the canonical arrangement; only azi1 is needed.
+        swapped = swapp[g] < 0
+        salp1 = np.where(swapped, salp2, salp1) * (swapp[g] * lonsign[g])
+        calp1 = np.where(swapped, calp2, calp1) * (swapp[g] * latsign[g])
+        s12[g] = 0.0 + s12_g
+        azi1[g] = _atan2d_many(salp1, calp1)
+
+        for i in np.flatnonzero(scalar):
+            r = self.inverse(float(olat1[i]), float(olon1[i]), float(olat2[i]), float(olon2[i]))
+            s12[i], azi1[i] = r.s12, r.azi1
+        return s12.reshape(shape), azi1.reshape(shape)
+
+    def _newton_many(self, sbet1, cbet1, sbet2, cbet2, lam12, salp1, calp1):
+        # Newton's method of `inverse` on arrays of canonical problems with
+        # sbet1 != 0.  Each pass evaluates only the elements still iterating.
+        # Returns s12 and the final azimuth sines and cosines, plus a mask of
+        # the elements that did not converge.
+        n = lam12.size
+        s12 = np.zeros(n)
+        salp2 = np.zeros(n)
+        calp2 = np.zeros(n)
+        salp1 = salp1.copy()
+        calp1 = calp1.copy()
+        ov = np.zeros(n)
+        trip = np.zeros(n, dtype=bool)
+        failed = np.zeros(n, dtype=bool)
+        act = np.arange(n)
+        for _ in range(_MAXIT if n else 0):
+            sb1, cb1, sb2, cb2 = sbet1[act], cbet1[act], sbet2[act], cbet2[act]
+            sa1, ca1 = salp1[act], calp1[act]
+            nlam12, sa2, ca2, sig12, ssig1, csig1, ssig2, csig2, eps = self._lambda12_many(
+                sb1, cb1, sb2, cb2, sa1, ca1
+            )
+            v = nlam12 - lam12[act]
+            stop = ~(np.abs(v) > _TINY) | trip[act]
+            if stop.any():
+                k = act[stop]
+                failed[k] = ~(np.abs(v[stop]) <= np.maximum(_TOL1, ov[k]))
+                s12x = self._lengths(
+                    eps[stop], sig12[stop], ssig1[stop], csig1[stop], ssig2[stop], csig2[stop],
+                    cb1[stop], cb2[stop], np.sqrt,
+                )[0]
+                s12[k] = s12x * self.b
+                salp2[k], calp2[k] = sa2[stop], ca2[stop]
+                go = ~stop
+                act = act[go]
+                if not act.size:
+                    break
+                sb1, cb1, cb2, sa1, ca1, sa2, ca2, v = (x[go] for x in (sb1, cb1, cb2, sa1, ca1, sa2, ca2, v))
+                sig12, ssig1, csig1, ssig2, csig2, eps = (x[go] for x in (sig12, ssig1, csig1, ssig2, csig2, eps))
+            _, m12a, _ = self._lengths(eps, sig12, ssig1, csig1, ssig2, csig2, cb1, cb2, np.sqrt)
+            vertex = ca2 == 0
+            dv = np.where(
+                vertex,
+                -2 * np.sqrt(1 - self.e2 * cb1 * cb1) / sb1,
+                m12a / np.where(vertex, 1.0, ca2 * cb2),
+            )
+            dalp1 = -v / dv
+            sdalp1, cdalp1 = np.sin(dalp1), np.cos(dalp1)
+            nsalp1 = sa1 * cdalp1 + ca1 * sdalp1
+            ca1 = ca1 * cdalp1 - sa1 * sdalp1
+            salp1[act], calp1[act] = _norm_many(np.maximum(0.0, nsalp1), ca1)
+            trip[act] = ~((np.abs(v) >= _TOL1) & (v * v >= ov[act] * _TOL0))
+            ov[act] = np.abs(v)
+        failed[act] = True
+        return s12, salp1, calp1, salp2, calp2, failed
+
+    def _lambda12_many(self, sbet1, cbet1, sbet2, cbet2, salp1, calp1):
+        # `_lambda12` on arrays, without the derivative; needs sbet1 != 0.
+        salp0 = salp1 * cbet1
+        calp0 = _hypot_many(calp1, salp1 * sbet1)
+        somg1 = salp0 * sbet1
+        csig1 = comg1 = calp1 * cbet1
+        ssig1, csig1 = _norm_many(sbet1, csig1)
+
+        salp2 = np.where(cbet2 != cbet1, salp0 / cbet2, salp1)
+        calp2 = np.where(
+            (cbet2 != cbet1) | (np.abs(sbet2) != -sbet1),
+            np.sqrt(
+                _pow_many(calp1 * cbet1, 2.0)
+                + np.where(
+                    cbet1 < -sbet1, (cbet2 - cbet1) * (cbet1 + cbet2), (sbet1 - sbet2) * (sbet1 + sbet2)
+                )
+            )
+            / cbet2,
+            np.abs(calp1),
+        )
+        somg2 = salp0 * sbet2
+        csig2 = comg2 = calp2 * cbet2
+        ssig2, csig2 = _norm_many(sbet2, csig2)
+
+        sig12 = _atan2_many(np.maximum(0.0, csig1 * ssig2 - ssig1 * csig2), csig1 * csig2 + ssig1 * ssig2)
+        omg12 = _atan2_many(np.maximum(0.0, comg1 * somg2 - somg1 * comg2), comg1 * comg2 + somg1 * somg2)
+
+        k2 = calp0 * calp0 * self.ep2
+        eps = k2 / (2 * (1 + np.sqrt(1 + k2)) + k2)
+        c3a = self._c3f(eps)
+        b312 = _sin_cos_series(True, ssig2, csig2, c3a, _NC3 - 1) - _sin_cos_series(
+            True, ssig1, csig1, c3a, _NC3 - 1
+        )
+        h0 = -self.f * self._a3f(eps)
+        lam12 = omg12 + salp0 * h0 * (sig12 + b312)
+        return lam12, salp2, calp2, sig12, ssig1, csig1, ssig2, csig2, eps
 
     def _antipodal_fallback(self, lat1: float, lat2: float) -> Inverse:
         # Length of the path running over the nearest pole; exact for truly

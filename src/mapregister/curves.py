@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._geodesic import WGS84
 from .errors import DegenerateCurveError, OutOfRangeError
 from .geodesy import (
@@ -25,6 +27,10 @@ from .geodesy import (
     geodesic_midpoint,
     point_to_segment_distance,
 )
+
+#: Anchor x chain-point pairs projected per array batch in
+#: `anchor_min_distances`; keeps its temporaries to a few megabytes.
+ANCHOR_BATCH_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -61,14 +67,16 @@ class DiscreteCurve:
     """An ordered polyline on the ellipsoid with derived segments.
 
     `chain` interleaves the vertices with the edge midpoints; consecutive
-    chain points delimit the segment pieces.  `length` is the sum of the
-    segment lengths and agrees with the polyline length to roundoff.
+    chain points delimit the segment pieces, and `edge_lengths[k]` is the
+    geodesic length from chain[k] to chain[k + 1].  `length` is the sum of
+    the segment lengths and agrees with the polyline length to roundoff.
     """
 
     name: str
     points: list[GeoPoint]
     segments: list[CurveSegment]
     chain: list[GeoPoint]
+    edge_lengths: list[float]
     length: float
 
     @property
@@ -102,11 +110,14 @@ def build_segments(points: list[GeoPoint], name: str = "") -> DiscreteCurve:
     segments.append(CurveSegment(pts[-1], (GeoSegment(mids[-1], pts[-1]),), right_half[-1]))
 
     chain: list[GeoPoint] = [pts[0]]
+    edge_lengths: list[float] = []
     for i in range(n - 1):
         chain.append(mids[i])
         chain.append(pts[i + 1])
+        edge_lengths.append(left_half[i])
+        edge_lengths.append(right_half[i])
     total = sum(s.length for s in segments)
-    return DiscreteCurve(name, pts, segments, chain, total)
+    return DiscreteCurve(name, pts, segments, chain, edge_lengths, total)
 
 
 def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
@@ -115,48 +126,42 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
 
     The segments of B partition its chain edges, so the minimum over
     segments equals the minimum over chain edges.  Per anchor, all chain
-    points of B are projected once into the azimuthal equidistant plane at
-    the anchor and each edge is handled as a planar chord, exactly as
+    points of B are projected into the azimuthal equidistant plane at the
+    anchor and each edge is handled as a planar chord, exactly as
     `point_to_segment_distance` does; over-long edges fall back to that
-    function's densified path.
+    function's densified path.  Anchors are processed in batches of at most
+    `ANCHOR_BATCH_PAIRS` pairs with the array inverse `WGS84.inverse_many`.
     """
     chain = b.chain
-    edge_len = [geodesic_distance(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
-    long_edges = [k for k, ln in enumerate(edge_len) if ln > LONG_SEGMENT_M]
+    blat = np.array([q.lat for q in chain])
+    blon = np.array([q.lon for q in chain])
+    alat = np.array([p.lat for p in a.points])
+    alon = np.array([p.lon for p in a.points])
+    step = max(1, ANCHOR_BATCH_PAIRS // len(chain))
+    out: list[float] = []
+    for start in range(0, len(alat), step):
+        lat1, lon1 = alat[start : start + step, None], alon[start : start + step, None]
+        # A chain point on the anchor projects to the exact origin.
+        ia, ib = np.nonzero((blat != lat1) | (blon != lon1))
+        s12, azi1 = WGS84.inverse_many(lat1[ia, 0], lon1[ia, 0], blat[ib], blon[ib])
+        az = np.radians(azi1)
+        xs = np.zeros((len(lat1), len(chain)))
+        ys = np.zeros((len(lat1), len(chain)))
+        xs[ia, ib] = s12 * np.sin(az)
+        ys[ia, ib] = s12 * np.cos(az)
+        ax, ay = xs[:, :-1], ys[:, :-1]
+        dx, dy = xs[:, 1:] - ax, ys[:, 1:] - ay
+        dd = dx * dx + dy * dy
+        zero = dd == 0.0
+        t = np.clip(-(ax * dx + ay * dy) / np.where(zero, 1.0, dd), 0.0, 1.0)
+        d = np.where(zero, np.hypot(ax, ay), np.hypot(ax + t * dx, ay + t * dy))
+        out.extend(d.min(axis=1).tolist())
 
-    inverse = WGS84.inverse
-    out = []
-    for anchor in a.points:
-        alat, alon = anchor.lat, anchor.lon
-        xs: list[float] = []
-        ys: list[float] = []
-        for q in chain:
-            if q.lat == alat and q.lon == alon:
-                xs.append(0.0)
-                ys.append(0.0)
-                continue
-            r = inverse(alat, alon, q.lat, q.lon)
-            az = math.radians(r.azi1)
-            xs.append(r.s12 * math.sin(az))
-            ys.append(r.s12 * math.cos(az))
-        best = math.inf
-        for k in range(len(chain) - 1):
-            ax, ay, bx, by = xs[k], ys[k], xs[k + 1], ys[k + 1]
-            dx, dy = bx - ax, by - ay
-            dd = dx * dx + dy * dy
-            if dd == 0.0:
-                d = math.hypot(ax, ay)
-            else:
-                t = -(ax * dx + ay * dy) / dd
-                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-                d = math.hypot(ax + t * dx, ay + t * dy)
-            if d < best:
-                best = d
-        for k in long_edges:
-            d = point_to_segment_distance(anchor, GeoSegment(chain[k], chain[k + 1]))
-            if d < best:
-                best = d
-        out.append(best)
+    long_edges = [k for k, ln in enumerate(b.edge_lengths) if ln > LONG_SEGMENT_M]
+    for k in long_edges:
+        segment = GeoSegment(chain[k], chain[k + 1])
+        for i, anchor in enumerate(a.points):
+            out[i] = min(out[i], point_to_segment_distance(anchor, segment))
     return out
 
 

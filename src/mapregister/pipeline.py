@@ -185,9 +185,16 @@ def load_config(path: str | Path) -> ProjectConfig:
             pairs.append((str(item[0]), str(item[1])))
         return pairs
 
-    bands = [float(b) for b in raw.get("bands_km") or DEFAULT_BANDS_KM]
-    if any(b <= 0 for b in bands):
-        raise ConfigError(f"{path}: bands_km must be positive")
+    try:
+        bands = [float(b) for b in raw.get("bands_km") or DEFAULT_BANDS_KM]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bands_km must be a list of numbers") from exc
+    if not all(b > 0 and math.isfinite(b) for b in bands):
+        raise ConfigError(f"{path}: bands_km must be positive and finite")
+
+    dump_field = raw.get("dump_field", False)
+    if not isinstance(dump_field, bool):
+        raise ConfigError(f"{path}: dump_field must be true or false, got {dump_field!r}")
 
     polygon_mode = str(raw.get("polygon_mode", "order"))
     if polygon_mode not in ("order", "hull"):
@@ -211,7 +218,7 @@ def load_config(path: str | Path) -> ProjectConfig:
         comparisons=pair_list("comparisons"),
         source_comparisons=pair_list("source_comparisons") or None,
         bands_km=bands,
-        dump_field=bool(raw.get("dump_field", False)),
+        dump_field=dump_field,
     )
 
 

@@ -1,8 +1,10 @@
 """Independent reference implementations used only to check the library.
 
-Nothing here shares code with the package: distances come from Vincenty's
-1975 nested-equation iteration, meridian arcs from the complete elliptic
-integral, and point-to-segment distances from brute-force densification.
+Distances come from Vincenty's 1975 nested-equation iteration, meridian arcs
+from the complete elliptic integral, and point-to-segment distances from
+brute-force densification; none of these share code with the package.  The
+one exception is `scalar_anchor_min_distances`, the package's earlier
+one-inverse-per-pair anchor pass, kept as the reference for the array pass.
 """
 
 from __future__ import annotations
@@ -166,3 +168,48 @@ def densified_point_to_segment(dist_fn, walk_points, p, a, b, coarse=50.0, fine=
             if dq < best:
                 best = dq
     return best
+
+
+def scalar_anchor_min_distances(a, b):
+    """`curves.anchor_min_distances` with one scalar `Geodesic.inverse` call
+    per anchor and chain point, each chain edge handled as a planar chord in
+    the anchor's azimuthal equidistant plane."""
+    from mapregister._geodesic import WGS84
+    from mapregister.geodesy import LONG_SEGMENT_M, GeoSegment, geodesic_distance, point_to_segment_distance
+
+    chain = b.chain
+    edge_len = [geodesic_distance(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
+    long_edges = [k for k, ln in enumerate(edge_len) if ln > LONG_SEGMENT_M]
+    out = []
+    for anchor in a.points:
+        alat, alon = anchor.lat, anchor.lon
+        xs: list[float] = []
+        ys: list[float] = []
+        for q in chain:
+            if q.lat == alat and q.lon == alon:
+                xs.append(0.0)
+                ys.append(0.0)
+                continue
+            r = WGS84.inverse(alat, alon, q.lat, q.lon)
+            az = math.radians(r.azi1)
+            xs.append(r.s12 * math.sin(az))
+            ys.append(r.s12 * math.cos(az))
+        best = math.inf
+        for k in range(len(chain) - 1):
+            ax, ay, bx, by = xs[k], ys[k], xs[k + 1], ys[k + 1]
+            dx, dy = bx - ax, by - ay
+            dd = dx * dx + dy * dy
+            if dd == 0.0:
+                d = math.hypot(ax, ay)
+            else:
+                t = -(ax * dx + ay * dy) / dd
+                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+                d = math.hypot(ax + t * dx, ay + t * dy)
+            if d < best:
+                best = d
+        for k in long_edges:
+            d = point_to_segment_distance(anchor, GeoSegment(chain[k], chain[k + 1]))
+            if d < best:
+                best = d
+        out.append(best)
+    return out

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mapregister import curves
 from mapregister.curves import (
     BandThreshold,
     DiscreteCurve,
@@ -18,8 +21,16 @@ from mapregister.curves import (
     split_at_nearest_vertex,
 )
 from mapregister.errors import DegenerateCurveError, OutOfRangeError
-from mapregister.geodesy import GeoPoint, geodesic_distance, geodesic_midpoint, polyline_length, walk
+from mapregister.geodesy import (
+    LONG_SEGMENT_M,
+    GeoPoint,
+    geodesic_distance,
+    geodesic_midpoint,
+    polyline_length,
+    walk,
+)
 
+from oracles import scalar_anchor_min_distances
 from synth import random_curve
 
 
@@ -78,6 +89,47 @@ class TestBuildSegments:
             build_segments([p, p, p])
         with pytest.raises(DegenerateCurveError):
             build_segments([p])
+
+    def test_edge_lengths_are_chain_edge_distances(self):
+        c = build_segments(random_curve(random.Random(4), "r", n=9), "r")
+        assert c.edge_lengths == [
+            geodesic_distance(p, q) for p, q in zip(c.chain, c.chain[1:])
+        ]
+
+
+class TestAnchorMinDistances:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(2, 12), st.sampled_from([800.0, 5000.0]))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_scalar_reference(self, seed, n_a, n_b, step_m):
+        rng = random.Random(seed)
+        a = build_segments(random_curve(rng, "A", n=n_a, step_m=step_m), "A")
+        start = walk(a.points[0], rng.uniform(0, 360), rng.uniform(0, 4 * step_m))
+        b = build_segments(random_curve(rng, "B", n=n_b, start=start, step_m=step_m), "B")
+        for got, want in zip(anchor_min_distances(a, b), scalar_anchor_min_distances(a, b)):
+            assert abs(got - want) <= 1e-9 + 1e-14 * want
+
+    def test_batches_and_long_edges_match_scalar_reference(self, monkeypatch):
+        # More anchors than one batch holds, and a chain edge past
+        # LONG_SEGMENT_M, so the densified fallback runs.
+        rng = random.Random(12)
+        a = build_segments(random_curve(rng, "A", n=9, step_m=20_000.0), "A")
+        b = build_segments(random_curve(rng, "B", n=2, start=a.points[3], step_m=350_000.0), "B")
+        assert min(b.edge_lengths) > LONG_SEGMENT_M
+        monkeypatch.setattr(curves, "ANCHOR_BATCH_PAIRS", 12)
+        got = anchor_min_distances(a, b)
+        want = scalar_anchor_min_distances(a, b)
+        assert len(got) == len(want) == 9
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 + 1e-14 * w
+
+    def test_coincident_anchors_are_exactly_zero(self):
+        rng = random.Random(3)
+        a = build_segments(random_curve(rng, "A", n=10), "A")
+        b = build_segments(a.points[2:7] + random_curve(rng, "B", n=4, start=a.points[6])[1:], "B")
+        dists = anchor_min_distances(a, b)
+        assert dists[2:7] == [0.0] * 5
+        assert all(isinstance(d, float) for d in dists)
+        assert anchor_min_distances(a, a) == [0.0] * 10
 
 
 class TestHausdorff:

@@ -1,10 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapregister import _geodesic
+from mapregister._geodesic import WGS84
 from mapregister.errors import OutOfRangeError
 from mapregister.geodesy import (
     GeoPoint,
@@ -221,3 +224,143 @@ class TestPointToSegment:
         got = point_to_segment_distance(p, GeoSegment(a, b))
         ref = densified_point_to_segment(geodesic_distance, walk_points, p, a, b)
         assert got == pytest.approx(ref, abs=0.01)
+
+
+def _assert_inverse_close(s12, azi1, ref):
+    # The array engine calls the scalar engine's atan2, hypot and pow, so
+    # only an ulp from a NumPy sin or cos could separate them: 1e-9 m plus
+    # 1e-14 of the distance, 1e-10 deg.
+    assert abs(s12 - ref.s12) <= 1e-9 + 1e-14 * ref.s12, (s12, ref)
+    assert abs((azi1 - ref.azi1 + 180.0) % 360.0 - 180.0) <= 1e-10, (azi1, ref)
+
+
+class TestSeriesHelpersOnArrays:
+    EPS = [0.0, 1e-6, 3.3e-4, 1.1e-3, 0.0016792]
+
+    @pytest.mark.parametrize(
+        "helper",
+        [_geodesic._a1m1f, _geodesic._c1f, _geodesic._c1pf, _geodesic._a2m1f, _geodesic._c2f,
+         WGS84._a3f, WGS84._c3f],
+    )
+    def test_elementwise_equal_and_argument_untouched(self, helper):
+        eps = np.array(self.EPS)
+        got = helper(eps)
+        assert eps.tolist() == self.EPS
+        for i, e in enumerate(self.EPS):
+            want = helper(e)
+            if isinstance(want, list):
+                assert [c if isinstance(c, float) else c[i] for c in got] == want
+            else:
+                assert got[i] == want
+
+    def test_sin_cos_series(self):
+        eps = np.array(self.EPS)
+        c = _geodesic._c1f(eps)
+        x = np.linspace(-3.0, 3.0, len(self.EPS))
+        sx, cx = np.sin(x), np.cos(x)
+        for sinp in (True, False):
+            got = _geodesic._sin_cos_series(sinp, sx, cx, c, _geodesic._NC1)
+            for i in range(len(self.EPS)):
+                ci = [v if isinstance(v, float) else v[i] for v in c]
+                assert got[i] == _geodesic._sin_cos_series(sinp, sx[i], cx[i], ci, _geodesic._NC1)
+
+
+#: Pairs on each branch that `inverse_many` hands to the scalar `inverse`.
+DELEGATED_PAIRS = {
+    "coincident": (10.0, 20.0, 10.0, 20.0),
+    "meridian": (30.0, 5.0, 50.0, 5.0),
+    "meridian over the pole": (30.0, 5.0, 40.0, -175.0),
+    "south pole": (-90.0, 0.0, 30.0, 40.0),
+    "north pole": (90.0, 0.0, -30.0, 1.0),
+    "equatorial": (0.0, 0.0, 0.0, 10.0),
+    "equatorial beyond (1-f)180": (0.0, 0.0, 0.0, 179.8),
+    "antipodal": (10.0, 5.0, -10.0, -175.0),
+    "nearly antipodal": (10.0, 5.0, -10.2, -175.3),
+    "nearly antipodal near the equator": (0.5, 0.0, -0.4, 179.6),
+}
+
+_lat = st.floats(-90, 90)
+_lon = st.floats(-180, 180)
+
+
+@st.composite
+def _pairs(draw):
+    # A batch mixing far pairs, short pairs and the delegated cases.
+    out = []
+    for _ in range(draw(st.integers(1, 12))):
+        lat1, lon1 = draw(_lat), draw(_lon)
+        kind = draw(st.sampled_from(["far", "near", "special"]))
+        if kind == "far":
+            out.append((lat1, lon1, draw(_lat), draw(_lon)))
+        elif kind == "near":
+            dlat, dlon = draw(st.floats(-2, 2)), draw(st.floats(-2, 2))
+            out.append((lat1, lon1, min(90.0, max(-90.0, lat1 + dlat)), lon1 + dlon))
+        else:
+            out.append(draw(st.sampled_from(list(DELEGATED_PAIRS.values()))))
+    return out
+
+
+class TestInverseMany:
+    @given(_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_inverse(self, pairs):
+        a = np.array(pairs)
+        s12, azi1 = WGS84.inverse_many(a[:, 0], a[:, 1], a[:, 2], a[:, 3])
+        assert s12.shape == azi1.shape == (len(pairs),)
+        for p, s, z in zip(pairs, s12, azi1):
+            _assert_inverse_close(s, z, WGS84.inverse(*p))
+
+    def test_random_pairs_with_long_lines(self):
+        rng = np.random.default_rng(5)
+        lat1, lat2 = rng.uniform(-90, 90, (2, 2000))
+        lon1, lon2 = rng.uniform(-180, 180, (2, 2000))
+        near = slice(0, 1000)
+        lat2[near] = np.clip(lat1[near] + rng.uniform(-3, 3, 1000), -90, 90)
+        lon2[near] = lon1[near] + rng.uniform(-3, 3, 1000)
+        s12, azi1 = WGS84.inverse_many(lat1, lon1, lat2, lon2)
+        for i in range(2000):
+            _assert_inverse_close(s12[i], azi1[i], WGS84.inverse(lat1[i], lon1[i], lat2[i], lon2[i]))
+
+    @pytest.mark.parametrize("name", list(DELEGATED_PAIRS))
+    def test_special_branches_use_scalar_path(self, name, monkeypatch):
+        g = _geodesic.Geodesic(WGS84.a, WGS84.f)
+        calls = []
+        scalar = g.inverse
+        monkeypatch.setattr(g, "inverse", lambda *args: calls.append(args) or scalar(*args))
+        pair = DELEGATED_PAIRS[name]
+        general = (30.0, 0.0, -29.0, 150.0)
+        s12, azi1 = g.inverse_many(*(np.array([x, y]) for x, y in zip(pair, general)))
+        assert calls == [pair]
+        assert s12[0] == scalar(*pair).s12 and azi1[0] == scalar(*pair).azi1
+        _assert_inverse_close(s12[1], azi1[1], scalar(*general))
+
+    def test_short_line_cancellation(self):
+        # One ulp of NumPy's arctan2 or hypot, amplified by the cancellation
+        # in sigma12, once moved this 1.4 km line by 1.4e-9 m.
+        pair = (35.79953313176809, -15.988751514007987, 35.80830280710825, -16.000014064695705)
+        s12, azi1 = WGS84.inverse_many(*(np.array([x]) for x in pair))
+        _assert_inverse_close(s12[0], azi1[0], WGS84.inverse(*pair))
+
+    @pytest.mark.parametrize(
+        "many, scalar",
+        [(_geodesic._atan2_many, math.atan2), (_geodesic._hypot_many, math.hypot), (_geodesic._pow_many, math.pow)],
+        ids=["atan2", "hypot", "pow"],
+    )
+    def test_elementwise_helpers_match_math(self, many, scalar):
+        rng = np.random.default_rng(8)
+        x, y = rng.uniform(-1.0, 1.0, (2, 4000))
+        if scalar is math.pow:
+            y = np.full_like(x, 2.0)
+        got = many(x, y)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert got.tolist() == [scalar(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert many(x[:0], y[:0]).shape == (0,)
+
+    def test_broadcasts(self):
+        lats = np.array([[45.0], [46.0]])
+        lons = np.array([10.0, 10.5, 11.0])
+        s12, azi1 = WGS84.inverse_many(45.5, 10.2, lats, lons)
+        assert s12.shape == azi1.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                _assert_inverse_close(s12[i, j], azi1[i, j], WGS84.inverse(45.5, 10.2, lats[i, 0], lons[j]))

@@ -346,6 +346,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match="polygon_mode"):
             load_config(cfg)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "bands_km: [.nan]",
+            "bands_km: [10, .inf]",
+            "bands_km: [-5]",
+            "bands_km: [ten]",
+            'dump_field: "false"',
+            "dump_field: 1",
+        ],
+    )
+    def test_bad_values_exit_2_before_any_output(self, tmp_path, line):
+        config_path, _ = write_experiment(tmp_path / "exp")
+        text = config_path.read_text()
+        key = line.split(":")[0]
+        text = "".join(l for l in text.splitlines(keepends=True) if not l.startswith(key + ":"))
+        config_path.write_text(text + line + "\n")
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert not (tmp_path / "exp" / "out").exists()
+
+    def test_dump_field_accepts_yaml_booleans(self, tmp_path):
+        config_path, _ = write_experiment(tmp_path / "exp")
+        for value, want in (("false", False), ("true", True), ("no", False)):
+            config_path.write_text(config_path.read_text().split("dump_field")[0] + f"dump_field: {value}\n")
+            assert load_config(config_path).dump_field is want
+
 
 class TestCli:
     def test_run_and_exit_codes(self, tmp_path, capsys):
