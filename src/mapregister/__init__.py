@@ -15,7 +15,6 @@ from .affine import (
     PixelPoint,
     apply_affine,
     fit_affine,
-    least_squares_objective,
     max_error,
     mean_error,
 )

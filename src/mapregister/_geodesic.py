@@ -7,11 +7,11 @@ departure azimuth, seeded with the astroid construction for nearly antipodal
 pairs.  Accuracy on WGS84 is far below a millimeter for non-antipodal pairs.
 
 Only the pieces this package needs are provided: distance plus azimuths for
-the inverse problem, also in an array form (`Geodesic.inverse_many`) for
-batches of point pairs, and a reusable line object for the direct problem.  If
-the inverse iteration does not converge (possible only within a vanishing
-neighbourhood of antipodal pairs) the over-the-pole meridional path length is
-returned so the function stays total.
+the inverse problem, a reusable line object for the direct problem, and
+array forms of both (`Geodesic.inverse_many`, `Geodesic.direct_many`) for
+batches of point pairs and lines.  If the inverse iteration does not converge
+(possible only within a vanishing neighbourhood of antipodal pairs) the
+over-the-pole meridional path length is returned so the function stays total.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ def _norm(s: float, c: float) -> tuple[float, float]:
 
 
 # Array forms of the angle helpers above, with the same arithmetic, for
-# `Geodesic.inverse_many`.  The scalar engine keeps its math-module versions,
-# which stay fast on single floats.
+# `Geodesic.inverse_many` and `Geodesic.direct_many`.  The scalar engine keeps
+# its math-module versions, which stay fast on single floats.
 
 
 def _elementwise(fn, nin):
@@ -109,7 +109,7 @@ def _elementwise(fn, nin):
     # differ from math.atan2, math.hypot and C pow (behind a float's `**`)
     # by an ulp on a few percent of arguments, and the inverse amplifies one
     # ulp to ~1e-9 m through its cancellations; calling the same functions
-    # as `inverse` keeps `inverse_many` bit-identical to it.
+    # as the scalar engine keeps the array forms bit-identical to it.
     ufunc = np.frompyfunc(fn, nin, 1)
     return lambda *args: np.asarray(ufunc(*args), dtype=float)
 
@@ -207,8 +207,8 @@ def _astroid(x: float, y: float) -> float:
     return 0.0
 
 
-# The series helpers below also accept arrays and are shared by `inverse`
-# and `inverse_many`; none may update an argument in place (d = d * eps,
+# The series helpers below also accept arrays and are shared by the scalar
+# and the array forms; none may update an argument in place (d = d * eps,
 # never d *= eps), since the caller's eps would change with it.
 
 
@@ -803,6 +803,57 @@ class Geodesic:
     def direct(self, lat1: float, lon1: float, azi1: float, s12: float) -> tuple[float, float, float]:
         """Destination (lat2, lon2, azi2) after s12 meters along azi1."""
         return GeodesicLine(self, lat1, lon1, azi1).position(s12)
+
+    def direct_many(self, lat1, lon1, azi1, s12) -> tuple[np.ndarray, np.ndarray]:
+        """Array form of `direct`: (lat2, lon2) for broadcast arguments.
+
+        `GeodesicLine.__init__` plus `position`, operation for operation,
+        with their special cases as masks; atan2 and hypot are the `math`
+        functions (see `_elementwise`), so results equal those of `direct`.
+        """
+        args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lat1, lon1, azi1, s12)))
+        lat1, lon1, azi1, s12 = args
+
+        # The line, as in `GeodesicLine.__init__`.
+        salp1, calp1 = _sincosd_many(_ang_round_many(_ang_normalize_many(azi1)))
+        sbet1, cbet1 = _sincosd_many(_ang_round_many(lat1))
+        sbet1, cbet1 = _norm_many(sbet1 * self.f1, cbet1)
+        cbet1 = np.maximum(_TINY, cbet1)
+        salp0 = salp1 * cbet1
+        calp0 = _hypot_many(calp1, salp1 * sbet1)
+        somg1 = salp0 * sbet1
+        csig1 = comg1 = np.where((sbet1 != 0) | (calp1 != 0), cbet1 * calp1, 1.0)
+        ssig1, csig1 = _norm_many(sbet1, csig1)
+        k2 = calp0 * calp0 * self.ep2
+        eps = k2 / (2 * (1 + np.sqrt(1 + k2)) + k2)
+        a1m1 = _a1m1f(eps)
+        b11 = _sin_cos_series(True, ssig1, csig1, _c1f(eps), _NC1)
+        s, c = np.sin(b11), np.cos(b11)
+        stau1 = ssig1 * c + csig1 * s
+        ctau1 = csig1 * c - ssig1 * s
+        c3a = self._c3f(eps)
+        a3c = -self.f * salp0 * self._a3f(eps)
+        b31 = _sin_cos_series(True, ssig1, csig1, c3a, _NC3 - 1)
+
+        # The point at s12, as in `GeodesicLine.position`.
+        tau12 = s12 / (self.b * (1 + a1m1))
+        s, c = np.sin(tau12), np.cos(tau12)
+        b12 = -_sin_cos_series(True, stau1 * c + ctau1 * s, ctau1 * c - stau1 * s, _c1pf(eps), _NC1P)
+        sig12 = tau12 - (b12 - b11)
+        ssig12, csig12 = np.sin(sig12), np.cos(sig12)
+        ssig2 = ssig1 * csig12 + csig1 * ssig12
+        csig2 = csig1 * csig12 - ssig1 * ssig12
+        sbet2 = calp0 * ssig2
+        cbet2 = _hypot_many(salp0, calp0 * csig2)
+        pole = cbet2 == 0
+        cbet2 = np.where(pole, _TINY, cbet2)
+        csig2 = comg2 = np.where(pole, _TINY, csig2)
+        somg2 = salp0 * ssig2
+        omg12 = _atan2_many(somg2 * comg1 - comg2 * somg1, comg2 * comg1 + somg2 * somg1)
+        lam12 = omg12 + a3c * (sig12 + (_sin_cos_series(True, ssig2, csig2, c3a, _NC3 - 1) - b31))
+        lon12 = _ang_normalize_many(np.degrees(lam12))
+        lon2 = _ang_normalize_many(_ang_normalize_many(lon1) + lon12)
+        return _atan2d_many(sbet2, self.f1 * cbet2), lon2
 
 
 class GeodesicLine:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateConfigurationError, OutOfRangeError
-from .geodesy import GeoPoint, geodesic_distance
+from .geodesy import GeoPoint, geodesic_distance_many
 
 _COLLINEAR_RTOL = 1e-12
 
@@ -165,29 +165,34 @@ def fit_affine(cset: CorrespondenceSet) -> AffineParams:
     return AffineParams(a1, a2, a3, a4, b1, b2)
 
 
-def least_squares_objective(t: AffineParams, cset: CorrespondenceSet) -> float:
-    """The fitted objective: summed squared degree-space residuals."""
-    total = 0.0
-    for c in cset.pairs:
-        r1 = c.target.lon - (t.a1 * c.source.x1 + t.a2 * c.source.x2 + t.b1)
-        r2 = c.target.lat - (t.a3 * c.source.x1 + t.a4 * c.source.x2 + t.b2)
-        total += r1 * r1 + r2 * r2
-    return total
+def errors_km(t: AffineParams, sets: list[CorrespondenceSet]) -> tuple[list[float], list[float]]:
+    """RMS and largest geodesic residual in kilometers of t on each set.
 
-
-def _residuals_km(t: AffineParams, cset: CorrespondenceSet) -> list[float]:
-    return [
-        geodesic_distance(c.target, apply_affine(t, c.source)) / 1000.0
-        for c in cset.pairs
-    ]
+    One array inverse measures every pair of every set; the per-set sums
+    and maxima then run in pair order, as a loop over the sets would.
+    """
+    pairs = [c for s in sets for c in s.pairs]
+    images = [apply_affine(t, c.source) for c in pairs]
+    lat1 = np.array([c.target.lat for c in pairs])
+    lon1 = np.array([c.target.lon for c in pairs])
+    lat2 = np.array([g.lat for g in images])
+    lon2 = np.array([g.lon for g in images])
+    r = (geodesic_distance_many(lat1, lon1, lat2, lon2) / 1000.0).tolist()
+    rms, largest = [], []
+    start = 0
+    for s in sets:
+        row = r[start : start + len(s.pairs)]
+        start += len(s.pairs)
+        rms.append(math.sqrt(sum(d * d for d in row) / len(row)))
+        largest.append(max(row))
+    return rms, largest
 
 
 def mean_error(t: AffineParams, cset: CorrespondenceSet) -> float:
     """Root-mean-square geodesic residual in kilometers."""
-    r = _residuals_km(t, cset)
-    return math.sqrt(sum(d * d for d in r) / len(r))
+    return errors_km(t, [cset])[0][0]
 
 
 def max_error(t: AffineParams, cset: CorrespondenceSet) -> float:
     """Largest geodesic residual in kilometers."""
-    return max(_residuals_km(t, cset))
+    return errors_km(t, [cset])[1][0]

@@ -38,6 +38,7 @@ from .report import (
     CurveInfo,
     MetricsReport,
     SourceEntry,
+    check_table_name,
     km_face,
     render_csv_tables,
     render_human,
@@ -112,8 +113,8 @@ def cmd_transform(args) -> int:
 def cmd_compare(args) -> int:
     name_a, pts_a = read_geo_curve(args.curve_a)
     name_b, pts_b = read_geo_curve(args.curve_b)
-    a = build_segments(pts_a, args.name_a or name_a)
-    b = build_segments(pts_b, args.name_b or name_b)
+    a = build_segments(pts_a, check_table_name(args.name_a or name_a, "curve A"))
+    b = build_segments(pts_b, check_table_name(args.name_b or name_b, "curve B"))
     hd, ml = compare_pair(a, b, args.bands)
     report = MetricsReport(
         transform_errors=_empty_errors(),

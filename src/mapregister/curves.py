@@ -24,7 +24,7 @@ from .geodesy import (
     GeoPoint,
     GeoSegment,
     geodesic_distance,
-    geodesic_midpoint,
+    geodesic_distance_many,
     point_to_segment_distance,
 )
 
@@ -89,7 +89,9 @@ def build_segments(points: list[GeoPoint], name: str = "") -> DiscreteCurve:
 
     Consecutive duplicate points are dropped first; fewer than two distinct
     points leave nothing to measure.  Midpoints are geodesic midpoints, so
-    the two halves of an edge have equal geodesic length.
+    the two halves of an edge have equal geodesic length.  All edges are
+    solved at once with the array geodesics, which give the same values as
+    `geodesic_midpoint` and `geodesic_distance` edge by edge.
     """
     pts: list[GeoPoint] = []
     for p in points:
@@ -98,24 +100,35 @@ def build_segments(points: list[GeoPoint], name: str = "") -> DiscreteCurve:
     if len(pts) < 2:
         raise DegenerateCurveError(f"curve '{name}' has {len(pts)} distinct points, need at least 2")
 
-    n = len(pts)
-    mids = [geodesic_midpoint(pts[i], pts[i + 1]) for i in range(n - 1)]
-    left_half = [geodesic_distance(pts[i], mids[i]) for i in range(n - 1)]
-    right_half = [geodesic_distance(mids[i], pts[i + 1]) for i in range(n - 1)]
+    lat = np.array([p.lat for p in pts])
+    lon = np.array([p.lon for p in pts])
+    s12, azi1 = WGS84.inverse_many(lat[:-1], lon[:-1], lat[1:], lon[1:])
+    mlat, mlon = WGS84.direct_many(lat[:-1], lon[:-1], azi1, s12 / 2)
+    mids = [GeoPoint(x, y) for x, y in zip(mlon.tolist(), mlat.tolist())]
+    mlon = np.array([m.lon for m in mids])  # as normalized by GeoPoint
+    left_half = geodesic_distance_many(lat[:-1], lon[:-1], mlat, mlon)
+    right_half = geodesic_distance_many(mlat, mlon, lat[1:], lon[1:])
 
+    chain: list[GeoPoint] = [pts[0]] * (2 * len(pts) - 1)
+    chain[1::2] = mids
+    chain[2::2] = pts[1:]
+    edge_lengths = np.stack([left_half, right_half], axis=1).ravel().tolist()
+    return _assemble(name, chain, edge_lengths)
+
+
+def _assemble(name: str, chain: list[GeoPoint], edge_lengths: list[float]) -> DiscreteCurve:
+    # A curve from its chain (vertices interleaved with edge midpoints) and
+    # the chain's edge lengths; `build_segments` and the halves of
+    # `split_at_nearest_vertex` both end here.
+    pts = chain[::2]
+    mids = chain[1::2]
+    left_half = edge_lengths[0::2]
+    right_half = edge_lengths[1::2]
     segments = [CurveSegment(pts[0], (GeoSegment(pts[0], mids[0]),), left_half[0])]
-    for i in range(1, n - 1):
+    for i in range(1, len(pts) - 1):
         pieces = (GeoSegment(mids[i - 1], pts[i]), GeoSegment(pts[i], mids[i]))
         segments.append(CurveSegment(pts[i], pieces, right_half[i - 1] + left_half[i]))
     segments.append(CurveSegment(pts[-1], (GeoSegment(mids[-1], pts[-1]),), right_half[-1]))
-
-    chain: list[GeoPoint] = [pts[0]]
-    edge_lengths: list[float] = []
-    for i in range(n - 1):
-        chain.append(mids[i])
-        chain.append(pts[i + 1])
-        edge_lengths.append(left_half[i])
-        edge_lengths.append(right_half[i])
     total = sum(s.length for s in segments)
     return DiscreteCurve(name, pts, segments, chain, edge_lengths, total)
 
@@ -222,14 +235,17 @@ def split_at_nearest_vertex(
     two points.  Used to separate upper and lower river courses at a
     confluence or crossing supplied as configuration.
     """
-    dists = [geodesic_distance(p, ref) for p in curve.points]
-    k = min(range(len(dists)), key=dists.__getitem__)
+    lat = np.array([p.lat for p in curve.points])
+    lon = np.array([p.lon for p in curve.points])
+    k = int(np.argmin(geodesic_distance_many(lat, lon, ref.lat, ref.lon)))
     if k == 0 or k == len(curve.points) - 1:
         raise DegenerateCurveError(
             f"split point of '{curve.name}' falls on an endpoint (vertex {k})"
         )
     if names is None:
         names = (f"{curve.name}1", f"{curve.name}2")
-    first = build_segments(curve.points[: k + 1], names[0])
-    second = build_segments(curve.points[k:], names[1])
+    # Each half is what `build_segments` would make of its points: the
+    # parent's vertices, midpoints and half-edge lengths on that side.
+    first = _assemble(names[0], curve.chain[: 2 * k + 1], curve.edge_lengths[: 2 * k])
+    second = _assemble(names[1], curve.chain[2 * k :], curve.edge_lengths[2 * k :])
     return first, second

@@ -26,12 +26,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .affine import Correspondence, CorrespondenceSet, PixelPoint
 from .errors import ConfigError
 from .field import ParameterField
 from .geodesy import GeoPoint
+from .report import check_table_name
 
 
 def _data_lines(path: Path):
@@ -56,6 +55,7 @@ def read_correspondences(path: str | Path) -> list[CorrespondenceSet]:
             name = line[4:].strip()
             if not name:
                 raise ConfigError(f"{path}:{lineno}: empty set name")
+            check_table_name(name, f"{path}:{lineno}")
             if any(s.name == name for s in sets):
                 raise ConfigError(f"{path}:{lineno}: duplicate set name '{name}'")
             current = CorrespondenceSet(name, [])
@@ -193,22 +193,3 @@ def write_field_dump(field: ParameterField, directory: str | Path) -> list[Path]
         out.write_text("\n".join(lines) + "\n")
         written.append(out)
     return written
-
-
-def read_field_dump(path: str | Path) -> np.ndarray:
-    """Read one parameter grid back from a dump file (testing aid)."""
-    path = Path(path)
-    rows = []
-    n1 = n2 = None
-    for line in path.read_text().splitlines():
-        if line.startswith("#"):
-            if "n1:" in line:
-                parts = line.replace("#", "").split()
-                n1 = int(parts[parts.index("n1:") + 1])
-                n2 = int(parts[parts.index("n2:") + 1])
-            continue
-        rows.append([float(v) for v in line.split(",")])
-    arr = np.array(rows).T  # rows were x2, columns x1
-    if n1 is not None and arr.shape != (n1, n2):
-        raise ConfigError(f"{path}: grid shape {arr.shape} does not match header ({n1}, {n2})")
-    return arr

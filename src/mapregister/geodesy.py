@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._geodesic import WGS84
 from .errors import OutOfRangeError
 
@@ -63,6 +65,13 @@ def geodesic_distance(p: GeoPoint, q: GeoPoint) -> float:
     if p.lat == q.lat and p.lon == q.lon:
         return 0.0
     return WGS84.inverse(p.lat, p.lon, q.lat, q.lon).s12
+
+
+def geodesic_distance_many(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """`geodesic_distance` on broadcast coordinate arrays (meters), with the
+    same exact 0.0 for coincident points."""
+    s12, _ = WGS84.inverse_many(lat1, lon1, lat2, lon2)
+    return np.where((lat1 == lat2) & (lon1 == lon2), 0.0, s12)
 
 
 def geodesic_midpoint(p: GeoPoint, q: GeoPoint) -> GeoPoint:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import yaml
 
-from .affine import AffineParams, CorrespondenceSet, PixelPoint, apply_affine, fit_affine, max_error, mean_error
+from .affine import AffineParams, CorrespondenceSet, PixelPoint, apply_affine, errors_km, fit_affine
 from .curves import (
     BandThreshold,
     DiscreteCurve,
@@ -52,6 +52,7 @@ from .report import (
     MetricsReport,
     SourceEntry,
     TransformErrors,
+    check_table_name,
     render_csv_tables,
     render_human,
     render_sidecar,
@@ -112,6 +113,25 @@ class ProjectConfig:
         return self.polygon_mode == "hull"
 
 
+#: The documented keys of a configuration, and of its nested mappings.
+CONFIG_KEYS = frozenset({
+    "domain", "correspondences", "regions", "polygon_mode", "source_curves",
+    "reference_curves", "splits", "comparisons", "source_comparisons",
+    "bands_km", "output_dir", "dump_field",
+})
+DOMAIN_KEYS = frozenset({"x1_min", "x2_min", "x1_max", "x2_max"})
+CURVE_KEYS = frozenset({"name", "file"})
+SPLIT_KEYS = frozenset({"curve", "lon", "lat", "names"})
+
+
+def _check_keys(mapping, known: frozenset, where: str) -> None:
+    # A misspelled key would otherwise be ignored and its default used.
+    if isinstance(mapping, dict):
+        unknown = [str(k) for k in mapping if k not in known]
+        if unknown:
+            raise ConfigError(f"{where}: unknown key '{unknown[0]}' (known: {', '.join(sorted(known))})")
+
+
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"{where}: missing required key '{key}'")
@@ -119,10 +139,10 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _check_curve_name(name: str, where: str) -> str:
-    # Curve names become output file names.
+    # Curve names become output file names and CSV table cells.
     if not name or name in (".", "..") or any(c in name for c in "/\\\0"):
         raise ConfigError(f"{where}: invalid curve name {name!r}")
-    return name
+    return check_table_name(name, where)
 
 
 def load_config(path: str | Path) -> ProjectConfig:
@@ -137,8 +157,10 @@ def load_config(path: str | Path) -> ProjectConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     base = path.parent
+    _check_keys(raw, CONFIG_KEYS, str(path))
 
     dom = _require(raw, "domain", str(path))
+    _check_keys(dom, DOMAIN_KEYS, f"{path}: domain")
     try:
         x1_min = float(dom["x1_min"])
         x2_min = float(dom["x2_min"])
@@ -160,6 +182,7 @@ def load_config(path: str | Path) -> ProjectConfig:
         for item in raw.get(key, []) or []:
             if not isinstance(item, dict) or "name" not in item or "file" not in item:
                 raise ConfigError(f"{path}: every {key} entry needs 'name' and 'file'")
+            _check_keys(item, CURVE_KEYS, f"{path}: {key} entry")
             f = base / str(item["file"])
             if not f.is_file():
                 raise ConfigError(f"{path}: {key} file {f} does not exist")
@@ -168,6 +191,7 @@ def load_config(path: str | Path) -> ProjectConfig:
 
     splits = []
     for item in raw.get("splits", []) or []:
+        _check_keys(item, SPLIT_KEYS, f"{path}: splits entry")
         try:
             at = GeoPoint(float(item["lon"]), float(item["lat"]))
             names = tuple(_check_curve_name(str(n), str(path)) for n in item["names"])
@@ -242,8 +266,9 @@ def fit_with_global(sets: list[CorrespondenceSet]) -> tuple[dict[str, AffinePara
     fits[GLOBAL_NAME] = fit_affine(union)
     eval_sets = list(sets) + [union]
     names = [s.name for s in eval_sets]
-    mean_m = [[mean_error(fits[t], s) for s in eval_sets] for t in names]
-    max_m = [[max_error(fits[t], s) for s in eval_sets] for t in names]
+    rows = [errors_km(fits[t], eval_sets) for t in names]
+    mean_m = [rms for rms, _ in rows]
+    max_m = [largest for _, largest in rows]
     return fits, TransformErrors(list(names), list(names), mean_m, max_m)
 
 

@@ -15,11 +15,26 @@ import json
 from dataclasses import dataclass, field as dc_field
 from decimal import ROUND_HALF_UP, Decimal
 
-from .errors import MapRegisterError
+from .errors import ConfigError, MapRegisterError
 
 
 class ReportConsistencyError(MapRegisterError):
     """A combined table value failed its emit-time self-check."""
+
+
+#: Characters that would split or break a cell of the unquoted CSV tables.
+CSV_UNSAFE = ',"\n\r'
+
+
+def check_table_name(name: str, where: str) -> str:
+    """Return a curve or set name unchanged if it can be a CSV table cell
+    as is; a comma, double quote or line break would shift the columns."""
+    if any(c in name for c in CSV_UNSAFE):
+        raise ConfigError(
+            f"{where}: name {name!r} has a comma, double quote or line break, "
+            "which a CSV table cell cannot hold"
+        )
+    return name
 
 
 _KM_Q = Decimal("0.001")

@@ -4,7 +4,10 @@ Distances come from Vincenty's 1975 nested-equation iteration, meridian arcs
 from the complete elliptic integral, and point-to-segment distances from
 brute-force densification; none of these share code with the package.  The
 one exception is `scalar_anchor_min_distances`, the package's earlier
-one-inverse-per-pair anchor pass, kept as the reference for the array pass.
+one-inverse-per-pair anchor pass, and `scalar_build_segments`, its earlier
+edge-by-edge segment building, kept as the references for the array paths.
+The test-only readers of library outputs (`least_squares_objective`,
+`read_field_dump`) live here too.
 """
 
 from __future__ import annotations
@@ -213,3 +216,55 @@ def scalar_anchor_min_distances(a, b):
                 best = d
         out.append(best)
     return out
+
+
+def scalar_build_segments(points):
+    """`curves.build_segments` edge by edge with the scalar geodesics:
+    returns (vertices, chain, edge_lengths, segment lengths, length)."""
+    from mapregister.geodesy import geodesic_distance, geodesic_midpoint
+
+    pts = []
+    for p in points:
+        if not pts or p != pts[-1]:
+            pts.append(p)
+    mids = [geodesic_midpoint(p, q) for p, q in zip(pts, pts[1:])]
+    left = [geodesic_distance(p, m) for p, m in zip(pts, mids)]
+    right = [geodesic_distance(m, q) for m, q in zip(mids, pts[1:])]
+    chain = [pts[0]]
+    edge_lengths = []
+    for i in range(len(mids)):
+        chain += [mids[i], pts[i + 1]]
+        edge_lengths += [left[i], right[i]]
+    seg = [left[0]] + [right[i - 1] + left[i] for i in range(1, len(pts) - 1)] + [right[-1]]
+    return pts, chain, edge_lengths, seg, sum(seg)
+
+
+def least_squares_objective(t, cset):
+    """The fitted objective: summed squared degree-space residuals."""
+    total = 0.0
+    for c in cset.pairs:
+        r1 = c.target.lon - (t.a1 * c.source.x1 + t.a2 * c.source.x2 + t.b1)
+        r2 = c.target.lat - (t.a3 * c.source.x1 + t.a4 * c.source.x2 + t.b2)
+        total += r1 * r1 + r2 * r2
+    return total
+
+
+def read_field_dump(path):
+    """One parameter grid read back from a `write_field_dump` file, indexed
+    [x1, x2]; raises ValueError if the grid disagrees with its header."""
+    import numpy as np
+
+    rows = []
+    n1 = n2 = None
+    for line in path.read_text().splitlines():
+        if line.startswith("#"):
+            if "n1:" in line:
+                parts = line.replace("#", "").split()
+                n1 = int(parts[parts.index("n1:") + 1])
+                n2 = int(parts[parts.index("n2:") + 1])
+            continue
+        rows.append([float(v) for v in line.split(",")])
+    arr = np.array(rows).T  # rows were x2, columns x1
+    if n1 is not None and arr.shape != (n1, n2):
+        raise ValueError(f"{path}: grid shape {arr.shape} does not match header ({n1}, {n2})")
+    return arr

@@ -9,14 +9,15 @@ from mapregister.affine import (
     CorrespondenceSet,
     PixelPoint,
     apply_affine,
+    errors_km,
     fit_affine,
-    least_squares_objective,
     max_error,
     mean_error,
 )
 from mapregister.errors import DegenerateConfigurationError, OutOfRangeError
 from mapregister.geodesy import GeoPoint, geodesic_distance, walk
 
+from oracles import least_squares_objective
 from synth import random_affine, random_pixels, synth_set
 
 
@@ -173,3 +174,21 @@ class TestErrors:
             cset = synth_set("mm", t_true, random_pixels(rng, 8), rng, noise_deg=0.2)
             t = fit_affine(cset)
             assert mean_error(t, cset) <= max_error(t, cset) + 1e-12
+
+    def test_errors_equal_scalar_residuals(self):
+        # One array pass gives exactly the scalar distances, including the
+        # exact zero of a target that coincides with its image.
+        rng = random.Random(13)
+        t_true = random_affine(rng)
+        cset = synth_set("s", t_true, random_pixels(rng, 9), rng, noise_deg=0.05)
+        t = fit_affine(cset)
+        src = PixelPoint(3.0, 4.0)
+        cset.pairs.append(Correspondence(src, apply_affine(t, src)))
+        r = [geodesic_distance(c.target, apply_affine(t, c.source)) / 1000.0 for c in cset.pairs]
+        assert r[-1] == 0.0
+        assert (mean_error(t, cset), max_error(t, cset)) == (math.sqrt(sum(d * d for d in r) / len(r)), max(r))
+        # Several sets in one pass give the same figures as one set at a time.
+        sets = [cset, CorrespondenceSet("head", cset.pairs[:4]), CorrespondenceSet("tail", cset.pairs[4:])]
+        assert errors_km(t, sets) == tuple(
+            [f(t, s) for s in sets] for f in (mean_error, max_error)
+        )

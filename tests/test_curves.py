@@ -30,7 +30,7 @@ from mapregister.geodesy import (
     walk,
 )
 
-from oracles import scalar_anchor_min_distances
+from oracles import scalar_anchor_min_distances, scalar_build_segments
 from synth import random_curve
 
 
@@ -39,6 +39,21 @@ def curve_along(start: GeoPoint, azimuth: float, steps: list[float], name="c") -
     for d in steps:
         pts.append(walk(pts[-1], azimuth, d))
     return build_segments(pts, name)
+
+
+def assert_matches_scalar_build(pts):
+    c = build_segments(pts, "r")
+    want = scalar_build_segments(pts)
+    assert (c.points, c.chain, c.edge_lengths, [s.length for s in c.segments], c.length) == want
+
+
+def assert_same_curve(got: DiscreteCurve, want: DiscreteCurve):
+    assert got.name == want.name
+    assert got.points == want.points
+    assert got.chain == want.chain
+    assert got.edge_lengths == want.edge_lengths
+    assert got.segments == want.segments
+    assert got.length == want.length
 
 
 class TestBuildSegments:
@@ -95,6 +110,32 @@ class TestBuildSegments:
         assert c.edge_lengths == [
             geodesic_distance(p, q) for p, q in zip(c.chain, c.chain[1:])
         ]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.sampled_from([0.01, 800.0, 5000.0, 300_000.0]))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_scalar_reference(self, seed, n, step_m):
+        pts = random_curve(random.Random(seed), "r", n=n, step_m=step_m)
+        assert_matches_scalar_build(pts)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            # along a meridian, along the equator, across the antimeridian
+            [GeoPoint(5.0, lat) for lat in (10.0, 10.5, 11.5)],
+            [GeoPoint(lon, 0.0) for lon in (0.0, 0.4, 1.0)],
+            [GeoPoint(179.9, 10.0), GeoPoint(-179.95, 10.02), GeoPoint(-179.8, 10.0)],
+            # through a pole, and nearly antipodal vertices
+            [GeoPoint(0.0, 89.5), GeoPoint(0.0, 90.0), GeoPoint(180.0, 89.5)],
+            [GeoPoint(5.0, 10.0), GeoPoint(-175.3, -10.2), GeoPoint(-170.0, -12.0)],
+            # vertices an ulp apart, so a midpoint lands on a vertex
+            [GeoPoint(10.0, 45.0), GeoPoint(10.0, math.nextafter(45.0, 46.0)), GeoPoint(10.0, 45.001)],
+            # consecutive duplicates
+            [GeoPoint(1.0, 1.0), GeoPoint(1.0, 1.0), GeoPoint(2.0, 2.0), GeoPoint(2.0, 2.0), GeoPoint(3.0, 2.0)],
+        ],
+        ids=["meridian", "equator", "antimeridian", "pole", "antipodal", "ulp", "duplicates"],
+    )
+    def test_special_curves_match_scalar_reference(self, pts):
+        assert_matches_scalar_build(pts)
 
 
 class TestAnchorMinDistances:
@@ -280,6 +321,22 @@ class TestSplit:
         assert upper.name == "D1" and lower.name == "D2"
         assert upper.points == pts[:3]
         assert lower.points == pts[2:]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 30))
+    @settings(max_examples=25, deadline=None)
+    def test_halves_equal_rebuilt_halves(self, seed, n):
+        rng = random.Random(seed)
+        c = build_segments(random_curve(rng, "r", n=n, step_m=rng.choice([5.0, 2000.0])), "r")
+        k = rng.randrange(1, len(c.points) - 1)
+        upper, lower = split_at_nearest_vertex(c, c.points[k], ("r1", "r2"))
+        assert_same_curve(upper, build_segments(c.points[: k + 1], "r1"))
+        assert_same_curve(lower, build_segments(c.points[k:], "r2"))
+
+    def test_nearest_vertex_first_of_ties(self):
+        # Vertices 1 and 3 coincide with the reference point: the first wins.
+        pts = [GeoPoint(0.0, 45.0), GeoPoint(0.1, 45.0), GeoPoint(0.2, 45.0), GeoPoint(0.1, 45.0), GeoPoint(0.0, 45.1)]
+        upper, lower = split_at_nearest_vertex(build_segments(pts, "D"), GeoPoint(0.1, 45.0))
+        assert upper.points == pts[:2] and lower.points == pts[1:]
 
     def test_split_at_endpoint_rejected(self):
         pts = [GeoPoint(x, 45.0) for x in (0.0, 0.1, 0.2)]

@@ -364,3 +364,72 @@ class TestInverseMany:
         for i in range(2):
             for j in range(3):
                 _assert_inverse_close(s12[i, j], azi1[i, j], WGS84.inverse(45.5, 10.2, lats[i, 0], lons[j]))
+
+
+def _assert_direct_close(got, lat1, lon1, azi1, s12):
+    # Equal to `direct`; should a NumPy sin or cos differ by an ulp on some
+    # platform, the two positions may lie as far apart as the inverse
+    # tolerance above allows, 1e-9 m plus 1e-14 of the distance.
+    lat2, lon2, _ = WGS84.direct(lat1, lon1, azi1, s12)
+    if got != (lat2, lon2):
+        gap = WGS84.inverse(got[0], got[1], lat2, lon2).s12
+        assert gap <= 1e-9 + 1e-14 * abs(s12), ((lat1, lon1, azi1, s12), got, (lat2, lon2))
+
+
+#: Lines through the special cases of `GeodesicLine`: starts on a pole
+#: (cbet1 clamped to tiny), on the equator heading along it (the csig1
+#: special case), along meridians, azimuths of 0 and +-180, zero length, and
+#: lines over a pole.  Its cbet2 == 0 guard is reached by no known input.
+DIRECT_CASES = [
+    (90.0, 0.0, 0.0, 1e6), (90.0, 30.0, 180.0, 1e6), (-90.0, 10.0, 45.0, 1e6),
+    (0.0, 0.0, 90.0, 1e6), (0.0, 0.0, -90.0, 3e7), (0.0, 170.0, 90.0, 2e6),
+    (0.0, 0.0, 0.0, 10001965.729313058), (30.0, 5.0, 0.0, 6.7e6), (-30.0, 5.0, 180.0, 8e6),
+    (45.0, 10.0, -180.0, 1e5), (45.0, 10.0, 180.0, 1e5), (-0.0, -0.0, -0.0, 5.0),
+    (10.0, 20.0, 30.0, 0.0), (89.9999, -179.9999, 90.0, 2e4), (0.0, 180.0, -135.0, 1.5e7),
+]
+
+
+class TestDirectMany:
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(-90, 90), st.sampled_from([-90.0, 0.0, 90.0])),
+                st.floats(-540, 540),
+                st.one_of(st.floats(-360, 360), st.sampled_from([-180.0, 0.0, 90.0, 180.0])),
+                st.one_of(st.floats(0, 4e7), st.just(0.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_direct(self, lines):
+        a = np.array(lines)
+        lat2, lon2 = WGS84.direct_many(a[:, 0], a[:, 1], a[:, 2], a[:, 3])
+        assert lat2.shape == lon2.shape == (len(lines),)
+        for line, la, lo in zip(lines, lat2.tolist(), lon2.tolist()):
+            _assert_direct_close((la, lo), *line)
+
+    def test_seeded_lines_and_special_cases(self):
+        rng = np.random.default_rng(11)
+        n = 2000
+        lat1 = rng.uniform(-90, 90, n)
+        lon1 = rng.uniform(-180, 180, n)
+        azi1 = rng.uniform(-180, 180, n)
+        s12 = rng.choice([1.0, 1e3, 1e5, 1e7, 4e7], n) * rng.uniform(0, 1, n)
+        lat1[:100] = rng.choice([-90.0, 0.0, 90.0], 100)
+        azi1[100:200] = rng.choice([-180.0, 0.0, 180.0], 100)
+        s12[200:250] = 0.0
+        lines = np.concatenate([np.stack([lat1, lon1, azi1, s12], axis=1), np.array(DIRECT_CASES)])
+        lat2, lon2 = WGS84.direct_many(*lines.T)
+        for line, la, lo in zip(lines.tolist(), lat2.tolist(), lon2.tolist()):
+            _assert_direct_close((la, lo), *line)
+
+    def test_broadcasts(self):
+        azi = np.array([[0.0], [45.0], [-180.0]])
+        s12 = np.array([0.0, 1e3, 1e6])
+        lat2, lon2 = WGS84.direct_many(45.5, 10.2, azi, s12)
+        assert lat2.shape == lon2.shape == (3, 3)
+        for i in range(3):
+            for j in range(3):
+                _assert_direct_close((lat2[i, j], lon2[i, j]), 45.5, 10.2, azi[i, 0], s12[j])

@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,7 +14,6 @@ from mapregister.errors import ConfigError, DegenerateCurveError, OutOfDomainErr
 from mapregister.field import DirichletRegion, GridDomain, assemble_system, solve_field
 from mapregister.formats import (
     read_correspondences,
-    read_field_dump,
     read_geo_curve,
     read_pixel_curve,
     write_correspondences,
@@ -42,6 +42,7 @@ from mapregister.report import (
     render_human,
 )
 
+from oracles import read_field_dump
 from synth import (
     EXPERIMENT_REGIONS,
     random_affine,
@@ -371,6 +372,92 @@ class TestConfig:
         for value, want in (("false", False), ("true", True), ("no", False)):
             config_path.write_text(config_path.read_text().split("dump_field")[0] + f"dump_field: {value}\n")
             assert load_config(config_path).dump_field is want
+
+
+def _edit_config(config_path, edit):
+    # Apply `edit` to the parsed configuration and write it back.
+    cfg = yaml.safe_load(config_path.read_text())
+    edit(cfg)
+    config_path.write_text(yaml.safe_dump(cfg))
+
+
+def _rename_curve(cfg, old, new):
+    for key in ("source_curves", "reference_curves"):
+        for item in cfg[key]:
+            item["name"] = new if item["name"] == old else item["name"]
+    for split in cfg["splits"]:
+        split["curve"] = new if split["curve"] == old else split["curve"]
+        split["names"] = [new if n == old else n for n in split["names"]]
+    for key in ("comparisons", "source_comparisons"):
+        cfg[key] = [[new if n == old else n for n in pair] for pair in cfg[key]]
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda c: c.update(band_km=[5]), "band_km"),
+            (lambda c: c.update(dump_feild=True), "dump_feild"),
+            (lambda c: c["domain"].update(x3_max=4), "x3_max"),
+            (lambda c: c["source_curves"][0].update(flie="x.txt"), "flie"),
+            (lambda c: c["reference_curves"][1].update(colour="red"), "colour"),
+            (lambda c: c["splits"][0].update(long=3.0), "long"),
+        ],
+        ids=["top band_km", "top dump_feild", "domain", "source curve", "reference curve", "split"],
+    )
+    def test_unknown_key_exits_2_before_any_output(self, tmp_path, capsys, edit, key):
+        config_path, _ = write_experiment(tmp_path / "exp")
+        _edit_config(config_path, edit)
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "exp" / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # a curve that appears in hausdorff.csv and matching.csv
+            lambda c: _rename_curve(c, "main_up", "main,up"),
+            # a curve that appears only in sources.csv
+            lambda c: (c["comparisons"].remove(["side", "probe"]), _rename_curve(c, "side", 'si"de')),
+            lambda c: _rename_curve(c, "probe", "pro\nbe"),
+            lambda c: _rename_curve(c, "probe", "pro\rbe"),
+        ],
+        ids=["hausdorff comma", "sources quote", "newline", "carriage return"],
+    )
+    def test_csv_unsafe_curve_name_exits_2_before_any_output(self, tmp_path, edit):
+        config_path, _ = write_experiment(tmp_path / "exp")
+        _edit_config(config_path, edit)
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert not (tmp_path / "exp" / "out").exists()
+
+    @pytest.mark.parametrize("name", ["coast, west", 'coast "west"'])
+    def test_csv_unsafe_set_name_exits_2_before_any_output(self, tmp_path, name):
+        config_path, _ = write_experiment(tmp_path / "exp")
+        corr = tmp_path / "exp" / "correspondences.txt"
+        corr.write_text(corr.read_text().replace("set coast west", f"set {name}"))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert not (tmp_path / "exp" / "out").exists()
+        assert cli_main(["fit", "--correspondences", str(corr), "--output", str(tmp_path / "fit")]) == 2
+        assert not (tmp_path / "fit").exists()
+
+    def test_csv_unsafe_compare_name_exits_2_before_any_output(self, tmp_path):
+        base = tmp_path / "exp"
+        write_experiment(base)
+        rc = cli_main(
+            [
+                "compare",
+                "--curve-a", str(base / "main.geojson"),
+                "--curve-b", str(base / "side.geojson"),
+                "--name-a", "riv,er",
+                "--output", str(tmp_path / "cmp"),
+            ]
+        )
+        assert rc == 2
+        assert not (tmp_path / "cmp").exists()
+
+    def test_documented_configs_load(self):
+        root = Path(__file__).resolve().parent.parent
+        assert load_config(root / "sample_data" / "experiment.yaml").splits
 
 
 class TestCli:
