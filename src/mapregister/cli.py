@@ -88,7 +88,7 @@ def cmd_field(args) -> int:
     n_dirichlet = int(fld.dirichlet_mask.sum())
     print(
         f"solved {grid.n1}x{grid.n2} field: {n_dirichlet} Dirichlet nodes, "
-        f"max residual {fld.residual:.3e}"
+        f"{fld.iterations} CG iterations, max residual {fld.residual:.3e}"
     )
     if args.output:
         written = write_field_dump(fld, Path(args.output))

@@ -4,8 +4,11 @@ Each correspondence region pins the six transform parameters (Dirichlet
 data) on the nodes it covers; everywhere else the parameters satisfy the
 five-point discrete Laplace equation, with zero-Neumann conditions realized
 by reflecting values across the domain boundary.  One sparse matrix serves
-all six parameters; it is factorized once and solved for six right-hand
-sides.
+all six parameters.  `solve_field` solves for the free nodes only, by
+conjugate gradients preconditioned with a geometric-multigrid V-cycle
+(Briggs, Henson & McCormick, *A Multigrid Tutorial*, 2nd ed., SIAM 2000),
+one block iteration for all six right-hand sides; its memory grows linearly
+with the node count.
 """
 
 from __future__ import annotations
@@ -34,6 +37,22 @@ _ON_EDGE_TOL = 1e-9
 RESIDUAL_RTOL = 1e-8
 #: Slack allowed on the discrete maximum principle after the solve.
 _MAX_PRINCIPLE_TOL = 1e-9
+#: Damped-Jacobi weight and sweeps before and after each coarse correction.
+_JACOBI_OMEGA = 0.8
+_JACOBI_SWEEPS = 2
+#: Sparse LU solves the free system directly up to _DIRECT_NODES free
+#: nodes, where it is faster than the multigrid cycles; above it, coarsening
+#: stops at a level of at most _COARSE_NODES free nodes, whose Galerkin
+#: operator fills in more under LU.  A grid side shorter than
+#: _MIN_COARSEN_SIDE is never coarsened.
+_DIRECT_NODES = 30000
+_COARSE_NODES = 4000
+_MIN_COARSEN_SIDE = 5
+#: CG stops when every column's residual max-norm is at most this fraction
+#: of its right-hand side's max-norm.
+_PCG_RTOL = 1e-12
+#: CG iterations allowed before the solve fails with ConvergenceError.
+_PCG_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -301,6 +320,7 @@ class ParameterField:
     params: np.ndarray  # (n1, n2, 6), read-only
     dirichlet_mask: np.ndarray
     residual: float
+    iterations: int = 0  # CG iterations of the solve
 
     def grid_for(self, name: str) -> np.ndarray:
         k = AffineParams.PARAM_NAMES.index(name)
@@ -311,29 +331,32 @@ class ParameterField:
 
 
 def solve_field(system: LaplaceSystem) -> ParameterField:
-    """Direct sparse LU solve of the six right-hand sides.
+    """Solve the six right-hand sides by multigrid-preconditioned CG.
 
-    One factorization serves all parameters.  A couple of iterative
-    refinement passes push the residual to roundoff; Dirichlet entries are
-    then restored bit-for-bit and the residual contract re-checked.
+    Only the free nodes are unknowns: the Dirichlet columns move into the
+    right-hand side, and halving the reflected-Neumann rows at edge nodes
+    (quartering them at corners) makes the free operator symmetric positive
+    definite.  The mean Dirichlet value of each parameter is subtracted
+    before the solve and added back after it, which is exact because every
+    free row sums to zero.  One block CG, preconditioned by a geometric
+    multigrid V-cycle, runs over all six columns; it stops once every
+    column's residual max-norm is at most `_PCG_RTOL` of its right-hand
+    side's.  Dirichlet entries are then restored bit-for-bit and the
+    residual contract re-checked on the assembled matrix.
     """
     if not system.dirichlet_mask.any():
         raise SingularSystemError("no Dirichlet nodes: the pure-Neumann system is singular")
-    try:
-        lu = spla.splu(system.matrix)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
 
     m, rhs = system.matrix, system.rhs
-    u = lu.solve(rhs)
-    for _ in range(2):
-        r = rhs - m @ u
-        if np.abs(r).max() == 0.0:
-            break
-        u += lu.solve(r)
-
+    n1, n2 = system.grid.n1, system.grid.n2
     dir_flat = system.dirichlet_mask.reshape(-1)
-    u[dir_flat] = rhs[dir_flat]
+    free = ~dir_flat
+    u = rhs.copy()
+    iterations = 0
+    if free.any():
+        a, b, shift = _free_system(system, free)
+        v, iterations = _pcg(a, b, _VCycle(a, free.reshape(n1, n2)))
+        u[free] = v + shift
 
     scale = np.maximum(1.0, np.abs(rhs).max(axis=0))
     residuals = np.abs(m @ u - rhs).max(axis=0)
@@ -344,11 +367,146 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
             f"residuals {residuals.tolist()})"
         )
 
-    n1, n2 = system.grid.n1, system.grid.n2
     grids = u.reshape(n1, n2, 6)
     _check_maximum_principle(grids, system.dirichlet_mask, rhs, dir_flat)
     grids.setflags(write=False)
-    return ParameterField(system.grid, grids, system.dirichlet_mask.copy(), worst)
+    return ParameterField(system.grid, grids, system.dirichlet_mask.copy(), worst, iterations)
+
+
+def _free_system(system: LaplaceSystem, free: np.ndarray):
+    """Matrix and right-hand sides of the free nodes, symmetric positive
+    definite, for the Dirichlet values less their mean; returns
+    (matrix, rhs, mean)."""
+    m, rhs = system.matrix, system.rhs
+    dir_flat = ~free
+    shift = rhs[dir_flat].mean(axis=0)
+    pinned = np.zeros_like(rhs)
+    pinned[dir_flat] = rhs[dir_flat] - shift
+    # Halving the rows of edge nodes and quartering those of corners makes
+    # the reflected-Neumann operator symmetric.
+    side1 = np.ones(system.grid.n1)
+    side1[[0, -1]] = 0.5
+    side2 = np.ones(system.grid.n2)
+    side2[[0, -1]] = 0.5
+    row_scale = np.outer(side1, side2).reshape(-1)[free]
+    rows = sp.diags(row_scale) @ m.tocsr()[free]
+    return rows[:, free], row_scale[:, None] * rhs[free] - rows @ pinned, shift
+
+
+def _coarse_nodes_1d(n: int) -> np.ndarray:
+    """Fine indices of the coarse nodes along a grid side: every other
+    node, always including both ends."""
+    return np.minimum(2 * np.arange(n // 2 + 1), n - 1)
+
+
+def _interpolation_1d(n: int) -> sp.csr_matrix:
+    """Linear interpolation onto n fine nodes from `_coarse_nodes_1d(n)`."""
+    i = np.arange(n)
+    lo = i // 2
+    lo[-1] = n // 2
+    hi = np.minimum((i + 1) // 2, n // 2)
+    return sp.csr_matrix(
+        (np.full(2 * n, 0.5), (np.concatenate([i, i]), np.concatenate([lo, hi]))),
+        shape=(n, n // 2 + 1),
+    )
+
+
+class _VCycle:
+    """Geometric-multigrid V-cycle on the free nodes of a node grid.
+
+    Prolongation is bilinear, restricted to the free fine nodes and to the
+    coarse nodes whose fine node is free, so it has full column rank and
+    every Galerkin operator P.T @ A @ P stays symmetric positive definite.
+    The smoother is damped Jacobi, the same sweeps before and after the
+    coarse correction, so the cycle is a symmetric preconditioner.
+    """
+
+    def __init__(self, a: sp.csr_matrix, free: np.ndarray):
+        self.levels = []
+        limit = _DIRECT_NODES
+        while free.sum() > limit and min(free.shape) >= _MIN_COARSEN_SIDE:
+            coarse = free[np.ix_(_coarse_nodes_1d(free.shape[0]), _coarse_nodes_1d(free.shape[1]))]
+            if not coarse.any():
+                break
+            p = sp.kron(_interpolation_1d(free.shape[0]), _interpolation_1d(free.shape[1]), "csr")
+            p = p[free.reshape(-1)][:, coarse.reshape(-1)]
+            r = p.T.tocsr()
+            weight = _JACOBI_OMEGA / a.diagonal()
+            # A sweep x + weight * (b - a @ x) is smoother @ x + weight * b.
+            smoother = (sp.identity(a.shape[0]) - sp.diags(weight) @ a).tocsr()
+            self.levels.append((a, weight[:, None], smoother, p, r))
+            a = (r @ a @ p).tocsr()
+            free = coarse
+            limit = _COARSE_NODES
+        try:
+            # Symmetric positive definite: no pivoting, and a minimum-degree
+            # order on a.T + a fills in less than splu's default column order.
+            self.coarsest = spla.splu(
+                a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:
+            raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
+
+    def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
+        if level == len(self.levels):
+            return self.coarsest.solve(b)
+        a, weight, smoother, p, r = self.levels[level]
+        wb = weight * b
+        x = _jacobi(smoother, wb, wb, _JACOBI_SWEEPS - 1)  # the first sweep from x = 0 gives wb
+        t = a @ x
+        np.subtract(b, t, out=t)
+        t = p @ self(r @ t, level + 1)
+        t += x
+        return _jacobi(smoother, wb, t, _JACOBI_SWEEPS)
+
+
+def _jacobi(smoother, wb, x, sweeps):
+    """`sweeps` damped-Jacobi sweeps from x, each smoother @ x + wb."""
+    for _ in range(sweeps):
+        x = smoother @ x
+        x += wb
+    return x
+
+
+def _pcg(a: sp.csr_matrix, b: np.ndarray, precondition) -> tuple[np.ndarray, int]:
+    """Preconditioned CG for every column of `b` at once, one step size per
+    column; returns the solution and the number of iterations.
+
+    Each column is solved scaled to unit max-norm, so that its inner
+    products neither underflow nor overflow whatever its magnitude.
+    """
+    norm = _column_max_abs(b)
+    norm[norm == 0.0] = 1.0
+    x = np.zeros_like(b)
+    r = b / norm
+    p = np.zeros_like(b)
+    rz = np.zeros(b.shape[1])
+    iterations = 0
+    while True:
+        active = _column_max_abs(r) > _PCG_RTOL
+        if not active.any():
+            return x * norm, iterations
+        if iterations == _PCG_MAX_ITER:
+            raise ConvergenceError(
+                f"multigrid-preconditioned CG did not converge in {_PCG_MAX_ITER} iterations"
+            )
+        iterations += 1
+        z = precondition(r)
+        rz_next = np.einsum("ij,ij->j", r, z)
+        p *= np.divide(rz_next, rz, out=np.zeros_like(rz), where=rz > 0)
+        p += z
+        rz = rz_next
+        q = a @ p
+        pq = np.einsum("ij,ij->j", p, q)
+        alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=active & (pq > 0))
+        x += np.multiply(p, alpha, out=z)
+        r -= np.multiply(q, alpha, out=q)
+
+
+def _column_max_abs(x: np.ndarray) -> np.ndarray:
+    # Column by column: numpy's axis-0 reduction over six columns is slower.
+    return np.array([np.abs(col).max() for col in x.T])
 
 
 def _check_maximum_principle(grids, mask, rhs, dir_flat):

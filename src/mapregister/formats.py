@@ -188,8 +188,7 @@ def write_field_dump(field: ParameterField, directory: str | Path) -> list[Path]
             f"# n1: {grid.n1} n2: {grid.n2}",
             f"# origin_x1: {grid.origin.x1!r} origin_x2: {grid.origin.x2!r}",
         ]
-        for j in range(grid.n2):
-            lines.append(",".join(repr(float(values[i, j])) for i in range(grid.n1)))
+        lines.extend(",".join(map(repr, row)) for row in values.T.tolist())
         out.write_text("\n".join(lines) + "\n")
         written.append(out)
     return written

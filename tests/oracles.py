@@ -4,10 +4,12 @@ Distances come from Vincenty's 1975 nested-equation iteration, meridian arcs
 from the complete elliptic integral, and point-to-segment distances from
 brute-force densification; none of these share code with the package.  The
 one exception is `scalar_anchor_min_distances`, the package's earlier
-one-inverse-per-pair anchor pass, and `scalar_build_segments`, its earlier
-edge-by-edge segment building, kept as the references for the array paths.
-The test-only readers of library outputs (`least_squares_objective`,
-`read_field_dump`) live here too.
+one-inverse-per-pair anchor pass, `scalar_build_segments`, its earlier
+edge-by-edge segment building, `lu_solve_field`, its earlier sparse-LU field
+solve, and `scalar_write_field_dump`, its earlier value-by-value field dump,
+kept as the references for the paths that replaced them.  The test-only
+readers of library outputs (`least_squares_objective`, `read_field_dump`)
+live here too.
 """
 
 from __future__ import annotations
@@ -268,3 +270,71 @@ def read_field_dump(path):
     if n1 is not None and arr.shape != (n1, n2):
         raise ValueError(f"{path}: grid shape {arr.shape} does not match header ({n1}, {n2})")
     return arr
+
+
+def lu_solve_field(system):
+    """`field.solve_field` by one sparse LU factorization of the assembled
+    matrix and two iterative refinement passes."""
+    import numpy as np
+    import scipy.sparse.linalg as spla
+
+    from mapregister.errors import ConvergenceError, SingularSystemError
+    from mapregister.field import RESIDUAL_RTOL, ParameterField, _check_maximum_principle
+
+    if not system.dirichlet_mask.any():
+        raise SingularSystemError("no Dirichlet nodes: the pure-Neumann system is singular")
+    try:
+        lu = spla.splu(system.matrix)
+    except RuntimeError as exc:
+        raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
+
+    m, rhs = system.matrix, system.rhs
+    u = lu.solve(rhs)
+    for _ in range(2):
+        r = rhs - m @ u
+        if np.abs(r).max() == 0.0:
+            break
+        u += lu.solve(r)
+
+    dir_flat = system.dirichlet_mask.reshape(-1)
+    u[dir_flat] = rhs[dir_flat]
+
+    scale = np.maximum(1.0, np.abs(rhs).max(axis=0))
+    residuals = np.abs(m @ u - rhs).max(axis=0)
+    worst = float((residuals / scale).max())
+    if worst > RESIDUAL_RTOL:
+        raise ConvergenceError(
+            f"residual contract unmet: {worst:.3e} > {RESIDUAL_RTOL:.0e} (per-parameter "
+            f"residuals {residuals.tolist()})"
+        )
+
+    n1, n2 = system.grid.n1, system.grid.n2
+    grids = u.reshape(n1, n2, 6)
+    _check_maximum_principle(grids, system.dirichlet_mask, rhs, dir_flat)
+    grids.setflags(write=False)
+    return ParameterField(system.grid, grids, system.dirichlet_mask.copy(), worst)
+
+
+def scalar_write_field_dump(field, directory):
+    """`formats.write_field_dump` formatting one numpy scalar at a time."""
+    from pathlib import Path
+
+    from mapregister.affine import AffineParams
+
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    grid = field.grid
+    written = []
+    for k, pname in enumerate(AffineParams.PARAM_NAMES):
+        out = directory / f"{pname}.csv"
+        values = field.params[:, :, k]
+        lines = [
+            f"# parameter: {pname}",
+            f"# n1: {grid.n1} n2: {grid.n2}",
+            f"# origin_x1: {grid.origin.x1!r} origin_x2: {grid.origin.x2!r}",
+        ]
+        for j in range(grid.n2):
+            lines.append(",".join(repr(float(values[i, j])) for i in range(grid.n1)))
+        out.write_text("\n".join(lines) + "\n")
+        written.append(out)
+    return written

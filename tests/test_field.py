@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mapregister.field as field_module
 from mapregister.affine import AffineParams, PixelPoint
 from mapregister.errors import (
     ConvergenceError,
@@ -22,6 +25,8 @@ from mapregister.field import (
     sample_field,
     solve_field,
 )
+
+from oracles import lu_solve_field
 
 
 def scalar_params(v: float) -> AffineParams:
@@ -326,6 +331,150 @@ class TestSolve:
         d2 = abs(samples[1] - samples[2])
         d3 = abs(samples[2] - samples[3])
         assert d1 >= d2 >= d3
+
+
+#: Largest |multigrid field - LU field| allowed, relative to
+#: max(1, largest |Dirichlet value|).
+MATCHES_LU_RTOL = 1e-11
+
+
+def assert_matches_lu(system: LaplaceSystem) -> ParameterField:
+    got = solve_field(system)
+    ref = lu_solve_field(system)
+    mask = system.dirichlet_mask
+    assert (got.params[mask] == ref.params[mask]).all()
+    tol = MATCHES_LU_RTOL * max(1.0, float(np.abs(system.rhs).max()))
+    assert np.abs(got.params - ref.params).max() <= tol
+    return got
+
+
+def polygon_mask(vertices, n1: int, n2: int) -> np.ndarray:
+    """Envelope of a polygon inside a 1-based n1 x n2 grid, rasterized on a
+    grid two nodes wider on every side and cropped, so that it may reach the
+    domain edges and corners."""
+    region = DirichletRegion(tuple(PixelPoint(x, y) for x, y in vertices), scalar_params(0.0))
+    wide = rasterize_envelope(region, GridDomain(PixelPoint(-1, -1), n1 + 4, n2 + 4))
+    return wide[2 : 2 + n1, 2 : 2 + n2]
+
+
+def system_from_masks(n1: int, n2: int, masks, values) -> LaplaceSystem:
+    """Assemble disjoint Dirichlet masks (earlier masks win overlaps)."""
+    taken = np.zeros((n1, n2), dtype=bool)
+    pairs = []
+    for mask, value in zip(masks, values):
+        mask = mask & ~taken
+        if mask.any():
+            pairs.append((mask, AffineParams(*value)))
+            taken |= mask
+    return assemble_from_masks(GridDomain(PixelPoint(1, 1), n1, n2), pairs)
+
+
+@st.composite
+def masked_systems(draw):
+    n1 = draw(st.integers(3, 90))
+    n2 = draw(st.one_of(st.just(3), st.integers(3, 70)))
+    masks, values = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["rectangle", "polygon", "node"]))
+        mask = np.zeros((n1, n2), dtype=bool)
+        if kind == "node":
+            mask[draw(st.integers(0, n1 - 1)), draw(st.integers(0, n2 - 1))] = True
+        elif kind == "rectangle":
+            i0, i1 = sorted(draw(st.lists(st.integers(0, n1 - 1), min_size=2, max_size=2)))
+            j0, j1 = sorted(draw(st.lists(st.integers(0, n2 - 1), min_size=2, max_size=2)))
+            mask[i0 : i1 + 1, j0 : j1 + 1] = True
+        else:
+            point = st.tuples(st.floats(1, n1), st.floats(1, n2))
+            vertices = draw(st.lists(point, min_size=3, max_size=5))
+            try:
+                mask = polygon_mask(vertices, n1, n2)
+            except (DegenerateConfigurationError, EmptyRegionError):
+                continue
+        masks.append(mask)
+        values.append(draw(st.lists(st.floats(-60, 60), min_size=6, max_size=6)))
+    return system_from_masks(n1, n2, masks, values)
+
+
+def random_system(seed: int, n1: int, n2: int) -> LaplaceSystem:
+    """Rectangles and hexagons of random size and value, some on the edges."""
+    rng = np.random.default_rng(seed)
+    masks = []
+    for _ in range(6):
+        i0, j0 = rng.integers(0, n1), rng.integers(0, n2)
+        mask = np.zeros((n1, n2), dtype=bool)
+        mask[i0 : i0 + rng.integers(1, 12), j0 : j0 + rng.integers(1, 12)] = True
+        masks.append(mask)
+    for _ in range(3):
+        cx, cy, radius = rng.uniform(1, n1), rng.uniform(1, n2), rng.uniform(1, 15)
+        hexagon = [
+            (min(max(cx + radius * np.cos(k * np.pi / 3), 1), n1),
+             min(max(cy + radius * np.sin(k * np.pi / 3), 1), n2))
+            for k in range(6)
+        ]
+        try:
+            masks.append(polygon_mask(hexagon, n1, n2))
+        except (DegenerateConfigurationError, EmptyRegionError):
+            pass
+    values = rng.uniform(-1.0, 1.0, size=(len(masks), 6)) * [0.01, 0.01, 0.01, 0.01, 60, 60]
+    return system_from_masks(n1, n2, masks, values)
+
+
+class TestMultigridSolve:
+    """The multigrid-preconditioned CG solve against the sparse-LU oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_systems())
+    def test_matches_lu_on_random_masks(self, system):
+        if not system.dirichlet_mask.any():
+            with pytest.raises(SingularSystemError):
+                solve_field(system)
+            return
+        assert_matches_lu(system)
+        # The same system through a multigrid hierarchy down to 50 nodes.
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(field_module, "_DIRECT_NODES", 50)
+            m.setattr(field_module, "_COARSE_NODES", 50)
+            assert_matches_lu(system)
+
+    @pytest.mark.parametrize(
+        "seed, n1, n2", [(0, 221, 181), (1, 240, 150), (2, 400, 97), (3, 130, 300), (4, 96, 1200)]
+    )
+    def test_matches_lu_on_multilevel_grids(self, monkeypatch, seed, n1, n2):
+        system = random_system(seed, n1, n2)
+        free = int((~system.dirichlet_mask).sum())
+        coarsest = []
+        splu = field_module.spla.splu
+        with monkeypatch.context() as m:
+            m.setattr(field_module.spla, "splu", lambda a, **kw: coarsest.append(a.shape[0]) or splu(a, **kw))
+            f = assert_matches_lu(system)
+        assert free > field_module._DIRECT_NODES
+        assert coarsest[0] < free / 10  # the multigrid's coarsest level: two coarsenings or more
+        assert f.iterations > 1
+
+    def test_isolated_free_nodes_without_coarse_nodes(self):
+        # Free nodes only where both indices are odd: more than _DIRECT_NODES
+        # of them, but no coarse node is free, so the free system is solved
+        # directly.
+        n = 351
+        mask = np.ones((n, n), dtype=bool)
+        mask[1::2, 1::2] = False
+        assert (~mask).sum() > field_module._DIRECT_NODES
+        assign = np.add.outer(np.arange(n), np.arange(n)) % 3
+        system = system_from_masks(
+            n, n, [mask & (assign == k) for k in range(3)], [[k] * 6 for k in (0.0, 1.5, -2.0)]
+        )
+        assert assert_matches_lu(system).iterations == 1
+
+    def test_all_nodes_dirichlet(self):
+        n1, n2 = 6, 5
+        system = system_from_masks(n1, n2, [np.ones((n1, n2), dtype=bool)], [[0.25] * 6])
+        f = assert_matches_lu(system)
+        assert f.iterations == 0 and (f.params == 0.25).all()
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(field_module, "_PCG_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
+            solve_field(random_system(0, 221, 181))
 
 
 class TestSampleField:

@@ -1,17 +1,26 @@
 import json
 import math
 import random
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mapregister.field as field_module
 from mapregister.affine import AffineParams, PixelPoint, apply_affine
 from mapregister.cli import main as cli_main
 from mapregister.errors import ConfigError, DegenerateCurveError, OutOfDomainError
-from mapregister.field import DirichletRegion, GridDomain, assemble_system, solve_field
+from mapregister.field import (
+    DirichletRegion,
+    GridDomain,
+    ParameterField,
+    assemble_system,
+    solve_field,
+)
 from mapregister.formats import (
     read_correspondences,
     read_geo_curve,
@@ -42,7 +51,7 @@ from mapregister.report import (
     render_human,
 )
 
-from oracles import read_field_dump
+from oracles import read_field_dump, scalar_write_field_dump
 from synth import (
     EXPERIMENT_REGIONS,
     random_affine,
@@ -107,6 +116,17 @@ class TestFormats:
         a1 = read_field_dump(tmp_path / "a1.csv")
         assert a1.shape == (12, 9)
         assert (a1 == field.params[:, :, 0]).all()
+
+    def test_field_dump_matches_value_by_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(5)
+        grids = rng.normal(scale=40.0, size=(7, 4, 6))
+        grids.flat[:6] = [-0.0, 5e-324, 1e-300, 0.1, 1e17, -1e17]
+        field = ParameterField(GridDomain(PixelPoint(-3.5, 2.0), 7, 4), grids, grids[:, :, 0] > 0, 0.0)
+        got = write_field_dump(field, tmp_path / "new")
+        want = scalar_write_field_dump(field, tmp_path / "old")
+        assert [p.name for p in got] == [p.name for p in want]
+        for g, w in zip(got, want):
+            assert g.read_bytes() == w.read_bytes()
 
 
 class TestStadia:
@@ -468,6 +488,14 @@ class TestCli:
         assert "Hausdorff distances" in out
         assert cli_main(["run", "--config", str(tmp_path / "missing.yaml")]) == 2
 
+    def test_solver_failure_exits_4_before_any_output(self, tmp_path, monkeypatch):
+        config_path, _ = write_experiment(tmp_path / "exp")
+        # A domain large enough for a multigrid hierarchy.
+        _edit_config(config_path, lambda c: c["domain"].update(x1_max=240, x2_max=180))
+        monkeypatch.setattr(field_module, "_PCG_MAX_ITER", 1)
+        assert cli_main(["run", "--config", str(config_path)]) == 4
+        assert not (tmp_path / "exp" / "out").exists()
+
     def test_fit_subcommand(self, tmp_path, capsys):
         base = tmp_path / "exp"
         write_experiment(base)
@@ -534,3 +562,5 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "fieldout" / "b2.csv").is_file()
+        printed = re.search(r"Dirichlet nodes, (\d+) CG iterations, max residual", capsys.readouterr().out)
+        assert printed and int(printed.group(1)) >= 1
