@@ -22,6 +22,7 @@ from .curves import (
     BandThreshold,
     CurveSegment,
     DiscreteCurve,
+    DistanceProfile,
     anchor_min_distances,
     build_segments,
     directed_max_hausdorff,

@@ -796,10 +796,6 @@ class Geodesic:
         up2 = self.inverse(lat2, 0.0, 90.0, 0.0).s12
         return Inverse(up1 + up2, 0.0, 180.0)
 
-    def line(self, lat1: float, lon1: float, azi1: float) -> "GeodesicLine":
-        """A geodesic through (lat1, lon1) with departure azimuth azi1."""
-        return GeodesicLine(self, lat1, lon1, azi1)
-
     def direct(self, lat1: float, lon1: float, azi1: float, s12: float) -> tuple[float, float, float]:
         """Destination (lat2, lon2, azi2) after s12 meters along azi1."""
         return GeodesicLine(self, lat1, lon1, azi1).position(s12)

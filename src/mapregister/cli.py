@@ -13,10 +13,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .affine import PixelPoint
 from .curves import build_segments, source_distance
-from .errors import ConfigError, MapRegisterError
-from .field import GridDomain
+from .errors import MapRegisterError
 from .formats import (
     read_correspondences,
     read_geo_curve,
@@ -25,9 +23,12 @@ from .formats import (
     write_geo_curve,
 )
 from .pipeline import (
+    DEFAULT_BANDS_KM,
     build_field,
+    check_bands,
     compare_pair,
     fit_with_global,
+    grid_domain,
     load_config,
     run_experiment,
     select_sets,
@@ -38,21 +39,13 @@ from .report import (
     CurveInfo,
     MetricsReport,
     SourceEntry,
+    TransformErrors,
     check_table_name,
     km_face,
     render_csv_tables,
     render_human,
     render_sidecar,
 )
-
-
-def _domain_from_args(args) -> GridDomain:
-    x1_min, x2_min, x1_max, x2_max = args.domain
-    n1 = x1_max - x1_min + 1
-    n2 = x2_max - x2_min + 1
-    if abs(n1 - round(n1)) > 1e-9 or abs(n2 - round(n2)) > 1e-9:
-        raise ConfigError("domain bounds must span whole grid nodes")
-    return GridDomain(PixelPoint(x1_min, x2_min), int(round(n1)), int(round(n2)))
 
 
 def _load_selected_sets(args):
@@ -83,7 +76,7 @@ def cmd_fit(args) -> int:
 def cmd_field(args) -> int:
     sets = _load_selected_sets(args)
     fits, _ = fit_with_global(sets)
-    grid = _domain_from_args(args)
+    grid = grid_domain(args.domain, "--domain")
     fld = build_field(sets, grid, fits, use_hull=args.hull)
     n_dirichlet = int(fld.dirichlet_mask.sum())
     print(
@@ -99,7 +92,7 @@ def cmd_field(args) -> int:
 def cmd_transform(args) -> int:
     sets = _load_selected_sets(args)
     fits, _ = fit_with_global(sets)
-    grid = _domain_from_args(args)
+    grid = grid_domain(args.domain, "--domain")
     fld = build_field(sets, grid, fits, use_hull=args.hull)
     pixels = read_pixel_curve(args.curve)
     name = args.name or Path(args.curve).stem
@@ -111,14 +104,15 @@ def cmd_transform(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    bands = check_bands(args.bands, "--bands")
     name_a, pts_a = read_geo_curve(args.curve_a)
     name_b, pts_b = read_geo_curve(args.curve_b)
     a = build_segments(pts_a, check_table_name(args.name_a or name_a, "curve A"))
     b = build_segments(pts_b, check_table_name(args.name_b or name_b, "curve B"))
-    hd, ml = compare_pair(a, b, args.bands)
+    hd, ml = compare_pair(a, b, bands)
     report = MetricsReport(
-        transform_errors=_empty_errors(),
-        bands_km=args.bands,
+        transform_errors=TransformErrors([], [], [], []),
+        bands_km=bands,
         hausdorff=[hd],
         matching=[ml],
         sources=[SourceEntry(a.name, b.name, source_distance(a, b))],
@@ -138,12 +132,6 @@ def cmd_compare(args) -> int:
         (outdir / "report.json").write_text(render_sidecar(report))
         print(f"wrote metric tables to {outdir}")
     return 0
-
-
-def _empty_errors():
-    from .report import TransformErrors
-
-    return TransformErrors([], [], [], [])
 
 
 def cmd_run(args) -> int:
@@ -210,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name-a", help="override curve A name")
     p.add_argument("--name-b", help="override curve B name")
     p.add_argument(
-        "--bands", nargs="+", type=float, default=[10.0, 50.0, 100.0], help="band widths in km"
+        "--bands", nargs="+", type=float, default=DEFAULT_BANDS_KM, help="band widths in km"
     )
     p.add_argument("--output", help="directory for CSV tables")
     p.set_defaults(func=cmd_compare)

@@ -7,7 +7,13 @@ a_i, and the last runs from the final midpoint to a_n.  Every metric here
 reduces to the minimum geodesic distance from an anchor vertex a_i to the
 other curve's segments: length-weighted means and maxima give the directed
 Hausdorff quantities, a threshold gate on the same distances gives the
-matching length.
+matching length.  `DistanceProfile` holds those distances for one
+direction, weighted by segment length, and is the one place where the
+means, maxima and band lengths are reduced.
+
+A `DiscreteCurve` keeps its geometry as arrays: the chain of vertices and
+edge midpoints, the chain's edge lengths and the segment lengths.  Only the
+deduplicated vertices stay `GeoPoint` objects, for the writers.
 """
 
 from __future__ import annotations
@@ -22,10 +28,13 @@ from .errors import DegenerateCurveError, OutOfRangeError
 from .geodesy import (
     LONG_SEGMENT_M,
     GeoPoint,
-    GeoSegment,
+    densified_distances,
+    densify,
     geodesic_distance,
     geodesic_distance_many,
-    point_to_segment_distance,
+    normalize_lon_many,
+    origin_to_chord,
+    plane_coords,
 )
 
 #: Anchor x chain-point pairs projected per array batch in
@@ -47,41 +56,40 @@ class BandThreshold:
     def from_km(cls, km: float) -> "BandThreshold":
         return cls(km * 1000.0)
 
-    @property
-    def km(self) -> float:
-        return self.meters / 1000.0
-
 
 @dataclass(frozen=True)
 class CurveSegment:
-    """One midpoint-rule segment: its anchor vertex and one or two geodesic
-    pieces whose lengths sum to `length`."""
+    """One midpoint-rule segment: its anchor vertex and its length."""
 
     anchor: GeoPoint
-    pieces: tuple[GeoSegment, ...]
     length: float
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscreteCurve:
     """An ordered polyline on the ellipsoid with derived segments.
 
-    `chain` interleaves the vertices with the edge midpoints; consecutive
-    chain points delimit the segment pieces, and `edge_lengths[k]` is the
-    geodesic length from chain[k] to chain[k + 1].  `length` is the sum of
-    the segment lengths and agrees with the polyline length to roundoff.
+    `chain` is an (m, 2) array of (lon, lat) that interleaves the vertices
+    with the edge midpoints, so m = 2 n - 1 for n vertices, and
+    `edge_lengths[k]` is the geodesic length from chain[k] to chain[k + 1].
+    `segment_lengths[i]` is the length of anchor i's segment; `length` is
+    their sum and agrees with the polyline length to roundoff.
     """
 
     name: str
     points: list[GeoPoint]
-    segments: list[CurveSegment]
-    chain: list[GeoPoint]
-    edge_lengths: list[float]
+    chain: np.ndarray
+    edge_lengths: np.ndarray
+    segment_lengths: np.ndarray
     length: float
 
     @property
     def point_count(self) -> int:
         return len(self.points)
+
+    @property
+    def segments(self) -> list[CurveSegment]:
+        return [CurveSegment(p, ln) for p, ln in zip(self.points, self.segment_lengths.tolist())]
 
 
 def build_segments(points: list[GeoPoint], name: str = "") -> DiscreteCurve:
@@ -100,37 +108,27 @@ def build_segments(points: list[GeoPoint], name: str = "") -> DiscreteCurve:
     if len(pts) < 2:
         raise DegenerateCurveError(f"curve '{name}' has {len(pts)} distinct points, need at least 2")
 
-    lat = np.array([p.lat for p in pts])
-    lon = np.array([p.lon for p in pts])
+    chain = np.empty((2 * len(pts) - 1, 2))
+    chain[::2, 0] = [p.lon for p in pts]
+    chain[::2, 1] = [p.lat for p in pts]
+    lon, lat = chain[::2, 0], chain[::2, 1]
     s12, azi1 = WGS84.inverse_many(lat[:-1], lon[:-1], lat[1:], lon[1:])
     mlat, mlon = WGS84.direct_many(lat[:-1], lon[:-1], azi1, s12 / 2)
-    mids = [GeoPoint(x, y) for x, y in zip(mlon.tolist(), mlat.tolist())]
-    mlon = np.array([m.lon for m in mids])  # as normalized by GeoPoint
+    mlon = normalize_lon_many(mlon)
+    chain[1::2, 0], chain[1::2, 1] = mlon, mlat
     left_half = geodesic_distance_many(lat[:-1], lon[:-1], mlat, mlon)
     right_half = geodesic_distance_many(mlat, mlon, lat[1:], lon[1:])
-
-    chain: list[GeoPoint] = [pts[0]] * (2 * len(pts) - 1)
-    chain[1::2] = mids
-    chain[2::2] = pts[1:]
-    edge_lengths = np.stack([left_half, right_half], axis=1).ravel().tolist()
-    return _assemble(name, chain, edge_lengths)
+    return _assemble(name, pts, chain, np.stack([left_half, right_half], axis=1).ravel())
 
 
-def _assemble(name: str, chain: list[GeoPoint], edge_lengths: list[float]) -> DiscreteCurve:
-    # A curve from its chain (vertices interleaved with edge midpoints) and
-    # the chain's edge lengths; `build_segments` and the halves of
-    # `split_at_nearest_vertex` both end here.
-    pts = chain[::2]
-    mids = chain[1::2]
-    left_half = edge_lengths[0::2]
-    right_half = edge_lengths[1::2]
-    segments = [CurveSegment(pts[0], (GeoSegment(pts[0], mids[0]),), left_half[0])]
-    for i in range(1, len(pts) - 1):
-        pieces = (GeoSegment(mids[i - 1], pts[i]), GeoSegment(pts[i], mids[i]))
-        segments.append(CurveSegment(pts[i], pieces, right_half[i - 1] + left_half[i]))
-    segments.append(CurveSegment(pts[-1], (GeoSegment(mids[-1], pts[-1]),), right_half[-1]))
-    total = sum(s.length for s in segments)
-    return DiscreteCurve(name, pts, segments, chain, edge_lengths, total)
+def _assemble(name: str, points: list[GeoPoint], chain: np.ndarray, edge_lengths: np.ndarray) -> DiscreteCurve:
+    # A curve from its vertices, its chain and the chain's edge lengths;
+    # `build_segments` and the halves of `split_at_nearest_vertex` both end
+    # here.  Interior segment i is the right half of edge i - 1 plus the
+    # left half of edge i.
+    left, right = edge_lengths[0::2], edge_lengths[1::2]
+    seg = np.concatenate([left[:1], right[:-1] + left[1:], right[-1:]])
+    return DiscreteCurve(name, points, chain, edge_lengths, seg, sum(seg.tolist()))
 
 
 def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
@@ -141,52 +139,73 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
     segments equals the minimum over chain edges.  Per anchor, all chain
     points of B are projected into the azimuthal equidistant plane at the
     anchor and each edge is handled as a planar chord, exactly as
-    `point_to_segment_distance` does; over-long edges fall back to that
-    function's densified path.  Anchors are processed in batches of at most
-    `ANCHOR_BATCH_PAIRS` pairs with the array inverse `WGS84.inverse_many`.
+    `point_to_segment_distance` does; edges longer than `LONG_SEGMENT_M`
+    are also densified, all anchors against one edge at once.  Anchors are
+    processed in batches of at most `ANCHOR_BATCH_PAIRS` anchor x point
+    pairs.
     """
-    chain = b.chain
-    blat = np.array([q.lat for q in chain])
-    blon = np.array([q.lon for q in chain])
-    alat = np.array([p.lat for p in a.points])
-    alon = np.array([p.lon for p in a.points])
-    step = max(1, ANCHOR_BATCH_PAIRS // len(chain))
-    out: list[float] = []
-    for start in range(0, len(alat), step):
-        lat1, lon1 = alat[start : start + step, None], alon[start : start + step, None]
-        # A chain point on the anchor projects to the exact origin.
-        ia, ib = np.nonzero((blat != lat1) | (blon != lon1))
-        s12, azi1 = WGS84.inverse_many(lat1[ia, 0], lon1[ia, 0], blat[ib], blon[ib])
-        az = np.radians(azi1)
-        xs = np.zeros((len(lat1), len(chain)))
-        ys = np.zeros((len(lat1), len(chain)))
-        xs[ia, ib] = s12 * np.sin(az)
-        ys[ia, ib] = s12 * np.cos(az)
-        ax, ay = xs[:, :-1], ys[:, :-1]
-        dx, dy = xs[:, 1:] - ax, ys[:, 1:] - ay
-        dd = dx * dx + dy * dy
-        zero = dd == 0.0
-        t = np.clip(-(ax * dx + ay * dy) / np.where(zero, 1.0, dd), 0.0, 1.0)
-        d = np.where(zero, np.hypot(ax, ay), np.hypot(ax + t * dx, ay + t * dy))
-        out.extend(d.min(axis=1).tolist())
+    alon, alat = a.chain[::2, 0], a.chain[::2, 1]
+    blon, blat = b.chain[:, 0], b.chain[:, 1]
+    out = np.empty(len(alat))
+    for batch in _batches(len(alat), len(blat)):
+        x, y = plane_coords(alat[batch, None], alon[batch, None], blat, blon)
+        out[batch] = origin_to_chord(x[:, :-1], y[:, :-1], x[:, 1:], y[:, 1:]).min(axis=1)
 
-    long_edges = [k for k, ln in enumerate(b.edge_lengths) if ln > LONG_SEGMENT_M]
-    for k in long_edges:
-        segment = GeoSegment(chain[k], chain[k + 1])
-        for i, anchor in enumerate(a.points):
-            out[i] = min(out[i], point_to_segment_distance(anchor, segment))
-    return out
+    for k in np.flatnonzero(b.edge_lengths > LONG_SEGMENT_M):
+        slat, slon = densify(blat[k], blon[k], blat[k + 1], blon[k + 1])
+        for batch in _batches(len(alat), len(slat)):
+            out[batch] = np.minimum(out[batch], densified_distances(alat[batch], alon[batch], slat, slon))
+    return out.tolist()
+
+
+def _batches(anchors: int, points: int) -> list[slice]:
+    # Anchor slices of at most ANCHOR_BATCH_PAIRS anchor x point pairs (one
+    # anchor at least).
+    step = max(1, ANCHOR_BATCH_PAIRS // points)
+    return [slice(i, i + step) for i in range(0, anchors, step)]
+
+
+class DistanceProfile:
+    """The directed distance profile of curve A against curve B: every
+    anchor's minimum distance to B (meters, from `anchor_min_distances`)
+    weighted by the length of its segment.  All pair metrics reduce it.
+    """
+
+    def __init__(self, a: DiscreteCurve, distances: list[float]):
+        self.distances = distances
+        self.weights = a.segment_lengths.tolist()
+        self.length = a.length
+
+    def max(self) -> float:
+        """Largest anchor distance: the directed max Hausdorff distance."""
+        return max(self.distances)
+
+    def mean(self) -> float:
+        """Segment-length-weighted mean: the directed mean Hausdorff distance."""
+        return sum(w * d for w, d in zip(self.weights, self.distances)) / self.length
+
+    def within(self, meters: float) -> tuple[float, float]:
+        """Matching length inside the band: (meters, percent of the length).
+
+        A segment counts in full when its anchor vertex passes the strict
+        distance test, regardless of where the rest of the segment lies.
+        """
+        lm = sum(w for w, d in zip(self.weights, self.distances) if d < meters)
+        return lm, 100.0 * lm / self.length
+
+
+def _profile(a: DiscreteCurve, b: DiscreteCurve) -> DistanceProfile:
+    return DistanceProfile(a, anchor_min_distances(a, b))
 
 
 def directed_mean_hausdorff(a: DiscreteCurve, b: DiscreteCurve) -> float:
     """Segment-length-weighted mean anchor distance from A to B (meters)."""
-    dists = anchor_min_distances(a, b)
-    return sum(s.length * d for s, d in zip(a.segments, dists)) / a.length
+    return _profile(a, b).mean()
 
 
 def directed_max_hausdorff(a: DiscreteCurve, b: DiscreteCurve) -> float:
     """Largest anchor distance from A's vertices to B's segments (meters)."""
-    return max(anchor_min_distances(a, b))
+    return _profile(a, b).max()
 
 
 def mean_hausdorff(a: DiscreteCurve, b: DiscreteCurve) -> float:
@@ -202,14 +221,9 @@ def max_hausdorff(a: DiscreteCurve, b: DiscreteCurve) -> float:
 
 
 def matching_length(a: DiscreteCurve, b: DiscreteCurve, band: BandThreshold) -> tuple[float, float]:
-    """Length of A within the band around B: (meters, percent of L_A).
-
-    A segment counts in full when its anchor vertex passes the strict
-    distance test, regardless of where the rest of the segment lies.
-    """
-    dists = anchor_min_distances(a, b)
-    lm = sum(s.length for s, d in zip(a.segments, dists) if d < band.meters)
-    return lm, 100.0 * lm / a.length
+    """Length of A within the band around B: (meters, percent of L_A);
+    see `DistanceProfile.within`."""
+    return _profile(a, b).within(band.meters)
 
 
 def matching_average(a: DiscreteCurve, b: DiscreteCurve, band: BandThreshold) -> tuple[float, float]:
@@ -221,8 +235,6 @@ def matching_average(a: DiscreteCurve, b: DiscreteCurve, band: BandThreshold) ->
 
 def source_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
     """Geodesic distance between the two source points (index 0), in km."""
-    if not a.points or not b.points:
-        raise DegenerateCurveError("source_distance needs non-empty curves")
     return geodesic_distance(a.points[0], b.points[0]) / 1000.0
 
 
@@ -235,8 +247,7 @@ def split_at_nearest_vertex(
     two points.  Used to separate upper and lower river courses at a
     confluence or crossing supplied as configuration.
     """
-    lat = np.array([p.lat for p in curve.points])
-    lon = np.array([p.lon for p in curve.points])
+    lon, lat = curve.chain[::2, 0], curve.chain[::2, 1]
     k = int(np.argmin(geodesic_distance_many(lat, lon, ref.lat, ref.lon)))
     if k == 0 or k == len(curve.points) - 1:
         raise DegenerateCurveError(
@@ -246,6 +257,6 @@ def split_at_nearest_vertex(
         names = (f"{curve.name}1", f"{curve.name}2")
     # Each half is what `build_segments` would make of its points: the
     # parent's vertices, midpoints and half-edge lengths on that side.
-    first = _assemble(names[0], curve.chain[: 2 * k + 1], curve.edge_lengths[: 2 * k])
-    second = _assemble(names[1], curve.chain[2 * k :], curve.edge_lengths[2 * k :])
+    first = _assemble(names[0], curve.points[: k + 1], curve.chain[: 2 * k + 1], curve.edge_lengths[: 2 * k])
+    second = _assemble(names[1], curve.points[k:], curve.chain[2 * k :], curve.edge_lengths[2 * k :])
     return first, second

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .affine import AffineParams, CorrespondenceSet, PixelPoint
 from .errors import (
@@ -438,6 +437,10 @@ class _VCycle:
             a = (r @ a @ p).tocsr()
             free = coarse
             limit = _COARSE_NODES
+        # Imported at its only use: importing it takes about a quarter of
+        # the package's import time.
+        import scipy.sparse.linalg as spla
+
         try:
             # Symmetric positive definite: no pivoting, and a minimum-degree
             # order on a.T + a fills in less than splu's default column order.

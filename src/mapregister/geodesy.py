@@ -2,8 +2,14 @@
 
 All metric quantities in this package reduce to the operations here:
 point-to-point geodesic distance, point-to-segment distance via a local
-azimuthal equidistant projection, and polyline lengths.  Distances are in
-meters, coordinates in degrees.
+azimuthal equidistant (AEQD) projection, and polyline lengths.  Distances
+are in meters, coordinates in degrees.
+
+The planar-chord method exists once, on arrays: `plane_coords` projects
+points into the AEQD planes of their centers and `origin_to_chord` measures
+from a center to a projected edge.  Segments longer than `LONG_SEGMENT_M`
+are sampled by `densify` and measured by `densified_distances`.  The curve
+metrics and `point_to_segment_distance` both use these.
 """
 
 from __future__ import annotations
@@ -28,6 +34,12 @@ def normalize_lon(lon: float) -> float:
     if r <= 0.0:
         r += 360.0
     return r - 180.0
+
+
+def normalize_lon_many(lon) -> np.ndarray:
+    """`normalize_lon` on an array; `np.fmod` is exact, like `math.fmod`."""
+    r = np.fmod(np.asarray(lon) + 180.0, 360.0)
+    return np.where(r <= 0.0, r + 360.0, r) - 180.0
 
 
 @dataclass(frozen=True)
@@ -96,31 +108,57 @@ def polyline_length(points: list[GeoPoint]) -> float:
     return sum(geodesic_distance(a, b) for a, b in zip(points, points[1:]))
 
 
-def _plane_coords(center: GeoPoint, p: GeoPoint) -> tuple[float, float]:
-    # Azimuthal equidistant coordinates of p in the plane centered at
-    # `center`: radial distance is the true geodesic distance.
-    if p.lat == center.lat and p.lon == center.lon:
-        return 0.0, 0.0
-    r = WGS84.inverse(center.lat, center.lon, p.lat, p.lon)
-    az = math.radians(r.azi1)
-    return r.s12 * math.sin(az), r.s12 * math.cos(az)
+def plane_coords(lat0, lon0, lat, lon) -> tuple[np.ndarray, np.ndarray]:
+    """Azimuthal equidistant (x, y) in meters of the points (lat, lon) in
+    the planes centered at (lat0, lon0), for broadcast arrays.
+
+    The radial distance is the true geodesic distance; a point on its
+    center maps to the exact origin without an inverse solution.
+    """
+    lat0, lon0, lat, lon = np.broadcast_arrays(lat0, lon0, lat, lon)
+    off = (lat != lat0) | (lon != lon0)
+    s12, azi1 = WGS84.inverse_many(lat0[off], lon0[off], lat[off], lon[off])
+    az = np.radians(azi1)
+    x, y = np.zeros((2, *off.shape))
+    x[off] = s12 * np.sin(az)
+    y[off] = s12 * np.cos(az)
+    return x, y
 
 
-def _origin_to_chord(ax: float, ay: float, bx: float, by: float) -> float:
-    # Distance from the plane origin to the segment (ax,ay)-(bx,by).
+def origin_to_chord(ax, ay, bx, by) -> np.ndarray:
+    """Distance from the plane origin to each chord (ax, ay)-(bx, by)."""
     dx, dy = bx - ax, by - ay
     dd = dx * dx + dy * dy
-    if dd == 0.0:
-        return math.hypot(ax, ay)
-    t = -(ax * dx + ay * dy) / dd
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    return math.hypot(ax + t * dx, ay + t * dy)
+    zero = dd == 0.0
+    t = np.clip(-(ax * dx + ay * dy) / np.where(zero, 1.0, dd), 0.0, 1.0)
+    return np.where(zero, np.hypot(ax, ay), np.hypot(ax + t * dx, ay + t * dy))
 
 
-def _projected_distance(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> float:
-    ax, ay = _plane_coords(p, a)
-    bx, by = _plane_coords(p, b)
-    return _origin_to_chord(ax, ay, bx, by)
+def densify(lat1: float, lon1: float, lat2: float, lon2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points every `DENSIFY_STEP_M` along the geodesic from (lat1, lon1) to
+    (lat2, lon2), both ends included: (lat, lon) arrays, longitudes
+    normalized as `GeoPoint` does."""
+    s12, azi1 = WGS84.inverse_many(lat1, lon1, lat2, lon2)
+    dists = DENSIFY_STEP_M * np.arange(int(s12 // DENSIFY_STEP_M) + 1)
+    if dists[-1] < s12:
+        dists = np.append(dists, s12)
+    lat, lon = WGS84.direct_many(lat1, lon1, azi1, dists)
+    return lat, normalize_lon_many(lon)
+
+
+def densified_distances(lat, lon, slat, slon) -> np.ndarray:
+    """Distance from each point (lat, lon) to a segment given by its
+    `densify` samples: the distance to the nearest sample (the first of
+    ties), or less if the chord between that sample's neighbours passes
+    closer in the point's own plane."""
+    lat, lon = lat[:, None], lon[:, None]
+    d = geodesic_distance_many(lat, lon, slat, slon)
+    k = d.argmin(axis=1)[:, None]
+    lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, len(slat) - 1)
+    ax, ay = plane_coords(lat, lon, slat[lo], slon[lo])
+    bx, by = plane_coords(lat, lon, slat[hi], slon[hi])
+    best = np.take_along_axis(d, k, axis=1)
+    return np.minimum(best, origin_to_chord(ax, ay, bx, by))[:, 0]
 
 
 def point_to_segment_distance(p: GeoPoint, s: GeoSegment) -> float:
@@ -135,21 +173,9 @@ def point_to_segment_distance(p: GeoPoint, s: GeoSegment) -> float:
     """
     if s.is_degenerate:
         return geodesic_distance(p, s.start)
-    inv = WGS84.inverse(s.start.lat, s.start.lon, s.end.lat, s.end.lon)
-    if inv.s12 <= LONG_SEGMENT_M:
-        return _projected_distance(p, s.start, s.end)
-
-    line = WGS84.line(s.start.lat, s.start.lon, inv.azi1)
-    steps = int(inv.s12 // DENSIFY_STEP_M)
-    dists = [DENSIFY_STEP_M * k for k in range(steps + 1)]
-    if dists[-1] < inv.s12:
-        dists.append(inv.s12)
-    samples = []
-    for d in dists:
-        lat, lon, _ = line.position(d)
-        samples.append(GeoPoint(lon, lat))
-    point_d = [geodesic_distance(p, q) for q in samples]
-    k = min(range(len(samples)), key=point_d.__getitem__)
-    lo = samples[max(k - 1, 0)]
-    hi = samples[min(k + 1, len(samples) - 1)]
-    return min(point_d[k], _projected_distance(p, lo, hi))
+    lat, lon = np.array([p.lat]), np.array([p.lon])
+    if geodesic_distance(s.start, s.end) > LONG_SEGMENT_M:
+        d = densified_distances(lat, lon, *densify(s.start.lat, s.start.lon, s.end.lat, s.end.lon))
+        return float(d[0])
+    x, y = plane_coords(p.lat, p.lon, [s.start.lat, s.end.lat], [s.start.lon, s.end.lon])
+    return float(origin_to_chord(x[0], y[0], x[1], y[1]))

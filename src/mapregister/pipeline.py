@@ -21,6 +21,7 @@ from .affine import AffineParams, CorrespondenceSet, PixelPoint, apply_affine, e
 from .curves import (
     BandThreshold,
     DiscreteCurve,
+    DistanceProfile,
     anchor_min_distances,
     build_segments,
     source_distance,
@@ -145,6 +146,32 @@ def _check_curve_name(name: str, where: str) -> str:
     return check_table_name(name, where)
 
 
+def grid_domain(bounds, where: str) -> GridDomain:
+    """The node grid whose corner node centers are the pixel bounds
+    (x1_min, x2_min, x1_max, x2_max); it must span whole nodes and at least
+    3x3 of them."""
+    try:
+        x1_min, x2_min, x1_max, x2_max = (float(v) for v in bounds)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: bounds must be numbers") from exc
+    n1 = x1_max - x1_min + 1
+    n2 = x2_max - x2_min + 1
+    if not all(math.isfinite(n) and abs(n - round(n)) <= 1e-9 and n >= 3 for n in (n1, n2)):
+        raise ConfigError(f"{where}: must span whole nodes and at least 3x3")
+    return GridDomain(PixelPoint(x1_min, x2_min), int(round(n1)), int(round(n2)))
+
+
+def check_bands(bands, where: str) -> list[float]:
+    """Band widths in km as floats; each must be positive and finite."""
+    try:
+        bands = [float(b) for b in bands]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: band widths must be a list of numbers") from exc
+    if not all(b > 0 and math.isfinite(b) for b in bands):
+        raise ConfigError(f"{where}: band widths must be positive and finite")
+    return bands
+
+
 def load_config(path: str | Path) -> ProjectConfig:
     """Read and validate a YAML experiment configuration."""
     path = Path(path)
@@ -162,16 +189,10 @@ def load_config(path: str | Path) -> ProjectConfig:
     dom = _require(raw, "domain", str(path))
     _check_keys(dom, DOMAIN_KEYS, f"{path}: domain")
     try:
-        x1_min = float(dom["x1_min"])
-        x2_min = float(dom["x2_min"])
-        x1_max = float(dom["x1_max"])
-        x2_max = float(dom["x2_max"])
-    except (KeyError, TypeError, ValueError) as exc:
+        bounds = [dom[k] for k in ("x1_min", "x2_min", "x1_max", "x2_max")]
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: domain needs numeric x1_min/x2_min/x1_max/x2_max") from exc
-    n1 = x1_max - x1_min + 1
-    n2 = x2_max - x2_min + 1
-    if abs(n1 - round(n1)) > 1e-9 or abs(n2 - round(n2)) > 1e-9 or n1 < 3 or n2 < 3:
-        raise ConfigError(f"{path}: domain must span whole nodes and at least 3x3")
+    grid = grid_domain(bounds, f"{path}: domain")
 
     corr = base / str(_require(raw, "correspondences", str(path)))
     if not corr.is_file():
@@ -209,12 +230,7 @@ def load_config(path: str | Path) -> ProjectConfig:
             pairs.append((str(item[0]), str(item[1])))
         return pairs
 
-    try:
-        bands = [float(b) for b in raw.get("bands_km") or DEFAULT_BANDS_KM]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bands_km must be a list of numbers") from exc
-    if not all(b > 0 and math.isfinite(b) for b in bands):
-        raise ConfigError(f"{path}: bands_km must be positive and finite")
+    bands = check_bands(raw.get("bands_km") or DEFAULT_BANDS_KM, f"{path}: bands_km")
 
     dump_field = raw.get("dump_field", False)
     if not isinstance(dump_field, bool):
@@ -230,9 +246,9 @@ def load_config(path: str | Path) -> ProjectConfig:
 
     return ProjectConfig(
         correspondences=corr,
-        domain_origin=PixelPoint(x1_min, x2_min),
-        domain_n1=int(round(n1)),
-        domain_n2=int(round(n2)),
+        domain_origin=grid.origin,
+        domain_n1=grid.n1,
+        domain_n2=grid.n2,
         output_dir=base / str(raw.get("output_dir", "out")),
         regions=regions,
         polygon_mode=polygon_mode,
@@ -299,38 +315,28 @@ def transform_curve(f: ParameterField, pixels: list[PixelPoint], name: str = "")
 def compare_pair(
     a: DiscreteCurve, b: DiscreteCurve, bands_km: list[float]
 ) -> tuple[HausdorffEntry, MatchingEntry]:
-    """All pair metrics from one distance pass per direction."""
-    d_ab = anchor_min_distances(a, b)
-    d_ba = anchor_min_distances(b, a)
+    """All pair metrics from one distance profile per direction."""
+    p_ab = DistanceProfile(a, anchor_min_distances(a, b))
+    p_ba = DistanceProfile(b, anchor_min_distances(b, a))
     la_km = a.length / 1000.0
     lb_km = b.length / 1000.0
-    seg_ab = [s.length for s in a.segments]
-    seg_ba = [s.length for s in b.segments]
 
     hd = HausdorffEntry(
         a=a.name,
         b=b.name,
         length_a_km=la_km,
         length_b_km=lb_km,
-        dir_max_ab_km=max(d_ab) / 1000.0,
-        dir_max_ba_km=max(d_ba) / 1000.0,
-        dir_mean_ab_km=sum(l * d for l, d in zip(seg_ab, d_ab)) / a.length / 1000.0,
-        dir_mean_ba_km=sum(l * d for l, d in zip(seg_ba, d_ba)) / b.length / 1000.0,
+        dir_max_ab_km=p_ab.max() / 1000.0,
+        dir_max_ba_km=p_ba.max() / 1000.0,
+        dir_mean_ab_km=p_ab.mean() / 1000.0,
+        dir_mean_ba_km=p_ba.mean() / 1000.0,
     )
     bands = []
     for km in bands_km:
         t = BandThreshold.from_km(km)
-        lm_ab = sum(l for l, d in zip(seg_ab, d_ab) if d < t.meters)
-        lm_ba = sum(l for l, d in zip(seg_ba, d_ba) if d < t.meters)
-        bands.append(
-            MatchingBand(
-                band_km=km,
-                lm_ab_km=lm_ab / 1000.0,
-                pct_ab=100.0 * lm_ab / a.length,
-                lm_ba_km=lm_ba / 1000.0,
-                pct_ba=100.0 * lm_ba / b.length,
-            )
-        )
+        lm_ab, pct_ab = p_ab.within(t.meters)
+        lm_ba, pct_ba = p_ba.within(t.meters)
+        bands.append(MatchingBand(km, lm_ab / 1000.0, pct_ab, lm_ba / 1000.0, pct_ba))
     return hd, MatchingEntry(a.name, b.name, la_km, lb_km, bands)
 
 

@@ -3,11 +3,14 @@
 Distances come from Vincenty's 1975 nested-equation iteration, meridian arcs
 from the complete elliptic integral, and point-to-segment distances from
 brute-force densification; none of these share code with the package.  The
-one exception is `scalar_anchor_min_distances`, the package's earlier
-one-inverse-per-pair anchor pass, `scalar_build_segments`, its earlier
-edge-by-edge segment building, `lu_solve_field`, its earlier sparse-LU field
-solve, and `scalar_write_field_dump`, its earlier value-by-value field dump,
-kept as the references for the paths that replaced them.  The test-only
+exceptions are the package's earlier scalar and direct paths, kept as the
+references for the array paths that replaced them:
+`scalar_point_to_segment_distance`, its one-geodesic-at-a-time
+point-to-segment distance with the planar-chord helpers it used;
+`scalar_anchor_min_distances`, its one-inverse-per-pair anchor pass, whose
+long-edge fallback is that function; `scalar_build_segments`, its
+edge-by-edge segment building; `lu_solve_field`, its sparse-LU field solve;
+and `scalar_write_field_dump`, its value-by-value field dump.  The test-only
 readers of library outputs (`least_squares_objective`, `read_field_dump`)
 live here too.
 """
@@ -180,9 +183,9 @@ def scalar_anchor_min_distances(a, b):
     per anchor and chain point, each chain edge handled as a planar chord in
     the anchor's azimuthal equidistant plane."""
     from mapregister._geodesic import WGS84
-    from mapregister.geodesy import LONG_SEGMENT_M, GeoSegment, geodesic_distance, point_to_segment_distance
+    from mapregister.geodesy import LONG_SEGMENT_M, GeoPoint, GeoSegment, geodesic_distance
 
-    chain = b.chain
+    chain = [GeoPoint(lon, lat) for lon, lat in b.chain.tolist()]
     edge_len = [geodesic_distance(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
     long_edges = [k for k, ln in enumerate(edge_len) if ln > LONG_SEGMENT_M]
     out = []
@@ -213,11 +216,68 @@ def scalar_anchor_min_distances(a, b):
             if d < best:
                 best = d
         for k in long_edges:
-            d = point_to_segment_distance(anchor, GeoSegment(chain[k], chain[k + 1]))
+            d = scalar_point_to_segment_distance(anchor, GeoSegment(chain[k], chain[k + 1]))
             if d < best:
                 best = d
         out.append(best)
     return out
+
+
+def _plane_coords(center, p):
+    # Azimuthal equidistant coordinates of p in the plane centered at
+    # `center`: radial distance is the true geodesic distance.
+    from mapregister._geodesic import WGS84
+
+    if p.lat == center.lat and p.lon == center.lon:
+        return 0.0, 0.0
+    r = WGS84.inverse(center.lat, center.lon, p.lat, p.lon)
+    az = math.radians(r.azi1)
+    return r.s12 * math.sin(az), r.s12 * math.cos(az)
+
+
+def _origin_to_chord(ax: float, ay: float, bx: float, by: float) -> float:
+    # Distance from the plane origin to the segment (ax,ay)-(bx,by).
+    dx, dy = bx - ax, by - ay
+    dd = dx * dx + dy * dy
+    if dd == 0.0:
+        return math.hypot(ax, ay)
+    t = -(ax * dx + ay * dy) / dd
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    return math.hypot(ax + t * dx, ay + t * dy)
+
+
+def _projected_distance(p, a, b) -> float:
+    ax, ay = _plane_coords(p, a)
+    bx, by = _plane_coords(p, b)
+    return _origin_to_chord(ax, ay, bx, by)
+
+
+def scalar_point_to_segment_distance(p, s) -> float:
+    """`geodesy.point_to_segment_distance` with one scalar geodesic per
+    projected point and per densification sample."""
+    from mapregister._geodesic import WGS84, GeodesicLine
+    from mapregister.geodesy import DENSIFY_STEP_M, LONG_SEGMENT_M, GeoPoint, geodesic_distance
+
+    if s.is_degenerate:
+        return geodesic_distance(p, s.start)
+    inv = WGS84.inverse(s.start.lat, s.start.lon, s.end.lat, s.end.lon)
+    if inv.s12 <= LONG_SEGMENT_M:
+        return _projected_distance(p, s.start, s.end)
+
+    line = GeodesicLine(WGS84, s.start.lat, s.start.lon, inv.azi1)
+    steps = int(inv.s12 // DENSIFY_STEP_M)
+    dists = [DENSIFY_STEP_M * k for k in range(steps + 1)]
+    if dists[-1] < inv.s12:
+        dists.append(inv.s12)
+    samples = []
+    for d in dists:
+        lat, lon, _ = line.position(d)
+        samples.append(GeoPoint(lon, lat))
+    point_d = [geodesic_distance(p, q) for q in samples]
+    k = min(range(len(samples)), key=point_d.__getitem__)
+    lo = samples[max(k - 1, 0)]
+    hi = samples[min(k + 1, len(samples) - 1)]
+    return min(point_d[k], _projected_distance(p, lo, hi))
 
 
 def scalar_build_segments(points):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 
-from mapregister._geodesic import WGS84
+from mapregister._geodesic import WGS84, GeodesicLine
 from mapregister.affine import AffineParams, Correspondence, CorrespondenceSet, PixelPoint, apply_affine
 from mapregister.geodesy import GeoPoint, geodesic_distance, walk
 
@@ -69,7 +69,7 @@ def walk_points(a: GeoPoint, b: GeoPoint, step: float) -> list[GeoPoint]:
         return [a]
     n = max(1, int(total // step))
     inv = WGS84.inverse(a.lat, a.lon, b.lat, b.lon)
-    line = WGS84.line(a.lat, a.lon, inv.azi1)
+    line = GeodesicLine(WGS84, a.lat, a.lon, inv.azi1)
     pts = [a]
     for k in range(1, n):
         lat, lon, _ = line.position(total * k / n)

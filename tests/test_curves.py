@@ -1,14 +1,18 @@
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapregister import curves
+from mapregister._geodesic import WGS84
 from mapregister.curves import (
     BandThreshold,
     DiscreteCurve,
+    DistanceProfile,
     anchor_min_distances,
     build_segments,
     directed_max_hausdorff,
@@ -22,15 +26,20 @@ from mapregister.curves import (
 )
 from mapregister.errors import DegenerateCurveError, OutOfRangeError
 from mapregister.geodesy import (
+    DENSIFY_STEP_M,
     LONG_SEGMENT_M,
     GeoPoint,
+    GeoSegment,
+    densified_distances,
+    densify,
     geodesic_distance,
     geodesic_midpoint,
+    point_to_segment_distance,
     polyline_length,
     walk,
 )
 
-from oracles import scalar_anchor_min_distances, scalar_build_segments
+from oracles import scalar_anchor_min_distances, scalar_build_segments, scalar_point_to_segment_distance
 from synth import random_curve
 
 
@@ -41,17 +50,23 @@ def curve_along(start: GeoPoint, azimuth: float, steps: list[float], name="c") -
     return build_segments(pts, name)
 
 
+def chain_points(c: DiscreteCurve) -> list[GeoPoint]:
+    return [GeoPoint(lon, lat) for lon, lat in c.chain.tolist()]
+
+
 def assert_matches_scalar_build(pts):
     c = build_segments(pts, "r")
-    want = scalar_build_segments(pts)
-    assert (c.points, c.chain, c.edge_lengths, [s.length for s in c.segments], c.length) == want
+    got = (c.points, chain_points(c), c.edge_lengths.tolist(), c.segment_lengths.tolist(), c.length)
+    assert got == scalar_build_segments(pts)
+    assert [s.length for s in c.segments] == c.segment_lengths.tolist()
 
 
 def assert_same_curve(got: DiscreteCurve, want: DiscreteCurve):
     assert got.name == want.name
     assert got.points == want.points
-    assert got.chain == want.chain
-    assert got.edge_lengths == want.edge_lengths
+    assert got.chain.tolist() == want.chain.tolist()
+    assert got.edge_lengths.tolist() == want.edge_lengths.tolist()
+    assert got.segment_lengths.tolist() == want.segment_lengths.tolist()
     assert got.segments == want.segments
     assert got.length == want.length
 
@@ -84,14 +99,14 @@ class TestBuildSegments:
     def test_interior_segment_is_union_of_half_edges(self):
         pts = [GeoPoint(0, 10), GeoPoint(0.3, 10.2), GeoPoint(0.6, 10.1)]
         c = build_segments(pts)
-        seg = c.segments[1]
-        assert len(seg.pieces) == 2
-        assert seg.pieces[0].end == pts[1]
-        assert seg.pieces[1].start == pts[1]
-        want = geodesic_distance(geodesic_midpoint(pts[0], pts[1]), pts[1]) + geodesic_distance(
-            pts[1], geodesic_midpoint(pts[1], pts[2])
-        )
-        assert seg.length == pytest.approx(want, rel=1e-12)
+        # The anchor sits between the midpoints of its two edges in the
+        # chain, and its segment is the two chain edges that meet there.
+        m01, m12 = geodesic_midpoint(pts[0], pts[1]), geodesic_midpoint(pts[1], pts[2])
+        assert chain_points(c) == [pts[0], m01, pts[1], m12, pts[2]]
+        assert c.segments[1].anchor == pts[1]
+        assert c.segment_lengths[1] == c.edge_lengths[1] + c.edge_lengths[2]
+        want = geodesic_distance(m01, pts[1]) + geodesic_distance(pts[1], m12)
+        assert c.segments[1].length == pytest.approx(want, rel=1e-12)
 
     def test_consecutive_duplicates_removed(self):
         p, q = GeoPoint(1, 1), GeoPoint(2, 2)
@@ -107,9 +122,8 @@ class TestBuildSegments:
 
     def test_edge_lengths_are_chain_edge_distances(self):
         c = build_segments(random_curve(random.Random(4), "r", n=9), "r")
-        assert c.edge_lengths == [
-            geodesic_distance(p, q) for p, q in zip(c.chain, c.chain[1:])
-        ]
+        chain = chain_points(c)
+        assert c.edge_lengths.tolist() == [geodesic_distance(p, q) for p, q in zip(chain, chain[1:])]
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.sampled_from([0.01, 800.0, 5000.0, 300_000.0]))
     @settings(max_examples=25, deadline=None)
@@ -171,6 +185,77 @@ class TestAnchorMinDistances:
         assert dists[2:7] == [0.0] * 5
         assert all(isinstance(d, float) for d in dists)
         assert anchor_min_distances(a, a) == [0.0] * 10
+
+
+def assert_close_to_scalar(got, want):
+    # The array path takes its plane coordinates with NumPy's sin, cos and
+    # hypot, which can differ from the math functions by an ulp.
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-9 + 1e-14 * w, (g, w)
+
+
+class TestLongEdgeFallback:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(LONG_SEGMENT_M + 1.0, 400_000.0),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_matches_scalar_point_to_segment(self, seed, length_m, per_kind):
+        # A curve of two vertices whose two chain edges are each length_m
+        # long, and anchors before, beyond and beside its first chain edge,
+        # on that edge's densification samples and on its end (which the
+        # last sample misses by roundoff).
+        rng = random.Random(seed)
+        start = GeoPoint(rng.uniform(-180, 180), rng.uniform(-70, 70))
+        b = build_segments([start, walk(start, rng.uniform(0, 360), 2 * length_m)], "B")
+        chain = chain_points(b)
+        edge = GeoSegment(chain[0], chain[1])
+        inv = WGS84.inverse(edge.start.lat, edge.start.lon, edge.end.lat, edge.end.lon)
+        samples = int(inv.s12 // DENSIFY_STEP_M) + 1
+        anchors = []
+        for _ in range(per_kind):
+            anchors += [
+                walk(edge.start, inv.azi1 + 180.0, rng.uniform(1.0, 60_000.0)),
+                walk(edge.start, inv.azi1, inv.s12 + rng.uniform(1.0, 60_000.0)),
+                walk(walk(edge.start, inv.azi1, rng.uniform(0, inv.s12)), rng.uniform(0, 360), rng.uniform(0, 60_000.0)),
+                walk(edge.start, inv.azi1, DENSIFY_STEP_M * rng.randrange(samples)),
+            ]
+        anchors.append(edge.end)
+        lat = np.array([q.lat for q in anchors])
+        lon = np.array([q.lon for q in anchors])
+
+        got = densified_distances(lat, lon, *densify(edge.start.lat, edge.start.lon, edge.end.lat, edge.end.lon))
+        want = [scalar_point_to_segment_distance(q, edge) for q in anchors]
+        assert_close_to_scalar(got.tolist(), want)
+        assert [point_to_segment_distance(q, edge) for q in anchors] == got.tolist()
+        assert got[3::4].tolist() == [0.0] * per_kind  # on a sample
+
+        # The whole pass, its fallback in batches of one or two anchors.
+        a = build_segments(anchors, "A")
+        with mock.patch.object(curves, "ANCHOR_BATCH_PAIRS", 2 * samples):
+            assert_close_to_scalar(anchor_min_distances(a, b), scalar_anchor_min_distances(a, b))
+
+
+class TestDistanceProfile:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(2, 30))
+    @settings(max_examples=20, deadline=None)
+    def test_reductions_equal_python_sums(self, seed, n_a, n_b):
+        rng = random.Random(seed)
+        a = build_segments(random_curve(rng, "A", n=n_a), "A")
+        b = build_segments(random_curve(rng, "B", n=n_b, start=walk(a.points[0], 90.0, 3_000.0)), "B")
+        dists = anchor_min_distances(a, b)
+        seg = [s.length for s in a.segments]
+        profile = DistanceProfile(a, dists)
+        assert profile.max() == max(dists)
+        assert profile.mean() == sum(l * d for l, d in zip(seg, dists)) / a.length
+        for m in sorted(dists)[:: max(1, n_a // 4)] + [1_000.0, 1e9]:
+            lm = sum(l for l, d in zip(seg, dists) if d < m)
+            assert profile.within(m) == (lm, 100.0 * lm / a.length)
+        assert directed_mean_hausdorff(a, b) == profile.mean()
+        assert directed_max_hausdorff(a, b) == profile.max()
+        assert matching_length(a, b, BandThreshold(1_000.0)) == profile.within(1_000.0)
 
 
 class TestHausdorff:

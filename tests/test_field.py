@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -443,9 +444,10 @@ class TestMultigridSolve:
         system = random_system(seed, n1, n2)
         free = int((~system.dirichlet_mask).sum())
         coarsest = []
-        splu = field_module.spla.splu
+        splu = spla.splu
         with monkeypatch.context() as m:
-            m.setattr(field_module.spla, "splu", lambda a, **kw: coarsest.append(a.shape[0]) or splu(a, **kw))
+            # field.py imports scipy.sparse.linalg when it builds a hierarchy.
+            m.setattr(spla, "splu", lambda a, **kw: coarsest.append(a.shape[0]) or splu(a, **kw))
             f = assert_matches_lu(system)
         assert free > field_module._DIRECT_NODES
         assert coarsest[0] < free / 10  # the multigrid's coarsest level: two coarsenings or more

@@ -1,13 +1,15 @@
+import csv
 import json
 import math
 import random
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mapregister.field as field_module
@@ -32,6 +34,7 @@ from mapregister.formats import (
 )
 from mapregister.geodesy import GeoPoint
 from mapregister.pipeline import (
+    DEFAULT_BANDS_KM,
     fit_with_global,
     load_config,
     run_experiment,
@@ -374,6 +377,9 @@ class TestConfig:
             "bands_km: [10, .inf]",
             "bands_km: [-5]",
             "bands_km: [ten]",
+            "domain: {x1_min: 1, x2_min: 1, x1_max: 2, x2_max: 2}",
+            "domain: {x1_min: 1, x2_min: 1, x1_max: .nan, x2_max: 90}",
+            "domain: {x1_min: 1, x2_min: 1, x1_max: 120, x2_max: .inf}",
             'dump_field: "false"',
             "dump_field: 1",
         ],
@@ -480,6 +486,52 @@ class TestStrictConfig:
         assert load_config(root / "sample_data" / "experiment.yaml").splits
 
 
+# Curve names the configuration accepts, and set names a correspondence
+# file line can hold: nothing that `check_table_name` rejects, no path
+# separator or NUL in a curve name, no line break inside a set header line.
+_curve_names = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n/\\\0'), min_size=1, max_size=8
+).filter(lambda n: n not in (".", "..") and not n.startswith(("main_", "probe_")))
+_set_names = st.text(
+    st.characters(blacklist_categories=("Cs", "Zl", "Zp"), blacklist_characters=',"\r\n\v\f\x1c\x1d\x1e\x85'),
+    min_size=1,
+    max_size=8,
+).filter(lambda n: n == n.strip() and n and not n.startswith("#"))
+
+
+class TestCsvTables:
+    @given(
+        st.lists(_curve_names, min_size=3, max_size=3, unique=True),
+        st.lists(_set_names, min_size=3, max_size=3, unique=True),
+        st.lists(st.floats(0.001, 1e5), min_size=1, max_size=4),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_every_table_has_one_width(self, curve_names, set_names, bands):
+        with tempfile.TemporaryDirectory() as tmp:
+            config_path, _ = write_experiment(Path(tmp) / "exp")
+
+            def edit(cfg):
+                for old, new in zip(("probe", "main", "side"), curve_names):
+                    _rename_curve(cfg, old, new)
+                cfg["bands_km"] = bands
+
+            _edit_config(config_path, edit)
+            corr = config_path.parent / "correspondences.txt"
+            text = corr.read_text()
+            for old, new in zip(EXPERIMENT_REGIONS, set_names):
+                text = text.replace(f"set {old}\n", f"set {new}\n")
+            corr.write_text(text)
+
+            result = run_experiment(load_config(config_path))
+            tables = [p for p in result.outputs if p.suffix == ".csv"]
+            assert len(tables) == 6
+            for path in tables:
+                with open(path, newline="") as f:
+                    rows = list(csv.reader(f))
+                assert len(rows) >= 2, path.name
+                assert len({len(r) for r in rows}) == 1, (path.name, rows)
+
+
 class TestCli:
     def test_run_and_exit_codes(self, tmp_path, capsys):
         config_path, _ = write_experiment(tmp_path / "exp")
@@ -544,6 +596,46 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "cmp" / "matching.csv").is_file()
+
+    @pytest.mark.parametrize(
+        "domain",
+        [["1", "1", "2", "2"], ["1", "1", "10.5", "10"], ["1", "1", "nan", "10"], ["1", "1", "10", "inf"]],
+        ids=["2x2", "fractional", "nan", "inf"],
+    )
+    def test_bad_domain_flag_exits_2_before_any_output(self, tmp_path, domain):
+        base = tmp_path / "exp"
+        write_experiment(base)
+        sets = ["--correspondences", str(base / "correspondences.txt"), "--domain", *domain]
+        assert cli_main(["field", *sets, "--output", str(tmp_path / "f")]) == 2
+        assert not (tmp_path / "f").exists()
+        out = tmp_path / "t.geojson"
+        assert cli_main(["transform", *sets, "--curve", str(base / "probe.txt"), "--output", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("band", ["-5", "0", "nan", "inf"])
+    def test_bad_bands_flag_exits_2_before_any_output(self, tmp_path, band):
+        base = tmp_path / "exp"
+        write_experiment(base)
+        rc = cli_main(
+            [
+                "compare",
+                "--curve-a", str(base / "main.geojson"),
+                "--curve-b", str(base / "side.geojson"),
+                "--bands", "10", band,
+                "--output", str(tmp_path / "cmp"),
+            ]
+        )
+        assert rc == 2
+        assert not (tmp_path / "cmp").exists()
+
+    def test_compare_default_bands(self, tmp_path, capsys):
+        base = tmp_path / "exp"
+        write_experiment(base)
+        args = ["compare", "--curve-a", str(base / "main.geojson"), "--curve-b", str(base / "side.geojson")]
+        assert cli_main(args) == 0
+        default = capsys.readouterr().out
+        assert cli_main(args + ["--bands", *map(str, DEFAULT_BANDS_KM)]) == 0
+        assert capsys.readouterr().out == default
 
     def test_stadia_subcommand(self, capsys):
         assert cli_main(["stadia", "1000"]) == 0
