@@ -37,9 +37,15 @@ from .geodesy import (
     plane_coords,
 )
 
-#: Anchor x chain-point pairs projected per array batch in
-#: `anchor_min_distances`; keeps its temporaries to a few megabytes.
-ANCHOR_BATCH_PAIRS = 4096
+#: Anchor x chain-point pairs per array batch in `anchor_min_distances`:
+#: enough for one batch (two array inverses) per curve pair of a few
+#: hundred points, few enough to keep the temporaries under about 16 MB
+#: even when nothing is skipped.
+ANCHOR_BATCH_PAIRS = 16384
+# Margins of the skip test in `anchor_min_distances`, far above the
+# roundoff of the chords, the geodesic lengths and the planar chords.
+_PRUNE_RTOL = 1e-9
+_PRUNE_ATOL_M = 1e-3
 
 
 @dataclass(frozen=True)
@@ -136,26 +142,83 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
     to B's segments.
 
     The segments of B partition its chain edges, so the minimum over
-    segments equals the minimum over chain edges.  Per anchor, all chain
-    points of B are projected into the azimuthal equidistant plane at the
+    segments equals the minimum over chain edges.  Per anchor, chain points
+    of B are projected into the azimuthal equidistant (AEQD) plane at the
     anchor and each edge is handled as a planar chord, exactly as
     `point_to_segment_distance` does; edges longer than `LONG_SEGMENT_M`
     are also densified, all anchors against one edge at once.  Anchors are
     processed in batches of at most `ANCHOR_BATCH_PAIRS` anchor x point
     pairs.
+
+    Only edges that could hold an anchor's minimum are projected; the skip
+    test is a rigorous lower bound, so the result equals that of projecting
+    every edge.  Let c_j be the straight (ECEF) chord from the anchor to
+    chain point j, j* the chain point with the smallest chord, s* its
+    geodesic distance and U the smaller planar-chord value of j*'s edges.
+    Edge k (length l_k) is skipped when
+
+        min(c_k, c_k+1) - kappa_k * l_k / 2 > U    (with a margin),
+
+    kappa_k = x / sin x,  x = (s* + chain length from j* to the far end of
+    edge k) / b,  b the semi-minor axis, and no skipping when x >= pi / 2.
+    Sketch: every point of the planar chord lies within half its length of
+    an endpoint, whose radius is its geodesic distance s_k >= c_k.  No
+    point of the edge is farther than x b from the anchor, and there the
+    AEQD map stretches lengths by at most s / m12 <= x / sin x, because
+    the Gauss curvature of the ellipsoid is at most 1 / b^2 (Rauch
+    comparison with the sphere of radius b); so the planar chord is at most
+    kappa_k l_k long and its value exceeds U.
     """
     alon, alat = a.chain[::2, 0], a.chain[::2, 1]
     blon, blat = b.chain[:, 0], b.chain[:, 1]
+    m = len(blat)
+    ea, eb = _ecef(alat, alon), _ecef(blat, blon)
+    arc = np.concatenate([[0.0], np.cumsum(b.edge_lengths)])
     out = np.empty(len(alat))
-    for batch in _batches(len(alat), len(blat)):
-        x, y = plane_coords(alat[batch, None], alon[batch, None], blat, blon)
-        out[batch] = origin_to_chord(x[:, :-1], y[:, :-1], x[:, 1:], y[:, 1:]).min(axis=1)
+    for batch in _batches(len(alat), m):
+        lat0, lon0 = alat[batch, None], alon[batch, None]
+        chord = np.sqrt(sum((ea[batch, None, i] - eb[:, i]) ** 2 for i in range(3)))
+
+        # Plane coordinates of the chord-nearest chain point and its
+        # neighbours give s* and U.
+        rows = np.arange(len(chord))[:, None]
+        near = chord.argmin(axis=1)[:, None]
+        nb = np.clip(near + [-1, 0, 1], 0, m - 1)
+        px, py = np.zeros((2, *chord.shape))
+        px[rows, nb], py[rows, nb] = plane_coords(lat0, lon0, blat[nb], blon[nb])
+        e = np.clip(near + [-1, 0], 0, m - 2)
+        upper = origin_to_chord(px[rows, e], py[rows, e], px[rows, e + 1], py[rows, e + 1]).min(axis=1)
+
+        # The skip test, then the endpoints of the surviving edges.
+        reach = np.hypot(px[rows, near], py[rows, near]) + np.maximum(arc[1:] - arc[near], arc[near] - arc[:-1])
+        x = np.minimum((reach * (1 + _PRUNE_RTOL) + _PRUNE_ATOL_M) / WGS84.b, math.pi / 2)
+        half = np.where(x < math.pi / 2, b.edge_lengths / 2 / np.sinc(x / math.pi), np.inf)  # kappa_k l_k / 2
+        lower = np.minimum(chord[:, :-1], chord[:, 1:]) * (1 - _PRUNE_RTOL) - half * (1 + _PRUNE_RTOL)
+        keep = lower - _PRUNE_ATOL_M <= upper[:, None]
+        need = np.zeros(chord.shape, dtype=bool)
+        need[:, :-1] = keep
+        need[:, 1:] |= keep
+        need[rows, nb] = False
+        i, j = np.nonzero(need)
+        px[i, j], py[i, j] = plane_coords(lat0[i, 0], lon0[i, 0], blat[j], blon[j])
+        d = origin_to_chord(px[:, :-1], py[:, :-1], px[:, 1:], py[:, 1:])
+        out[batch] = np.minimum(upper, np.where(keep, d, np.inf).min(axis=1))
 
     for k in np.flatnonzero(b.edge_lengths > LONG_SEGMENT_M):
         slat, slon = densify(blat[k], blon[k], blat[k + 1], blon[k + 1])
         for batch in _batches(len(alat), len(slat)):
             out[batch] = np.minimum(out[batch], densified_distances(alat[batch], alon[batch], slat, slon))
     return out.tolist()
+
+
+def _ecef(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    # Earth-centred Cartesian coordinates (m, 3) of geodetic positions; the
+    # straight chord between two of them is a lower bound on their geodesic
+    # distance.
+    phi, lam = np.radians(lat), np.radians(lon)
+    n = WGS84.a / np.sqrt(1 - WGS84.e2 * np.sin(phi) ** 2)
+    r = n * np.cos(phi)
+    return np.stack([r * np.cos(lam), r * np.sin(lam), n * (1 - WGS84.e2) * np.sin(phi)], axis=1)
 
 
 def _batches(anchors: int, points: int) -> list[slice]:

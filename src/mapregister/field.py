@@ -78,9 +78,6 @@ class GridDomain:
         """Pixel coordinates -> fractional node coordinates (i, j)."""
         return p.x1 - self.origin.x1 + 1.0, p.x2 - self.origin.x2 + 1.0
 
-    def node_pixel(self, i: int, j: int) -> PixelPoint:
-        return PixelPoint(self.origin.x1 + i - 1.0, self.origin.x2 + j - 1.0)
-
 
 @dataclass(frozen=True)
 class DirichletRegion:
@@ -320,13 +317,6 @@ class ParameterField:
     dirichlet_mask: np.ndarray
     residual: float
     iterations: int = 0  # CG iterations of the solve
-
-    def grid_for(self, name: str) -> np.ndarray:
-        k = AffineParams.PARAM_NAMES.index(name)
-        return self.params[:, :, k]
-
-    def params_at_node(self, i: int, j: int) -> AffineParams:
-        return AffineParams(*self.params[i - 1, j - 1, :])
 
 
 def solve_field(system: LaplaceSystem) -> ParameterField:

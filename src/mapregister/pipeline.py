@@ -60,6 +60,8 @@ from .report import (
 )
 
 GLOBAL_NAME = "global"
+#: Longest file name, in bytes, that common file systems accept.
+MAX_FILE_NAME_BYTES = 255
 DEFAULT_BANDS_KM = [10.0, 50.0, 100.0]
 
 #: One stadium in kilometers, lower and upper bound.
@@ -143,6 +145,11 @@ def _check_curve_name(name: str, where: str) -> str:
     # Curve names become output file names and CSV table cells.
     if not name or name in (".", "..") or any(c in name for c in "/\\\0"):
         raise ConfigError(f"{where}: invalid curve name {name!r}")
+    if len(f"{name}.geojson".encode("utf-8", "surrogatepass")) > MAX_FILE_NAME_BYTES:
+        raise ConfigError(
+            f"{where}: curve name {name[:20]!r}... is too long for its output file name "
+            f"'<name>.geojson' (at most {MAX_FILE_NAME_BYTES} bytes in UTF-8)"
+        )
     return check_table_name(name, where)
 
 

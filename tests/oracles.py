@@ -8,7 +8,8 @@ references for the array paths that replaced them:
 `scalar_point_to_segment_distance`, its one-geodesic-at-a-time
 point-to-segment distance with the planar-chord helpers it used;
 `scalar_anchor_min_distances`, its one-inverse-per-pair anchor pass, whose
-long-edge fallback is that function; `scalar_build_segments`, its
+long-edge fallback is that function; `full_anchor_min_distances`, its array
+anchor pass before the chord-bound skip test; `scalar_build_segments`, its
 edge-by-edge segment building; `lu_solve_field`, its sparse-LU field solve;
 and `scalar_write_field_dump`, its value-by-value field dump.  The test-only
 readers of library outputs (`least_squares_objective`, `read_field_dump`)
@@ -221,6 +222,28 @@ def scalar_anchor_min_distances(a, b):
                 best = d
         out.append(best)
     return out
+
+
+def full_anchor_min_distances(a, b):
+    """`curves.anchor_min_distances` without its skip test: every chain
+    point of B projected into every anchor's plane, in array batches of at
+    most 4096 anchor x point pairs."""
+    import numpy as np
+
+    from mapregister.geodesy import LONG_SEGMENT_M, densified_distances, densify, origin_to_chord, plane_coords
+
+    alon, alat = a.chain[::2, 0], a.chain[::2, 1]
+    blon, blat = b.chain[:, 0], b.chain[:, 1]
+    step = max(1, 4096 // len(blat))
+    out = np.empty(len(alat))
+    for i in range(0, len(alat), step):
+        batch = slice(i, i + step)
+        x, y = plane_coords(alat[batch, None], alon[batch, None], blat, blon)
+        out[batch] = origin_to_chord(x[:, :-1], y[:, :-1], x[:, 1:], y[:, 1:]).min(axis=1)
+    for k in np.flatnonzero(b.edge_lengths > LONG_SEGMENT_M):
+        slat, slon = densify(blat[k], blon[k], blat[k + 1], blon[k + 1])
+        out = np.minimum(out, densified_distances(alat, alon, slat, slon))
+    return out.tolist()
 
 
 def _plane_coords(center, p):

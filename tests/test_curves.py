@@ -39,7 +39,12 @@ from mapregister.geodesy import (
     walk,
 )
 
-from oracles import scalar_anchor_min_distances, scalar_build_segments, scalar_point_to_segment_distance
+from oracles import (
+    full_anchor_min_distances,
+    scalar_anchor_min_distances,
+    scalar_build_segments,
+    scalar_point_to_segment_distance,
+)
 from synth import random_curve
 
 
@@ -152,7 +157,66 @@ class TestBuildSegments:
         assert_matches_scalar_build(pts)
 
 
+def pruning_case(kind: str, rng: random.Random) -> tuple[list[GeoPoint], list[GeoPoint]]:
+    # Vertices of two curves A and B for the pruned anchor pass.
+    n_a, n_b = rng.randint(2, 12), rng.randint(2, 12)
+    step = rng.choice([300.0, 5_000.0, 40_000.0])
+    a = random_curve(rng, "A", n=n_a, step_m=step)
+    if kind == "near":
+        start = walk(a[0], rng.uniform(0, 360), rng.uniform(0, 4 * step))
+        return a, random_curve(rng, "B", n=n_b, start=start, step_m=step)
+    if kind == "far":
+        # Past the pi/2 gate of the skip test (b pi / 2 is about 10,000 km),
+        # up to nearly antipodal.
+        start = walk(a[0], rng.uniform(0, 360), rng.uniform(10_050_000.0, 19_950_000.0))
+        return a, random_curve(rng, "B", n=n_b, start=start, step_m=step)
+    if kind == "polar":
+        pole = GeoPoint(rng.uniform(-180, 180), rng.choice([-90.0, 90.0]))
+        start = walk(pole, rng.uniform(0, 360), rng.uniform(0, 2 * step))
+        a = random_curve(rng, "A", n=n_a, start=start, step_m=step)
+        return a, random_curve(rng, "B", n=n_b, start=pole, step_m=step)
+    if kind == "antimeridian":
+        start = GeoPoint(rng.choice([-1.0, 1.0]) * rng.uniform(179.5, 180.0), rng.uniform(-70, 70))
+        a = random_curve(rng, "A", n=n_a, start=start, step_m=step, heading=rng.choice([90.0, 270.0]))
+        start = walk(start, rng.uniform(0, 360), rng.uniform(0, 2 * step))
+        return a, random_curve(rng, "B", n=n_b, start=start, step_m=step, heading=rng.choice([90.0, 270.0]))
+    if kind == "shared":
+        # B retraces part of A and turns back: anchors on B's vertices and
+        # midpoints, and chain points that repeat within B.
+        i = rng.randrange(n_a - 1)
+        j = rng.randrange(i + 2, n_a + 1)
+        return a, a[i:j] + a[j - 2 :: -1][: rng.randint(1, j - 1)]
+    if kind == "self":
+        return a, a
+    # Chain edges (half a vertex step) past LONG_SEGMENT_M.
+    start = walk(a[0], rng.uniform(0, 360), rng.uniform(0, 50_000.0))
+    return a, random_curve(rng, "B", n=rng.randint(2, 3), start=start, step_m=rng.uniform(210_000.0, 500_000.0))
+
+
 class TestAnchorMinDistances:
+    @given(
+        st.sampled_from(["near", "far", "polar", "antimeridian", "shared", "self", "long"]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 40, curves.ANCHOR_BATCH_PAIRS]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_pruned_pass_equals_full_pass(self, kind, seed, batch_pairs):
+        a_pts, b_pts = pruning_case(kind, random.Random(seed))
+        a, b = build_segments(a_pts, "A"), build_segments(b_pts, "B")
+        with mock.patch.object(curves, "ANCHOR_BATCH_PAIRS", batch_pairs):
+            got = anchor_min_distances(a, b), anchor_min_distances(b, a), anchor_min_distances(a, a)
+        assert got == (full_anchor_min_distances(a, b), full_anchor_min_distances(b, a), [0.0] * len(a.points))
+
+    def test_skip_test_spares_most_projections(self):
+        rng = random.Random(5)
+        a = build_segments(random_curve(rng, "A", n=40), "A")
+        b = build_segments(random_curve(rng, "B", n=40, start=a.points[5]), "B")
+        with mock.patch.object(curves, "plane_coords", wraps=curves.plane_coords) as projected:
+            got = anchor_min_distances(a, b)
+        pairs = sum(np.broadcast(*c.args).size for c in projected.call_args_list)
+        assert pairs < 0.25 * len(a.points) * len(b.chain)
+        assert got == full_anchor_min_distances(a, b)
+
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(2, 12), st.sampled_from([800.0, 5000.0]))
     @settings(max_examples=15, deadline=None)
     def test_matches_scalar_reference(self, seed, n_a, n_b, step_m):

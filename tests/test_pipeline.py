@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -35,6 +38,7 @@ from mapregister.formats import (
 from mapregister.geodesy import GeoPoint
 from mapregister.pipeline import (
     DEFAULT_BANDS_KM,
+    GLOBAL_NAME,
     fit_with_global,
     load_config,
     run_experiment,
@@ -466,6 +470,38 @@ class TestStrictConfig:
         assert cli_main(["fit", "--correspondences", str(corr), "--output", str(tmp_path / "fit")]) == 2
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("probe", "p" * 300),  # a transformed source curve
+            ("main_up", "m" * 248),  # a split half, its file name one byte too long
+            ("side", "\u00e9" * 124),  # 256 bytes in UTF-8, though only 132 characters
+        ],
+        ids=["source curve", "split half", "multi-byte"],
+    )
+    def test_too_long_curve_name_exits_2_before_any_output(self, tmp_path, old, new):
+        # Every curve name becomes an output file '<name>.geojson'; one the
+        # file system cannot hold must fail before anything is written.
+        config_path, _ = write_experiment(tmp_path / "exp")
+        _edit_config(config_path, lambda c: _rename_curve(c, old, new))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert not (tmp_path / "exp" / "out").exists()
+
+    def test_longest_curve_name_runs(self, tmp_path):
+        config_path, _ = write_experiment(tmp_path / "exp")
+        name = "p" * (255 - len(".geojson"))
+        _edit_config(config_path, lambda c: _rename_curve(c, "probe", name))
+        assert cli_main(["run", "--config", str(config_path)]) == 0
+        assert (tmp_path / "exp" / "out" / "curves" / f"{name}.geojson").is_file()
+
+    def test_global_set_name_exits_2_before_any_output(self, tmp_path):
+        # 'global' is the name of the union transform.
+        config_path, _ = write_experiment(tmp_path / "exp")
+        corr = tmp_path / "exp" / "correspondences.txt"
+        corr.write_text(corr.read_text().replace("set inland\n", f"set {GLOBAL_NAME}\n"))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert not (tmp_path / "exp" / "out").exists()
+
     def test_csv_unsafe_compare_name_exits_2_before_any_output(self, tmp_path):
         base = tmp_path / "exp"
         write_experiment(base)
@@ -496,7 +532,25 @@ _set_names = st.text(
     st.characters(blacklist_categories=("Cs", "Zl", "Zp"), blacklist_characters=',"\r\n\v\f\x1c\x1d\x1e\x85'),
     min_size=1,
     max_size=8,
-).filter(lambda n: n == n.strip() and n and not n.startswith("#"))
+).filter(lambda n: n == n.strip() and n and not n.startswith("#") and n != GLOBAL_NAME)
+
+
+class TestImportCost:
+    def test_setup_imports_no_spatial_or_sparse_solver_modules(self):
+        # `import mapregister` plus `load_config` is what every run pays
+        # before any work; scipy.spatial and scipy.sparse.linalg take a
+        # tenth of a second or more each, so they are imported where used.
+        root = Path(__file__).resolve().parent.parent
+        code = (
+            "import sys\n"
+            "import mapregister\n"
+            "from mapregister.pipeline import load_config\n"
+            f"load_config({str(root / 'sample_data' / 'experiment.yaml')!r})\n"
+            "print([m for m in ('scipy.spatial', 'scipy.sparse.linalg') if m in sys.modules])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestCsvTables:
