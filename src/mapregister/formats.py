@@ -36,7 +36,7 @@ from .report import check_table_name
 def _data_lines(path: Path):
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -109,6 +109,16 @@ def write_pixel_curve(path: str | Path, points: list[PixelPoint]) -> None:
     Path(path).write_text("".join(f"{p.x1!r} {p.x2!r}\n" for p in points))
 
 
+def _member(obj: dict, key: str, path: Path) -> dict:
+    # A GeoJSON member that must be an object; absent or null reads as {}.
+    value = obj.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: '{key}' must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def read_geo_curve(path: str | Path) -> tuple[str, list[GeoPoint]]:
     """Load a single LineString from a GeoJSON file; returns (name, points)."""
     path = Path(path)
@@ -116,28 +126,36 @@ def read_geo_curve(path: str | Path) -> tuple[str, list[GeoPoint]]:
         obj = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected a GeoJSON object, got {type(obj).__name__}")
 
-    name = path.stem
+    props = {}
     geom = obj
     if obj.get("type") == "FeatureCollection":
-        feats = [f for f in obj.get("features", []) if f.get("geometry", {}).get("type") == "LineString"]
+        features = obj.get("features", [])
+        if not isinstance(features, list) or not all(isinstance(f, dict) for f in features):
+            raise ConfigError(f"{path}: 'features' must be a list of JSON objects")
+        feats = [f for f in features if _member(f, "geometry", path).get("type") == "LineString"]
         if len(feats) != 1:
             raise ConfigError(f"{path}: expected exactly one LineString feature, found {len(feats)}")
-        name = feats[0].get("properties", {}).get("name", name)
+        props = _member(feats[0], "properties", path)
         geom = feats[0]["geometry"]
     elif obj.get("type") == "Feature":
-        name = obj.get("properties", {}).get("name", name)
-        geom = obj.get("geometry", {})
+        props = _member(obj, "properties", path)
+        geom = _member(obj, "geometry", path)
+    # A curve without a string name property is named after its file.
+    name = props.get("name")
+    name = name if isinstance(name, str) else path.stem
     if geom.get("type") != "LineString":
         raise ConfigError(f"{path}: geometry type {geom.get('type')!r}, expected LineString")
     coords = geom.get("coordinates", [])
-    if len(coords) < 2:
-        raise ConfigError(f"{path}: LineString needs at least 2 coordinates")
+    if not isinstance(coords, list) or len(coords) < 2:
+        raise ConfigError(f"{path}: LineString needs a list of at least 2 coordinates")
     try:
         pts = [GeoPoint(float(lon), float(lat)) for lon, lat in coords]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: bad coordinate ({exc})") from exc
     return name, pts
 

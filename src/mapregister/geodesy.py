@@ -91,13 +91,13 @@ def geodesic_midpoint(p: GeoPoint, q: GeoPoint) -> GeoPoint:
     if p == q:
         return p
     r = WGS84.inverse(p.lat, p.lon, q.lat, q.lon)
-    lat, lon, _ = WGS84.direct(p.lat, p.lon, r.azi1, r.s12 / 2)
+    lat, lon = WGS84.direct(p.lat, p.lon, r.azi1, r.s12 / 2)
     return GeoPoint(lon, lat)
 
 
 def walk(p: GeoPoint, azimuth_deg: float, distance_m: float) -> GeoPoint:
     """Destination after travelling distance_m along azimuth_deg from p."""
-    lat, lon, _ = WGS84.direct(p.lat, p.lon, azimuth_deg, distance_m)
+    lat, lon = WGS84.direct(p.lat, p.lon, azimuth_deg, distance_m)
     return GeoPoint(lon, lat)
 
 
@@ -105,7 +105,9 @@ def polyline_length(points: list[GeoPoint]) -> float:
     """Sum of geodesic lengths over consecutive point pairs (meters)."""
     if not points:
         raise OutOfRangeError("polyline_length needs at least one point")
-    return sum(geodesic_distance(a, b) for a, b in zip(points, points[1:]))
+    lat = np.array([p.lat for p in points])
+    lon = np.array([p.lon for p in points])
+    return sum(geodesic_distance_many(lat[:-1], lon[:-1], lat[1:], lon[1:]).tolist())
 
 
 def plane_coords(lat0, lon0, lat, lon) -> tuple[np.ndarray, np.ndarray]:

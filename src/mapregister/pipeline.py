@@ -27,7 +27,7 @@ from .curves import (
     source_distance,
     split_at_nearest_vertex,
 )
-from .errors import ConfigError, OutOfDomainError
+from .errors import ConfigError, OutOfDomainError, OutOfRangeError
 from .field import (
     DirichletRegion,
     GridDomain,
@@ -135,6 +135,26 @@ def _check_keys(mapping, known: frozenset, where: str) -> None:
             raise ConfigError(f"{where}: unknown key '{unknown[0]}' (known: {', '.join(sorted(known))})")
 
 
+def _list(mapping: dict, key: str, where: str) -> list:
+    # A list-valued key; absent or null means an empty list.
+    value = mapping.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: '{key}' must be a list, got {type(value).__name__}")
+    return value
+
+
+def _existing_file(f: Path, what: str) -> Path:
+    # `is_file` raises for a name the file system cannot hold.
+    try:
+        if f.is_file():
+            return f
+    except OSError as exc:
+        raise ConfigError(f"{what} file {f} cannot be read ({exc.strerror})") from exc
+    raise ConfigError(f"{what} file {f} does not exist")
+
+
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"{where}: missing required key '{key}'")
@@ -159,7 +179,7 @@ def grid_domain(bounds, where: str) -> GridDomain:
     3x3 of them."""
     try:
         x1_min, x2_min, x1_max, x2_max = (float(v) for v in bounds)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: bounds must be numbers") from exc
     n1 = x1_max - x1_min + 1
     n2 = x2_max - x2_min + 1
@@ -172,7 +192,7 @@ def check_bands(bands, where: str) -> list[float]:
     """Band widths in km as floats; each must be positive and finite."""
     try:
         bands = [float(b) for b in bands]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: band widths must be a list of numbers") from exc
     if not all(b > 0 and math.isfinite(b) for b in bands):
         raise ConfigError(f"{where}: band widths must be positive and finite")
@@ -184,7 +204,7 @@ def load_config(path: str | Path) -> ProjectConfig:
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
@@ -201,43 +221,39 @@ def load_config(path: str | Path) -> ProjectConfig:
         raise ConfigError(f"{path}: domain needs numeric x1_min/x2_min/x1_max/x2_max") from exc
     grid = grid_domain(bounds, f"{path}: domain")
 
-    corr = base / str(_require(raw, "correspondences", str(path)))
-    if not corr.is_file():
-        raise ConfigError(f"{path}: correspondence file {corr} does not exist")
+    corr = _existing_file(base / str(_require(raw, "correspondences", str(path))), f"{path}: correspondence")
 
     def curve_refs(key: str) -> list[CurveRef]:
         refs = []
-        for item in raw.get(key, []) or []:
+        for item in _list(raw, key, str(path)):
             if not isinstance(item, dict) or "name" not in item or "file" not in item:
                 raise ConfigError(f"{path}: every {key} entry needs 'name' and 'file'")
             _check_keys(item, CURVE_KEYS, f"{path}: {key} entry")
-            f = base / str(item["file"])
-            if not f.is_file():
-                raise ConfigError(f"{path}: {key} file {f} does not exist")
+            f = _existing_file(base / str(item["file"]), f"{path}: {key}")
             refs.append(CurveRef(_check_curve_name(str(item["name"]), str(path)), f))
         return refs
 
     splits = []
-    for item in raw.get("splits", []) or []:
+    for item in _list(raw, "splits", str(path)):
         _check_keys(item, SPLIT_KEYS, f"{path}: splits entry")
         try:
             at = GeoPoint(float(item["lon"]), float(item["lat"]))
+            if not isinstance(item["names"], list) or len(item["names"]) != 2:
+                raise ValueError("names must be a list of two names")
             names = tuple(_check_curve_name(str(n), str(path)) for n in item["names"])
-            if len(names) != 2:
-                raise ValueError("names must have two entries")
             splits.append(SplitSpec(str(item["curve"]), at, names))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, OutOfRangeError) as exc:
             raise ConfigError(f"{path}: bad split entry {item!r} ({exc})") from exc
 
     def pair_list(key: str):
         pairs = []
-        for item in raw.get(key) or []:
+        for item in _list(raw, key, str(path)):
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ConfigError(f"{path}: every {key} entry must be a pair [A, B]")
             pairs.append((str(item[0]), str(item[1])))
         return pairs
 
-    bands = check_bands(raw.get("bands_km") or DEFAULT_BANDS_KM, f"{path}: bands_km")
+    bands = check_bands(_list(raw, "bands_km", str(path)) or DEFAULT_BANDS_KM, f"{path}: bands_km")
 
     dump_field = raw.get("dump_field", False)
     if not isinstance(dump_field, bool):
@@ -249,7 +265,9 @@ def load_config(path: str | Path) -> ProjectConfig:
 
     regions = raw.get("regions")
     if regions is not None:
-        regions = [str(r) for r in regions]
+        regions = [str(r) for r in _list(raw, "regions", str(path))]
+        if not regions:
+            raise ConfigError(f"{path}: 'regions' must name at least one correspondence set")
 
     return ProjectConfig(
         correspondences=corr,

@@ -4,8 +4,10 @@ Distances come from Vincenty's 1975 nested-equation iteration, meridian arcs
 from the complete elliptic integral, and point-to-segment distances from
 brute-force densification; none of these share code with the package.  The
 exceptions are the package's earlier scalar and direct paths, kept as the
-references for the array paths that replaced them:
-`scalar_point_to_segment_distance`, its one-geodesic-at-a-time
+references for the array paths that replaced them: `ScalarGeodesic`, its
+Karney engine solving one geodesic at a time (on WGS84 `SCALAR_WGS84`,
+with `scalar_distance` and `scalar_midpoint`), which every scalar reference
+below uses; `scalar_point_to_segment_distance`, its one-geodesic-at-a-time
 point-to-segment distance with the planar-chord helpers it used;
 `scalar_anchor_min_distances`, its one-inverse-per-pair anchor pass, whose
 long-edge fallback is that function; `full_anchor_min_distances`, its array
@@ -21,6 +23,24 @@ from __future__ import annotations
 import math
 
 import scipy.special
+
+from mapregister import _geodesic
+from mapregister._geodesic import (
+    _NC1,
+    _NC1P,
+    _NC3,
+    _TINY,
+    _TOL0,
+    _TOL1,
+    _XTHRESH,
+    WGS84,
+    Geodesic,
+    Inverse,
+    _a1m1f,
+    _c1f,
+    _c1pf,
+    _sin_cos_series,
+)
 
 WGS84_A = 6378137.0
 WGS84_F = 1 / 298.257223563
@@ -180,14 +200,13 @@ def densified_point_to_segment(dist_fn, walk_points, p, a, b, coarse=50.0, fine=
 
 
 def scalar_anchor_min_distances(a, b):
-    """`curves.anchor_min_distances` with one scalar `Geodesic.inverse` call
-    per anchor and chain point, each chain edge handled as a planar chord in
-    the anchor's azimuthal equidistant plane."""
-    from mapregister._geodesic import WGS84
-    from mapregister.geodesy import LONG_SEGMENT_M, GeoPoint, GeoSegment, geodesic_distance
+    """`curves.anchor_min_distances` with one scalar inverse per anchor and
+    chain point, each chain edge handled as a planar chord in the anchor's
+    azimuthal equidistant plane."""
+    from mapregister.geodesy import LONG_SEGMENT_M, GeoPoint, GeoSegment
 
     chain = [GeoPoint(lon, lat) for lon, lat in b.chain.tolist()]
-    edge_len = [geodesic_distance(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
+    edge_len = [scalar_distance(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
     long_edges = [k for k, ln in enumerate(edge_len) if ln > LONG_SEGMENT_M]
     out = []
     for anchor in a.points:
@@ -199,7 +218,7 @@ def scalar_anchor_min_distances(a, b):
                 xs.append(0.0)
                 ys.append(0.0)
                 continue
-            r = WGS84.inverse(alat, alon, q.lat, q.lon)
+            r = SCALAR_WGS84.inverse(alat, alon, q.lat, q.lon)
             az = math.radians(r.azi1)
             xs.append(r.s12 * math.sin(az))
             ys.append(r.s12 * math.cos(az))
@@ -249,11 +268,9 @@ def full_anchor_min_distances(a, b):
 def _plane_coords(center, p):
     # Azimuthal equidistant coordinates of p in the plane centered at
     # `center`: radial distance is the true geodesic distance.
-    from mapregister._geodesic import WGS84
-
     if p.lat == center.lat and p.lon == center.lon:
         return 0.0, 0.0
-    r = WGS84.inverse(center.lat, center.lon, p.lat, p.lon)
+    r = SCALAR_WGS84.inverse(center.lat, center.lon, p.lat, p.lon)
     az = math.radians(r.azi1)
     return r.s12 * math.sin(az), r.s12 * math.cos(az)
 
@@ -278,25 +295,24 @@ def _projected_distance(p, a, b) -> float:
 def scalar_point_to_segment_distance(p, s) -> float:
     """`geodesy.point_to_segment_distance` with one scalar geodesic per
     projected point and per densification sample."""
-    from mapregister._geodesic import WGS84, GeodesicLine
-    from mapregister.geodesy import DENSIFY_STEP_M, LONG_SEGMENT_M, GeoPoint, geodesic_distance
+    from mapregister.geodesy import DENSIFY_STEP_M, LONG_SEGMENT_M, GeoPoint
 
     if s.is_degenerate:
-        return geodesic_distance(p, s.start)
-    inv = WGS84.inverse(s.start.lat, s.start.lon, s.end.lat, s.end.lon)
+        return scalar_distance(p, s.start)
+    inv = SCALAR_WGS84.inverse(s.start.lat, s.start.lon, s.end.lat, s.end.lon)
     if inv.s12 <= LONG_SEGMENT_M:
         return _projected_distance(p, s.start, s.end)
 
-    line = GeodesicLine(WGS84, s.start.lat, s.start.lon, inv.azi1)
+    line = GeodesicLine(SCALAR_WGS84, s.start.lat, s.start.lon, inv.azi1)
     steps = int(inv.s12 // DENSIFY_STEP_M)
     dists = [DENSIFY_STEP_M * k for k in range(steps + 1)]
     if dists[-1] < inv.s12:
         dists.append(inv.s12)
     samples = []
     for d in dists:
-        lat, lon, _ = line.position(d)
+        lat, lon = line.position(d)
         samples.append(GeoPoint(lon, lat))
-    point_d = [geodesic_distance(p, q) for q in samples]
+    point_d = [scalar_distance(p, q) for q in samples]
     k = min(range(len(samples)), key=point_d.__getitem__)
     lo = samples[max(k - 1, 0)]
     hi = samples[min(k + 1, len(samples) - 1)]
@@ -306,15 +322,13 @@ def scalar_point_to_segment_distance(p, s) -> float:
 def scalar_build_segments(points):
     """`curves.build_segments` edge by edge with the scalar geodesics:
     returns (vertices, chain, edge_lengths, segment lengths, length)."""
-    from mapregister.geodesy import geodesic_distance, geodesic_midpoint
-
     pts = []
     for p in points:
         if not pts or p != pts[-1]:
             pts.append(p)
-    mids = [geodesic_midpoint(p, q) for p, q in zip(pts, pts[1:])]
-    left = [geodesic_distance(p, m) for p, m in zip(pts, mids)]
-    right = [geodesic_distance(m, q) for m, q in zip(mids, pts[1:])]
+    mids = [scalar_midpoint(p, q) for p, q in zip(pts, pts[1:])]
+    left = [scalar_distance(p, m) for p, m in zip(pts, mids)]
+    right = [scalar_distance(m, q) for m, q in zip(mids, pts[1:])]
     chain = [pts[0]]
     edge_lengths = []
     for i in range(len(mids)):
@@ -421,3 +435,431 @@ def scalar_write_field_dump(field, directory):
         out.write_text("\n".join(lines) + "\n")
         written.append(out)
     return written
+
+
+# The package's scalar Karney engine, one geodesic at a time with the `math`
+# functions: the reference for `Geodesic.inverse_many` and
+# `Geodesic.direct_many`, which replaced it.  It shares the series helpers
+# and the constants with the package; `_MAXIT` is its own, so a test can
+# lower it in both engines.
+
+_MAXIT = _geodesic._MAXIT
+
+
+def _sincosd(x: float) -> tuple[float, float]:
+    """sin and cos of an angle in degrees, exact at quadrant boundaries.
+
+    The sign of a zero argument is preserved (sin(-0) = -0): the inverse
+    problem's canonical form encodes hemisphere information in signed
+    zeros for points exactly on the equator.
+    """
+    r = math.fmod(x, 360.0)
+    q = int(round(r / 90.0))
+    r = math.radians(r - 90.0 * q)
+    s, c = math.sin(r), math.cos(r)
+    q %= 4
+    if q == 1:
+        s, c = c, -s
+    elif q == 2:
+        s, c = -s, -c
+    elif q == 3:
+        s, c = -c, s
+    if x != 0.0:
+        s, c = 0.0 + s, 0.0 + c
+    return s, c
+
+
+def _atan2d(y: float, x: float) -> float:
+    """atan2 in degrees, with exact values on the axes."""
+    q = 0
+    if abs(y) > abs(x):
+        x, y = y, x
+        q = 2
+    if x < 0:
+        x = -x
+        q += 1
+    ang = math.degrees(math.atan2(y, x))
+    if q == 1:
+        ang = (180.0 if y >= 0 else -180.0) - ang
+    elif q == 2:
+        ang = 90.0 - ang
+    elif q == 3:
+        ang = -90.0 + ang
+    return ang
+
+
+def _ang_normalize(x: float) -> float:
+    """Reduce an angle to (-180, 180]."""
+    y = math.remainder(x, 360.0)
+    return 180.0 if y <= -180.0 else y
+
+
+def _ang_round(x: float) -> float:
+    # Flush tiny angles (< 1/2^57 deg) to zero so near-singular
+    # configurations collapse onto their exact special case.
+    z = 1.0 / 16.0
+    y = abs(x)
+    if y < z:
+        y = z - (z - y)
+    return -y if x < 0 else y
+
+
+def _norm(s: float, c: float) -> tuple[float, float]:
+    r = math.hypot(s, c)
+    return s / r, c / r
+
+
+def _astroid(x: float, y: float) -> float:
+    # Positive root k of k^4 + 2k^3 - (x^2+y^2-1) k^2 - 2y^2 k - y^2 = 0,
+    # used to seed the azimuth for nearly antipodal inverse problems.
+    p = x * x
+    q = y * y
+    r = (p + q - 1) / 6
+    if not (q == 0 and r <= 0):
+        s = p * q / 4
+        r2 = r * r
+        r3 = r * r2
+        disc = s * (s + 2 * r3)
+        u = r
+        if disc >= 0:
+            t3 = s + r3
+            t3 += -math.sqrt(disc) if t3 < 0 else math.sqrt(disc)
+            t = math.copysign(abs(t3) ** (1.0 / 3.0), t3)
+            u += t + (r2 / t if t != 0 else 0.0)
+        else:
+            ang = math.atan2(math.sqrt(-disc), -(s + r3))
+            u += 2 * r * math.cos(ang / 3)
+        v = math.sqrt(u * u + q)
+        uv = q / (v - u) if u < 0 else u + v
+        w = (uv - q) / (2 * v)
+        return uv / (math.sqrt(uv + w * w) + w)
+    return 0.0
+
+
+class ScalarGeodesic(Geodesic):
+    """`Geodesic` whose `inverse` and `direct` solve one geodesic at a time."""
+
+    def _inverse_start(self, sbet1, cbet1, sbet2, cbet2, lam12):
+        # Starting azimuth for Newton's method; sig12 >= 0 signals that the
+        # short-line approximation already solved the problem.
+        sig12 = -1.0
+        salp2 = calp2 = math.nan
+        sbet12 = sbet2 * cbet1 - cbet2 * sbet1
+        cbet12 = cbet2 * cbet1 + sbet2 * sbet1
+        sbet12a = sbet2 * cbet1 + cbet2 * sbet1
+
+        shortline = cbet12 >= 0 and sbet12 < 0.5 and lam12 <= math.pi / 6
+        omg12 = lam12 / math.sqrt(1 - self.e2 * cbet1 * cbet1) if shortline else lam12
+        somg12, comg12 = math.sin(omg12), math.cos(omg12)
+
+        salp1 = cbet2 * somg12
+        calp1 = (
+            sbet12 + cbet2 * sbet1 * somg12 * somg12 / (1 + comg12)
+            if comg12 >= 0
+            else sbet12a - cbet2 * sbet1 * somg12 * somg12 / (1 - comg12)
+        )
+
+        ssig12 = math.hypot(salp1, calp1)
+        csig12 = sbet1 * sbet2 + cbet1 * cbet2 * comg12
+
+        if shortline and ssig12 < self._etol2:
+            salp2 = cbet1 * somg12
+            calp2 = sbet12 - cbet1 * sbet2 * somg12 * somg12 / (1 + comg12)
+            salp2, calp2 = _norm(salp2, calp2)
+            sig12 = math.atan2(ssig12, csig12)
+        elif csig12 >= 0 or ssig12 >= 3 * abs(self.f) * math.pi * cbet1 * cbet1:
+            # The zeroth-order spherical start is adequate.
+            pass
+        else:
+            # Nearly antipodal: rescale to the astroid coordinate system
+            # (x, y) with the antipode at the origin (oblate case).
+            k2 = sbet1 * sbet1 * self.ep2
+            eps = k2 / (2 * (1 + math.sqrt(1 + k2)) + k2)
+            lamscale = self.f * cbet1 * self._a3f(eps) * math.pi
+            betscale = lamscale * cbet1
+            x = (lam12 - math.pi) / lamscale
+            y = sbet12a / betscale
+            if y > -_TOL1 and x > -1 - _XTHRESH:
+                salp1 = min(1.0, -x)
+                calp1 = -math.sqrt(1 - salp1 * salp1)
+            else:
+                k = _astroid(x, y)
+                omg12a = lamscale * (-x * k / (1 + k))
+                somg12 = math.sin(omg12a)
+                comg12 = -math.cos(omg12a)
+                salp1 = cbet2 * somg12
+                calp1 = sbet12a - cbet2 * sbet1 * somg12 * somg12 / (1 - comg12)
+        salp1, calp1 = _norm(salp1, calp1)
+        return sig12, salp1, calp1, salp2, calp2
+
+    def _lambda12(self, sbet1, cbet1, sbet2, cbet2, salp1, calp1, diffp):
+        if sbet1 == 0 and calp1 == 0:
+            # Break the degeneracy of the equatorial line.
+            calp1 = -_TINY
+
+        salp0 = salp1 * cbet1
+        calp0 = math.hypot(calp1, salp1 * sbet1)
+
+        ssig1 = sbet1
+        somg1 = salp0 * sbet1
+        csig1 = comg1 = calp1 * cbet1
+        ssig1, csig1 = _norm(ssig1, csig1)
+
+        salp2 = salp0 / cbet2 if cbet2 != cbet1 else salp1
+        calp2 = (
+            math.sqrt(
+                (calp1 * cbet1) ** 2
+                + ((cbet2 - cbet1) * (cbet1 + cbet2) if cbet1 < -sbet1 else (sbet1 - sbet2) * (sbet1 + sbet2))
+            )
+            / cbet2
+            if cbet2 != cbet1 or abs(sbet2) != -sbet1
+            else abs(calp1)
+        )
+        ssig2 = sbet2
+        somg2 = salp0 * sbet2
+        csig2 = comg2 = calp2 * cbet2
+        ssig2, csig2 = _norm(ssig2, csig2)
+
+        sig12 = math.atan2(max(0.0, csig1 * ssig2 - ssig1 * csig2), csig1 * csig2 + ssig1 * ssig2)
+        omg12 = math.atan2(max(0.0, comg1 * somg2 - somg1 * comg2), comg1 * comg2 + somg1 * somg2)
+
+        k2 = calp0 * calp0 * self.ep2
+        eps = k2 / (2 * (1 + math.sqrt(1 + k2)) + k2)
+        c3a = self._c3f(eps)
+        b312 = _sin_cos_series(True, ssig2, csig2, c3a, _NC3 - 1) - _sin_cos_series(
+            True, ssig1, csig1, c3a, _NC3 - 1
+        )
+        h0 = -self.f * self._a3f(eps)
+        domg12 = salp0 * h0 * (sig12 + b312)
+        lam12 = omg12 + domg12
+
+        if diffp:
+            if calp2 == 0:
+                dlam12 = -2 * math.sqrt(1 - self.e2 * cbet1 * cbet1) / sbet1
+            else:
+                _, dlam12, _ = self._lengths(eps, sig12, ssig1, csig1, ssig2, csig2, cbet1, cbet2)
+                dlam12 /= calp2 * cbet2
+        else:
+            dlam12 = math.nan
+
+        return lam12, salp2, calp2, sig12, ssig1, csig1, ssig2, csig2, eps, domg12, dlam12
+
+    def inverse(self, lat1: float, lon1: float, lat2: float, lon2: float) -> Inverse:
+        """Shortest geodesic between two points; total for all inputs."""
+        lon12 = _ang_round(_ang_normalize(_ang_normalize(lon2) - _ang_normalize(lon1)))
+        lonsign = 1 if lon12 >= 0 else -1
+        lon12 *= lonsign
+        if lon12 == 180:
+            lonsign = 1
+        lat1 = _ang_round(lat1)
+        lat2 = _ang_round(lat2)
+        # Canonical arrangement: point 1 at the higher absolute latitude,
+        # southern hemisphere, eastward longitude difference.
+        swapp = 1 if abs(lat1) >= abs(lat2) else -1
+        if swapp < 0:
+            lonsign *= -1
+            lat2, lat1 = lat1, lat2
+        latsign = 1 if lat1 < 0 else -1
+        lat1 *= latsign
+        lat2 *= latsign
+
+        sbet1, cbet1 = _sincosd(lat1)
+        sbet1 *= self.f1
+        if lat1 == -90:
+            cbet1 = _TINY
+        sbet1, cbet1 = _norm(sbet1, cbet1)
+
+        sbet2, cbet2 = _sincosd(lat2)
+        sbet2 *= self.f1
+        if abs(lat2) == 90:
+            cbet2 = _TINY
+        sbet2, cbet2 = _norm(sbet2, cbet2)
+
+        # Force bet2 = +/- bet1 exactly when the latitudes agree; this keeps
+        # the Newton iteration away from removable singularities.
+        if cbet1 < -sbet1:
+            if cbet2 == cbet1:
+                sbet2 = sbet1 if sbet2 < 0 else -sbet1
+        else:
+            if abs(sbet2) == -sbet1:
+                cbet2 = cbet1
+
+        lam12 = math.radians(lon12)
+        slam12, clam12 = _sincosd(lon12)
+
+        s12 = math.nan
+        salp1 = calp1 = salp2 = calp2 = math.nan
+
+        meridian = lat1 == -90 or slam12 == 0
+        done = False
+
+        if meridian:
+            calp1, salp1 = clam12, slam12
+            calp2, salp2 = 1.0, 0.0
+            ssig1, csig1 = sbet1, calp1 * cbet1
+            ssig2, csig2 = sbet2, calp2 * cbet2
+            sig12 = math.atan2(max(0.0, csig1 * ssig2 - ssig1 * csig2), csig1 * csig2 + ssig1 * ssig2)
+            s12x, m12x, _ = self._lengths(self.n, sig12, ssig1, csig1, ssig2, csig2, cbet1, cbet2)
+            if sig12 < 1 or m12x >= 0:
+                s12 = s12x * self.b
+                done = True
+            else:
+                # Nearly antipodal on a meridian: the meridional path is not
+                # shortest, fall through to the general machinery.
+                meridian = False
+
+        if not done and not meridian and sbet1 == 0 and lam12 <= math.pi - self.f * math.pi:
+            # Equatorial line.
+            calp1 = calp2 = 0.0
+            salp1 = salp2 = 1.0
+            s12 = self.a * lam12
+            done = True
+
+        if not done and not meridian:
+            sig12, salp1, calp1, salp2, calp2 = self._inverse_start(sbet1, cbet1, sbet2, cbet2, lam12)
+            if sig12 >= 0:
+                # Short-line case solved directly by the starting guess.
+                w1 = math.sqrt(1 - self.e2 * cbet1 * cbet1)
+                s12 = sig12 * self.a * w1
+                done = True
+            else:
+                ov = 0.0
+                numit = 0
+                trip = 0
+                eps = 0.0
+                ssig1 = csig1 = ssig2 = csig2 = math.nan
+                while numit < _MAXIT:
+                    (nlam12, salp2, calp2, sig12, ssig1, csig1, ssig2, csig2, eps, _, dv) = self._lambda12(
+                        sbet1, cbet1, sbet2, cbet2, salp1, calp1, trip < 1
+                    )
+                    v = nlam12 - lam12
+                    if not (abs(v) > _TINY) or not (trip < 1):
+                        if not (abs(v) <= max(_TOL1, ov)):
+                            numit = _MAXIT
+                        break
+                    dalp1 = -v / dv
+                    sdalp1, cdalp1 = math.sin(dalp1), math.cos(dalp1)
+                    nsalp1 = salp1 * cdalp1 + calp1 * sdalp1
+                    calp1 = calp1 * cdalp1 - salp1 * sdalp1
+                    salp1 = max(0.0, nsalp1)
+                    salp1, calp1 = _norm(salp1, calp1)
+                    if not (abs(v) >= _TOL1 and v * v >= ov * _TOL0):
+                        trip += 1
+                    ov = abs(v)
+                    numit += 1
+
+                if numit >= _MAXIT:
+                    return self._antipodal_fallback(lat1 * latsign, lat2 * latsign)
+
+                s12x, _, _ = self._lengths(eps, sig12, ssig1, csig1, ssig2, csig2, cbet1, cbet2)
+                s12 = s12x * self.b
+                done = True
+
+        if swapp < 0:
+            salp2, salp1 = salp1, salp2
+            calp2, calp1 = calp1, calp2
+        salp1 *= swapp * lonsign
+        calp1 *= swapp * latsign
+        return Inverse(0.0 + s12, _atan2d(salp1, calp1))
+
+    def _antipodal_fallback(self, lat1: float, lat2: float) -> Inverse:
+        # Length of the path running over the nearest pole; exact for truly
+        # antipodal points on an oblate ellipsoid, a few meters otherwise.
+        up1 = self.inverse(lat1, 0.0, 90.0, 0.0).s12
+        up2 = self.inverse(lat2, 0.0, 90.0, 0.0).s12
+        return Inverse(up1 + up2, 0.0)
+
+    def direct(self, lat1: float, lon1: float, azi1: float, s12: float) -> tuple[float, float]:
+        """Destination (lat2, lon2) after s12 meters along azi1."""
+        return GeodesicLine(self, lat1, lon1, azi1).position(s12)
+
+
+class GeodesicLine:
+    """Points along a single geodesic, parameterized by distance."""
+
+    def __init__(self, g: Geodesic, lat1: float, lon1: float, azi1: float):
+        self._g = g
+        self.lat1 = lat1
+        self.lon1 = lon1
+        self.azi1 = _ang_normalize(azi1)
+        salp1, calp1 = _sincosd(_ang_round(self.azi1))
+        sbet1, cbet1 = _sincosd(_ang_round(lat1))
+        sbet1 *= g.f1
+        sbet1, cbet1 = _norm(sbet1, cbet1)
+        cbet1 = max(_TINY, cbet1)
+
+        self._salp0 = salp1 * cbet1
+        self._calp0 = math.hypot(calp1, salp1 * sbet1)
+        self._ssig1 = sbet1
+        self._somg1 = self._salp0 * sbet1
+        self._csig1 = self._comg1 = cbet1 * calp1 if sbet1 != 0 or calp1 != 0 else 1.0
+        self._ssig1, self._csig1 = _norm(self._ssig1, self._csig1)
+
+        k2 = self._calp0 * self._calp0 * g.ep2
+        eps = k2 / (2 * (1 + math.sqrt(1 + k2)) + k2)
+        self._a1m1 = _a1m1f(eps)
+        self._c1a = _c1f(eps)
+        self._b11 = _sin_cos_series(True, self._ssig1, self._csig1, self._c1a, _NC1)
+        s, c = math.sin(self._b11), math.cos(self._b11)
+        # tau1 = sig1 + B11
+        self._stau1 = self._ssig1 * c + self._csig1 * s
+        self._ctau1 = self._csig1 * c - self._ssig1 * s
+        self._c1pa = _c1pf(eps)
+        self._c3a = g._c3f(eps)
+        self._a3c = -g.f * self._salp0 * g._a3f(eps)
+        self._b31 = _sin_cos_series(True, self._ssig1, self._csig1, self._c3a, _NC3 - 1)
+
+    def position(self, s12: float) -> tuple[float, float]:
+        """(lat2, lon2) at distance s12 meters from the start point."""
+        g = self._g
+        tau12 = s12 / (g.b * (1 + self._a1m1))
+        s, c = math.sin(tau12), math.cos(tau12)
+        # tau2 = tau1 + tau12; invert the distance series for sigma.
+        b12 = -_sin_cos_series(
+            True, self._stau1 * c + self._ctau1 * s, self._ctau1 * c - self._stau1 * s, self._c1pa, _NC1P
+        )
+        sig12 = tau12 - (b12 - self._b11)
+        ssig12, csig12 = math.sin(sig12), math.cos(sig12)
+
+        ssig2 = self._ssig1 * csig12 + self._csig1 * ssig12
+        csig2 = self._csig1 * csig12 - self._ssig1 * ssig12
+        sbet2 = self._calp0 * ssig2
+        cbet2 = math.hypot(self._salp0, self._calp0 * csig2)
+        if cbet2 == 0:
+            cbet2 = csig2 = _TINY
+        somg2 = self._salp0 * ssig2
+        comg2 = csig2
+
+        omg12 = math.atan2(
+            somg2 * self._comg1 - comg2 * self._somg1, comg2 * self._comg1 + somg2 * self._somg1
+        )
+        lam12 = omg12 + self._a3c * (
+            sig12 + (_sin_cos_series(True, ssig2, csig2, self._c3a, _NC3 - 1) - self._b31)
+        )
+        lon12 = _ang_normalize(math.degrees(lam12))
+        lon2 = _ang_normalize(_ang_normalize(self.lon1) + lon12)
+        return _atan2d(sbet2, g.f1 * cbet2), lon2
+
+
+
+
+#: The scalar engine on WGS84.
+SCALAR_WGS84 = ScalarGeodesic(WGS84.a, WGS84.f)
+
+
+def scalar_distance(p, q) -> float:
+    """`geodesy.geodesic_distance` by the scalar engine."""
+    if p.lat == q.lat and p.lon == q.lon:
+        return 0.0
+    return SCALAR_WGS84.inverse(p.lat, p.lon, q.lat, q.lon).s12
+
+
+def scalar_midpoint(p, q):
+    """`geodesy.geodesic_midpoint` by the scalar engine."""
+    from mapregister.geodesy import GeoPoint
+
+    if p == q:
+        return p
+    r = SCALAR_WGS84.inverse(p.lat, p.lon, q.lat, q.lon)
+    lat, lon = SCALAR_WGS84.direct(p.lat, p.lon, r.azi1, r.s12 / 2)
+    return GeoPoint(lon, lat)

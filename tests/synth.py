@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 import random
 
-from mapregister._geodesic import WGS84, GeodesicLine
 from mapregister.affine import AffineParams, Correspondence, CorrespondenceSet, PixelPoint, apply_affine
-from mapregister.geodesy import GeoPoint, geodesic_distance, walk
+from mapregister.geodesy import GeoPoint, walk
+
+from oracles import SCALAR_WGS84, GeodesicLine, scalar_distance
 
 
 def random_affine(rng: random.Random, base_lon=None, base_lat=None) -> AffineParams:
@@ -63,16 +64,17 @@ def synth_set(
 
 
 def walk_points(a: GeoPoint, b: GeoPoint, step: float) -> list[GeoPoint]:
-    """Sample the geodesic from a to b at the given spacing, ends included."""
-    total = geodesic_distance(a, b)
+    """Sample the geodesic from a to b at the given spacing, ends included,
+    with the scalar reference engine."""
+    total = scalar_distance(a, b)
     if total == 0.0:
         return [a]
     n = max(1, int(total // step))
-    inv = WGS84.inverse(a.lat, a.lon, b.lat, b.lon)
-    line = GeodesicLine(WGS84, a.lat, a.lon, inv.azi1)
+    inv = SCALAR_WGS84.inverse(a.lat, a.lon, b.lat, b.lon)
+    line = GeodesicLine(SCALAR_WGS84, a.lat, a.lon, inv.azi1)
     pts = [a]
     for k in range(1, n):
-        lat, lon, _ = line.position(total * k / n)
+        lat, lon = line.position(total * k / n)
         pts.append(GeoPoint(lon, lat))
     pts.append(b)
     return pts

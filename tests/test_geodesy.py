@@ -20,9 +20,11 @@ from mapregister.geodesy import (
 )
 
 from oracles import (
+    SCALAR_WGS84,
     densified_point_to_segment,
     equator_arc,
     quarter_meridian,
+    scalar_distance,
     vincenty_distance,
     VincentyNoConvergence,
 )
@@ -178,7 +180,7 @@ class TestPointToSegment:
         p = GeoPoint(0.5, 1.0)
         a, b = GeoPoint(0, 0), GeoPoint(1, 0)
         got = point_to_segment_distance(p, GeoSegment(a, b))
-        ref = densified_point_to_segment(geodesic_distance, walk_points, p, a, b)
+        ref = densified_point_to_segment(scalar_distance, walk_points, p, a, b)
         assert got == pytest.approx(ref, abs=0.01)
 
     @pytest.mark.parametrize(
@@ -196,7 +198,7 @@ class TestPointToSegment:
         p = GeoPoint(plon, plat)
         a, b = GeoPoint(alon, alat), GeoPoint(blon, blat)
         got = point_to_segment_distance(p, GeoSegment(a, b))
-        ref = densified_point_to_segment(geodesic_distance, walk_points, p, a, b)
+        ref = densified_point_to_segment(scalar_distance, walk_points, p, a, b)
         assert got == pytest.approx(ref, abs=0.01)
 
     def test_never_exceeds_endpoint_distances(self):
@@ -222,14 +224,14 @@ class TestPointToSegment:
         mid = geodesic_midpoint(a, b)
         p = walk(mid, 0.0, 50_000.0)
         got = point_to_segment_distance(p, GeoSegment(a, b))
-        ref = densified_point_to_segment(geodesic_distance, walk_points, p, a, b)
+        ref = densified_point_to_segment(scalar_distance, walk_points, p, a, b)
         assert got == pytest.approx(ref, abs=0.01)
 
 
 def _assert_inverse_close(s12, azi1, ref):
-    # The array engine calls the scalar engine's atan2, hypot and pow, so
-    # only an ulp from a NumPy sin or cos could separate them: 1e-9 m plus
-    # 1e-14 of the distance, 1e-10 deg.
+    # The array engine calls the scalar reference's atan2, hypot and pow,
+    # so only an ulp from a NumPy sin or cos could separate them: 1e-9 m
+    # plus 1e-14 of the distance, 1e-10 deg.
     assert abs(s12 - ref.s12) <= 1e-9 + 1e-14 * ref.s12, (s12, ref)
     assert abs((azi1 - ref.azi1 + 180.0) % 360.0 - 180.0) <= 1e-10, (azi1, ref)
 
@@ -265,8 +267,9 @@ class TestSeriesHelpersOnArrays:
                 assert got[i] == _geodesic._sin_cos_series(sinp, sx[i], cx[i], ci, _geodesic._NC1)
 
 
-#: Pairs on each branch that `inverse_many` hands to the scalar `inverse`.
-DELEGATED_PAIRS = {
+#: Pairs on each special branch of `inverse_many`: meridians (one nearly
+#: antipodal, which takes the general case), the equator, the astroid start.
+SPECIAL_PAIRS = {
     "coincident": (10.0, 20.0, 10.0, 20.0),
     "meridian": (30.0, 5.0, 50.0, 5.0),
     "meridian over the pole": (30.0, 5.0, 40.0, -175.0),
@@ -285,7 +288,7 @@ _lon = st.floats(-180, 180)
 
 @st.composite
 def _pairs(draw):
-    # A batch mixing far pairs, short pairs and the delegated cases.
+    # A batch mixing far pairs, short pairs and the special cases.
     out = []
     for _ in range(draw(st.integers(1, 12))):
         lat1, lon1 = draw(_lat), draw(_lon)
@@ -296,7 +299,7 @@ def _pairs(draw):
             dlat, dlon = draw(st.floats(-2, 2)), draw(st.floats(-2, 2))
             out.append((lat1, lon1, min(90.0, max(-90.0, lat1 + dlat)), lon1 + dlon))
         else:
-            out.append(draw(st.sampled_from(list(DELEGATED_PAIRS.values()))))
+            out.append(draw(st.sampled_from(list(SPECIAL_PAIRS.values()))))
     return out
 
 
@@ -308,7 +311,7 @@ class TestInverseMany:
         s12, azi1 = WGS84.inverse_many(a[:, 0], a[:, 1], a[:, 2], a[:, 3])
         assert s12.shape == azi1.shape == (len(pairs),)
         for p, s, z in zip(pairs, s12, azi1):
-            _assert_inverse_close(s, z, WGS84.inverse(*p))
+            _assert_inverse_close(s, z, SCALAR_WGS84.inverse(*p))
 
     def test_random_pairs_with_long_lines(self):
         rng = np.random.default_rng(5)
@@ -319,27 +322,50 @@ class TestInverseMany:
         lon2[near] = lon1[near] + rng.uniform(-3, 3, 1000)
         s12, azi1 = WGS84.inverse_many(lat1, lon1, lat2, lon2)
         for i in range(2000):
-            _assert_inverse_close(s12[i], azi1[i], WGS84.inverse(lat1[i], lon1[i], lat2[i], lon2[i]))
+            _assert_inverse_close(s12[i], azi1[i], SCALAR_WGS84.inverse(lat1[i], lon1[i], lat2[i], lon2[i]))
 
-    @pytest.mark.parametrize("name", list(DELEGATED_PAIRS))
-    def test_special_branches_use_scalar_path(self, name, monkeypatch):
-        g = _geodesic.Geodesic(WGS84.a, WGS84.f)
-        calls = []
-        scalar = g.inverse
-        monkeypatch.setattr(g, "inverse", lambda *args: calls.append(args) or scalar(*args))
-        pair = DELEGATED_PAIRS[name]
+    @pytest.mark.parametrize("name", list(SPECIAL_PAIRS))
+    def test_special_branches_use_scalar_path(self, name):
+        # Each special branch gives the scalar reference's result, for the
+        # pair alone, through the one-element `inverse`, and mixed with a
+        # general pair.
+        pair = SPECIAL_PAIRS[name]
+        want = SCALAR_WGS84.inverse(*pair)
         general = (30.0, 0.0, -29.0, 150.0)
-        s12, azi1 = g.inverse_many(*(np.array([x, y]) for x, y in zip(pair, general)))
-        assert calls == [pair]
-        assert s12[0] == scalar(*pair).s12 and azi1[0] == scalar(*pair).azi1
-        _assert_inverse_close(s12[1], azi1[1], scalar(*general))
+        s12, azi1 = WGS84.inverse_many(*pair)
+        _assert_inverse_close(s12, azi1, want)
+        _assert_inverse_close(*WGS84.inverse(*pair), want)
+        s12, azi1 = WGS84.inverse_many(*(np.array([x, y]) for x, y in zip(pair, general)))
+        _assert_inverse_close(s12[0], azi1[0], want)
+        _assert_inverse_close(s12[1], azi1[1], SCALAR_WGS84.inverse(*general))
+
+    def test_fallback_over_the_pole(self, monkeypatch):
+        # No known input makes Newton's method fail, so both engines get
+        # one iteration: every pair that needs Newton then takes the
+        # over-the-pole length, in a batch with pairs that do not.
+        import oracles
+
+        monkeypatch.setattr(_geodesic, "_MAXIT", 1)
+        monkeypatch.setattr(oracles, "_MAXIT", 1)
+        newton = [(30.0, 0.0, -29.0, 150.0), (10.0, 5.0, -10.2, -175.3), (-45.0, 170.0, 44.0, -20.0),
+                  (0.0, 0.0, 0.0, 179.8), (60.0, 10.0, 61.0, 100.0)]
+        other = [SPECIAL_PAIRS["meridian"], SPECIAL_PAIRS["equatorial"], (45.0, 10.0, 45.000001, 10.000001)]
+        pairs = newton + other
+        s12, azi1 = WGS84.inverse_many(*np.array(pairs).T)
+        for i, p in enumerate(pairs):
+            want = SCALAR_WGS84.inverse(*p)
+            _assert_inverse_close(s12[i], azi1[i], want)
+            if p in newton:
+                assert want == SCALAR_WGS84._antipodal_fallback(p[0], p[2]) and azi1[i] == 0.0
+            else:
+                assert want != SCALAR_WGS84._antipodal_fallback(p[0], p[2])
 
     def test_short_line_cancellation(self):
         # One ulp of NumPy's arctan2 or hypot, amplified by the cancellation
         # in sigma12, once moved this 1.4 km line by 1.4e-9 m.
         pair = (35.79953313176809, -15.988751514007987, 35.80830280710825, -16.000014064695705)
         s12, azi1 = WGS84.inverse_many(*(np.array([x]) for x in pair))
-        _assert_inverse_close(s12[0], azi1[0], WGS84.inverse(*pair))
+        _assert_inverse_close(s12[0], azi1[0], SCALAR_WGS84.inverse(*pair))
 
     @pytest.mark.parametrize(
         "many, scalar",
@@ -363,20 +389,20 @@ class TestInverseMany:
         assert s12.shape == azi1.shape == (2, 3)
         for i in range(2):
             for j in range(3):
-                _assert_inverse_close(s12[i, j], azi1[i, j], WGS84.inverse(45.5, 10.2, lats[i, 0], lons[j]))
+                _assert_inverse_close(s12[i, j], azi1[i, j], SCALAR_WGS84.inverse(45.5, 10.2, lats[i, 0], lons[j]))
 
 
 def _assert_direct_close(got, lat1, lon1, azi1, s12):
-    # Equal to `direct`; should a NumPy sin or cos differ by an ulp on some
-    # platform, the two positions may lie as far apart as the inverse
-    # tolerance above allows, 1e-9 m plus 1e-14 of the distance.
-    lat2, lon2, _ = WGS84.direct(lat1, lon1, azi1, s12)
+    # Equal to the scalar reference; should a NumPy sin or cos differ by an
+    # ulp on some platform, the two positions may lie as far apart as the
+    # inverse tolerance above allows, 1e-9 m plus 1e-14 of the distance.
+    lat2, lon2 = SCALAR_WGS84.direct(lat1, lon1, azi1, s12)
     if got != (lat2, lon2):
-        gap = WGS84.inverse(got[0], got[1], lat2, lon2).s12
+        gap = SCALAR_WGS84.inverse(got[0], got[1], lat2, lon2).s12
         assert gap <= 1e-9 + 1e-14 * abs(s12), ((lat1, lon1, azi1, s12), got, (lat2, lon2))
 
 
-#: Lines through the special cases of `GeodesicLine`: starts on a pole
+#: Lines through the special cases of a geodesic line: starts on a pole
 #: (cbet1 clamped to tiny), on the equator heading along it (the csig1
 #: special case), along meridians, azimuths of 0 and +-180, zero length, and
 #: lines over a pole.  Its cbet2 == 0 guard is reached by no known input.

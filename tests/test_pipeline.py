@@ -115,6 +115,47 @@ class TestFormats:
         with pytest.raises(ConfigError, match="LineString"):
             read_geo_curve(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            "null",
+            '"main"',
+            '{"type": "FeatureCollection", "features": [5]}',
+            '{"type": "FeatureCollection", "features": {"type": "Feature"}}',
+            '{"type": "FeatureCollection", "features": [{"type": "Feature", "geometry": null}]}',
+            '{"type": "Feature", "geometry": null}',
+            '{"type": "Feature", "geometry": [0, 0]}',
+            '{"type": "Feature", "properties": 5, "geometry": {"type": "LineString", "coordinates": [[0, 0], [1, 1]]}}',
+            '{"type": "LineString", "coordinates": 5}',
+            '{"type": "LineString", "coordinates": [[0, 0], [1, 1' + "0" * 400 + ']]}',
+        ],
+        ids=["list", "null", "string", "non-object feature", "features object", "null geometry in collection",
+             "null geometry", "list geometry", "non-object properties", "number coordinates", "huge coordinate"],
+    )
+    def test_malformed_geojson_exits_2(self, tmp_path, text):
+        base = tmp_path / "exp"
+        write_experiment(base)
+        bad = tmp_path / "bad.geojson"
+        bad.write_text(text)
+        with pytest.raises(ConfigError):
+            read_geo_curve(bad)
+        argv = ["compare", "--curve-a", str(bad), "--curve-b", str(base / "side.geojson"), "--output", str(tmp_path / "cmp")]
+        assert cli_main(argv) == 2
+        assert not (tmp_path / "cmp").exists()
+
+    def test_geo_curve_without_name_is_named_after_its_file(self, tmp_path):
+        # RFC 7946 allows null properties; a name that is not a string is
+        # no name either.
+        pts = [GeoPoint(12.0, 45.0), GeoPoint(13.0, 46.0)]
+        path = tmp_path / "river.geojson"
+        for props in (None, {}, {"name": None}, {"name": 5}):
+            write_geo_curve(path, "r1", pts)
+            fc = json.loads(path.read_text())
+            fc["features"][0]["properties"] = props
+            path.write_text(json.dumps(fc))
+            assert read_geo_curve(path) == ("river", pts)
+
     def test_field_dump_round_trip(self, tmp_path):
         grid = GridDomain(PixelPoint(1, 1), 12, 9)
         region = DirichletRegion(ring_pixels(6.0, 5.0, 2.5), AffineParams(1, 2, 3, 4, 5, 6))
@@ -517,9 +558,103 @@ class TestStrictConfig:
         assert rc == 2
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("regions", 5),
+            ("regions", []),
+            ("source_curves", 5),
+            ("reference_curves", "main"),
+            ("splits", 5),
+            ("splits", {"curve": "probe"}),
+            ("comparisons", 5),
+            ("source_comparisons", True),
+            ("bands_km", "10"),
+        ],
+    )
+    def test_non_list_value_exits_2_before_any_output(self, tmp_path, capsys, key, value):
+        config_path, _ = write_experiment(tmp_path / "exp")
+        _edit_config(config_path, lambda c: c.update({key: value}))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "exp" / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c["splits"][0].update(lat=100.0),
+            lambda c: c["splits"][0].update(lon=10**400),
+            lambda c: c["splits"][0].update(names="ab"),
+            lambda c: c["domain"].update(x1_max=10**400),
+            lambda c: c.update(bands_km=[10**400]),
+            lambda c: c["source_curves"][0].update(file="f" * 300),
+        ],
+        ids=["split latitude", "split longitude overflow", "split names string", "domain overflow", "band overflow",
+             "file name too long"],
+    )
+    def test_bad_nested_value_exits_2_before_any_output(self, tmp_path, edit):
+        config_path, _ = write_experiment(tmp_path / "exp")
+        _edit_config(config_path, edit)
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert not (tmp_path / "exp" / "out").exists()
+
+    def test_undecodable_files_exit_2_before_any_output(self, tmp_path):
+        config_path, _ = write_experiment(tmp_path / "exp")
+        corr = tmp_path / "exp" / "correspondences.txt"
+        corr.write_bytes(corr.read_bytes() + b"# \xff\n")
+        assert cli_main(["fit", "--correspondences", str(corr)]) == 2
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        config_path.write_bytes(config_path.read_bytes() + b"# \xff\n")
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert not (tmp_path / "exp" / "out").exists()
+
     def test_documented_configs_load(self):
         root = Path(__file__).resolve().parent.parent
         assert load_config(root / "sample_data" / "experiment.yaml").splits
+
+
+def _children(value) -> list:
+    # The keys or indices of a parsed YAML mapping or list.
+    return list(value) if isinstance(value, dict) else list(range(len(value))) if isinstance(value, list) else []
+
+
+_yaml_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestConfigFuzz:
+    SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
+
+    @pytest.fixture(scope="class")
+    def sample_copy(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("sample")
+        for f in self.SAMPLE.iterdir():
+            if f.is_file():
+                (root / f.name).write_bytes(f.read_bytes())
+        return root
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_value_loads_or_raises_config_error(self, sample_copy, data):
+        # One documented top-level key of the sample configuration, or a
+        # value nested at any depth inside one, set to a random YAML value:
+        # the configuration loads or is rejected with ConfigError.
+        from mapregister.pipeline import CONFIG_KEYS
+
+        raw = yaml.safe_load((self.SAMPLE / "experiment.yaml").read_text())
+        node, key = raw, data.draw(st.sampled_from(sorted(CONFIG_KEYS)))
+        while key in node and _children(node[key]) and data.draw(st.booleans()):
+            node, key = node[key], data.draw(st.sampled_from(_children(node[key])))
+        node[key] = data.draw(_yaml_values)
+        config = sample_copy / "fuzz.yaml"
+        config.write_text(yaml.safe_dump(raw))
+        try:
+            load_config(config)
+        except ConfigError:
+            pass
 
 
 # Curve names the configuration accepts, and set names a correspondence
