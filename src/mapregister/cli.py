@@ -13,74 +13,64 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .curves import build_segments, source_distance
+from .affine import AffineParams
+from .curves import build_segments
 from .errors import MapRegisterError
 from .formats import (
     read_correspondences,
     read_geo_curve,
     read_pixel_curve,
+    render_geojson_curve,
     write_field_dump,
-    write_geo_curve,
+    write_outputs,
 )
 from .pipeline import (
     DEFAULT_BANDS_KM,
     build_field,
     check_bands,
-    compare_pair,
     fit_with_global,
     grid_domain,
     load_config,
+    measure,
+    report_files,
     run_experiment,
     select_sets,
     stadia_to_km,
     transform_curve,
 )
-from .report import (
-    CurveInfo,
-    MetricsReport,
-    SourceEntry,
-    TransformErrors,
-    check_table_name,
-    km_face,
-    render_csv_tables,
-    render_human,
-    render_sidecar,
-)
+from .report import MetricsReport, TransformErrors, check_table_name, km_face, render_human
 
 
-def _load_selected_sets(args):
-    sets = read_correspondences(args.correspondences)
-    return select_sets(sets, args.sets)
+def _fit(args):
+    sets = select_sets(read_correspondences(args.correspondences), args.sets)
+    fits, table = fit_with_global(sets)
+    return sets, fits, table
+
+
+def _field(args):
+    sets, fits, _ = _fit(args)
+    return build_field(sets, grid_domain(args.domain, "--domain"), fits, use_hull=args.hull)
 
 
 def cmd_fit(args) -> int:
-    sets = _load_selected_sets(args)
-    fits, table = fit_with_global(sets)
-    report = MetricsReport(transform_errors=table, bands_km=[])
-    print(render_human(report))
+    _, fits, table = _fit(args)
+    files = report_files(MetricsReport(transform_errors=table, bands_km=[]))
+    print(files["report.txt"])
     if args.output:
         outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        tables = render_csv_tables(report)
-        for name in ("transform_errors_mean.csv", "transform_errors_max.csv"):
-            (outdir / name).write_text(tables[name])
-        params = {
-            name: dict(zip(("a1", "a2", "a3", "a4", "b1", "b2"), t.as_tuple()))
-            for name, t in fits.items()
-        }
-        (outdir / "transforms.json").write_text(json.dumps(params, indent=2) + "\n")
-        print(f"wrote {outdir}/transform_errors_mean.csv, transform_errors_max.csv, transforms.json")
+        params = {name: dict(zip(AffineParams.PARAM_NAMES, t.as_tuple())) for name, t in fits.items()}
+        files["transforms.json"] = json.dumps(params, indent=2) + "\n"
+        names = ("transform_errors_mean.csv", "transform_errors_max.csv", "transforms.json")
+        write_outputs({outdir / name: files[name] for name in names})
+        print(f"wrote {outdir}/{', '.join(names)}")
     return 0
 
 
 def cmd_field(args) -> int:
-    sets = _load_selected_sets(args)
-    fits, _ = fit_with_global(sets)
-    grid = grid_domain(args.domain, "--domain")
-    fld = build_field(sets, grid, fits, use_hull=args.hull)
+    fld = _field(args)
     n_dirichlet = int(fld.dirichlet_mask.sum())
     print(
-        f"solved {grid.n1}x{grid.n2} field: {n_dirichlet} Dirichlet nodes, "
+        f"solved {fld.grid.n1}x{fld.grid.n2} field: {n_dirichlet} Dirichlet nodes, "
         f"{fld.iterations} CG iterations, max residual {fld.residual:.3e}"
     )
     if args.output:
@@ -90,14 +80,10 @@ def cmd_field(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    sets = _load_selected_sets(args)
-    fits, _ = fit_with_global(sets)
-    grid = grid_domain(args.domain, "--domain")
-    fld = build_field(sets, grid, fits, use_hull=args.hull)
+    fld = _field(args)
     pixels = read_pixel_curve(args.curve)
-    name = args.name or Path(args.curve).stem
-    curve = transform_curve(fld, pixels, name)
-    write_geo_curve(args.output, curve.name, curve.points, curve.length / 1000.0)
+    curve = transform_curve(fld, pixels, args.name or Path(args.curve).stem)
+    write_outputs({Path(args.output): render_geojson_curve(curve)})
     print(f"transformed {curve.point_count} points, length {km_face(curve.length / 1000.0)} km")
     print(f"wrote {args.output}")
     return 0
@@ -109,27 +95,12 @@ def cmd_compare(args) -> int:
     name_b, pts_b = read_geo_curve(args.curve_b)
     a = build_segments(pts_a, check_table_name(args.name_a or name_a, "curve A"))
     b = build_segments(pts_b, check_table_name(args.name_b or name_b, "curve B"))
-    hd, ml = compare_pair(a, b, bands)
-    report = MetricsReport(
-        transform_errors=TransformErrors([], [], [], []),
-        bands_km=bands,
-        hausdorff=[hd],
-        matching=[ml],
-        sources=[SourceEntry(a.name, b.name, source_distance(a, b))],
-        curves=[
-            CurveInfo(a.name, a.point_count, a.length / 1000.0),
-            CurveInfo(b.name, b.point_count, b.length / 1000.0),
-        ],
-    )
-    print(render_human(report))
+    report = measure([a, b], [(a, b)], [(a, b)], bands, TransformErrors([], [], [], []))
+    files = report_files(report)
+    print(files["report.txt"])
     if args.output:
         outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, content in render_csv_tables(report).items():
-            if name.startswith("transform_errors"):
-                continue
-            (outdir / name).write_text(content)
-        (outdir / "report.json").write_text(render_sidecar(report))
+        write_outputs({outdir / n: text for n, text in files.items() if not n.startswith("transform_errors")})
         print(f"wrote metric tables to {outdir}")
     return 0
 
@@ -200,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bands", nargs="+", type=float, default=DEFAULT_BANDS_KM, help="band widths in km"
     )
-    p.add_argument("--output", help="directory for CSV tables")
+    p.add_argument("--output", help="directory for the metric tables and reports")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("run", help="run a full experiment from a config file")

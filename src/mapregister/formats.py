@@ -19,6 +19,9 @@ properties; coordinates are emitted with full round-trip precision.
 
 Field dump -- one CSV per parameter with a `#` header carrying the grid
 shape and origin; rows follow x2 (top to bottom), columns follow x1.
+
+Every file the package writes goes through `write_outputs`, which turns a
+write failure into a `ConfigError` (exit code 2) naming the path.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .affine import Correspondence, CorrespondenceSet, PixelPoint
+from .affine import AffineParams, Correspondence, CorrespondenceSet, PixelPoint
 from .errors import ConfigError
 from .field import ParameterField
 from .geodesy import GeoPoint
@@ -77,6 +80,19 @@ def read_correspondences(path: str | Path) -> list[CorrespondenceSet]:
     return sets
 
 
+def write_outputs(files: dict[Path, str]) -> list[Path]:
+    """Write each text to its path, creating parent directories; returns
+    the paths in order.  A file system error becomes a `ConfigError`."""
+    try:
+        for target, text in files.items():
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(text)
+    except (OSError, ValueError) as exc:
+        # ValueError: a path with a NUL byte, which a YAML string can hold.
+        raise ConfigError(f"cannot write {target}: {getattr(exc, 'strerror', None) or exc}") from exc
+    return list(files)
+
+
 def write_correspondences(path: str | Path, sets: list[CorrespondenceSet]) -> None:
     lines = ["# x1 x2 lon lat label"]
     for s in sets:
@@ -86,7 +102,7 @@ def write_correspondences(path: str | Path, sets: list[CorrespondenceSet]) -> No
                 f"{c.source.x1!r} {c.source.x2!r} {c.target.lon!r} {c.target.lat!r}"
                 + (f" {c.label}" if c.label else "")
             )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_outputs({Path(path): "\n".join(lines) + "\n"})
 
 
 def read_pixel_curve(path: str | Path) -> list[PixelPoint]:
@@ -106,7 +122,7 @@ def read_pixel_curve(path: str | Path) -> list[PixelPoint]:
 
 
 def write_pixel_curve(path: str | Path, points: list[PixelPoint]) -> None:
-    Path(path).write_text("".join(f"{p.x1!r} {p.x2!r}\n" for p in points))
+    write_outputs({Path(path): "".join(f"{p.x1!r} {p.x2!r}\n" for p in points)})
 
 
 def _member(obj: dict, key: str, path: Path) -> dict:
@@ -153,18 +169,24 @@ def read_geo_curve(path: str | Path) -> tuple[str, list[GeoPoint]]:
     coords = geom.get("coordinates", [])
     if not isinstance(coords, list) or len(coords) < 2:
         raise ConfigError(f"{path}: LineString needs a list of at least 2 coordinates")
-    try:
-        pts = [GeoPoint(float(lon), float(lat)) for lon, lat in coords]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: bad coordinate ({exc})") from exc
+    pts = []
+    for pos in coords:
+        # RFC 7946 §3.1.1: an altitude after longitude and latitude is ignored.
+        try:
+            if not isinstance(pos, list) or len(pos) not in (2, 3):
+                raise ValueError(f"a position is a list of 2 or 3 numbers, got {pos!r:.40}")
+            lon, lat, *_ = (float(v) for v in pos)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{path}: bad coordinate ({exc})") from exc
+        pts.append(GeoPoint(lon, lat))
     return name, pts
 
 
-def geo_curve_feature(name: str, points: list[GeoPoint], length_km: float | None = None) -> dict:
+def _geojson_text(name: str, points: list[GeoPoint], length_km: float | None) -> str:
     props: dict = {"name": name, "point_count": len(points)}
     if length_km is not None:
         props["length_km"] = length_km
-    return {
+    feature = {
         "type": "Feature",
         "properties": props,
         "geometry": {
@@ -172,41 +194,32 @@ def geo_curve_feature(name: str, points: list[GeoPoint], length_km: float | None
             "coordinates": [[p.lon, p.lat] for p in points],
         },
     }
+    return json.dumps({"type": "FeatureCollection", "features": [feature]}, indent=2) + "\n"
 
 
 def write_geo_curve(
     path: str | Path, name: str, points: list[GeoPoint], length_km: float | None = None
 ) -> None:
-    fc = {"type": "FeatureCollection", "features": [geo_curve_feature(name, points, length_km)]}
-    Path(path).write_text(json.dumps(fc, indent=2) + "\n")
+    write_outputs({Path(path): _geojson_text(name, points, length_km)})
 
 
 def render_geojson_curve(curve) -> str:
     """GeoJSON FeatureCollection text for a DiscreteCurve."""
-    fc = {
-        "type": "FeatureCollection",
-        "features": [geo_curve_feature(curve.name, curve.points, curve.length / 1000.0)],
-    }
-    return json.dumps(fc, indent=2) + "\n"
+    return _geojson_text(curve.name, curve.points, curve.length / 1000.0)
 
 
 def write_field_dump(field: ParameterField, directory: str | Path) -> list[Path]:
     """One CSV per parameter; rows follow x2, columns follow x1."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     grid = field.grid
     written = []
-    from .affine import AffineParams
-
     for k, pname in enumerate(AffineParams.PARAM_NAMES):
-        out = directory / f"{pname}.csv"
-        values = field.params[:, :, k]
         lines = [
             f"# parameter: {pname}",
             f"# n1: {grid.n1} n2: {grid.n2}",
             f"# origin_x1: {grid.origin.x1!r} origin_x2: {grid.origin.x2!r}",
         ]
-        lines.extend(",".join(map(repr, row)) for row in values.T.tolist())
-        out.write_text("\n".join(lines) + "\n")
-        written.append(out)
+        lines.extend(",".join(map(repr, row)) for row in field.params[:, :, k].T.tolist())
+        # One file at a time, so only one parameter's text is held at once.
+        written += write_outputs({directory / f"{pname}.csv": "\n".join(lines) + "\n"})
     return written

@@ -4,8 +4,10 @@ A run fits one affine per correspondence region plus a global transform
 over the union set, cross-evaluates all of them on all sets, extends the
 regional parameters harmonically over the configured pixel domain, pushes
 every source curve through the resulting field, and measures the outcome
-against the reference curves.  All file contents are rendered before
-anything is written, so a failing stage leaves no partial outputs.
+against the reference curves.  The report and curve files are rendered
+before anything is written, so a failing stage leaves no partial outputs;
+the field dump, if asked for, is written after them.  The CLI subcommands
+call the same stages.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .formats import (
     read_pixel_curve,
     render_geojson_curve,
     write_field_dump,
+    write_outputs,
 )
 from .geodesy import GeoPoint
 from .report import (
@@ -97,12 +100,10 @@ class ProjectConfig:
     """Everything one experiment needs; see `load_config` for the schema."""
 
     correspondences: Path
-    domain_origin: PixelPoint
-    domain_n1: int
-    domain_n2: int
+    grid: GridDomain
     output_dir: Path
     regions: list[str] | None = None
-    polygon_mode: str = "order"
+    use_hull: bool = False
     source_curves: list[CurveRef] = dc_field(default_factory=list)
     reference_curves: list[CurveRef] = dc_field(default_factory=list)
     splits: list[SplitSpec] = dc_field(default_factory=list)
@@ -110,10 +111,6 @@ class ProjectConfig:
     source_comparisons: list[tuple[str, str]] | None = None
     bands_km: list[float] = dc_field(default_factory=lambda: list(DEFAULT_BANDS_KM))
     dump_field: bool = False
-
-    @property
-    def use_hull(self) -> bool:
-        return self.polygon_mode == "hull"
 
 
 #: The documented keys of a configuration, and of its nested mappings.
@@ -263,6 +260,10 @@ def load_config(path: str | Path) -> ProjectConfig:
     if polygon_mode not in ("order", "hull"):
         raise ConfigError(f"{path}: polygon_mode must be 'order' or 'hull'")
 
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"{path}: output_dir must be a string, got {type(output_dir).__name__}")
+
     regions = raw.get("regions")
     if regions is not None:
         regions = [str(r) for r in _list(raw, "regions", str(path))]
@@ -271,12 +272,10 @@ def load_config(path: str | Path) -> ProjectConfig:
 
     return ProjectConfig(
         correspondences=corr,
-        domain_origin=grid.origin,
-        domain_n1=grid.n1,
-        domain_n2=grid.n2,
-        output_dir=base / str(raw.get("output_dir", "out")),
+        grid=grid,
+        output_dir=base / output_dir,
         regions=regions,
-        polygon_mode=polygon_mode,
+        use_hull=polygon_mode == "hull",
         source_curves=curve_refs("source_curves"),
         reference_curves=curve_refs("reference_curves"),
         splits=splits,
@@ -365,12 +364,39 @@ def compare_pair(
     return hd, MatchingEntry(a.name, b.name, la_km, lb_km, bands)
 
 
+def measure(
+    curves: list[DiscreteCurve],
+    pairs: list[tuple[DiscreteCurve, DiscreteCurve]],
+    source_pairs: list[tuple[DiscreteCurve, DiscreteCurve]],
+    bands_km: list[float],
+    errors: TransformErrors,
+) -> MetricsReport:
+    """The metric tables: Hausdorff and matching rows for every pair, a
+    source distance for every source pair, a summary row for every curve."""
+    report = MetricsReport(transform_errors=errors, bands_km=list(bands_km))
+    for a, b in pairs:
+        hd, ml = compare_pair(a, b, bands_km)
+        report.hausdorff.append(hd)
+        report.matching.append(ml)
+    report.sources = [SourceEntry(a.name, b.name, source_distance(a, b)) for a, b in source_pairs]
+    report.curves = [CurveInfo(c.name, c.point_count, c.length / 1000.0) for c in curves]
+    return report
+
+
+def report_files(report: MetricsReport) -> dict[str, str]:
+    """File name -> text of every report file: the CSV tables, `report.txt`
+    and the full-precision `report.json`."""
+    files = dict(render_csv_tables(report))
+    files["report.txt"] = render_human(report)
+    files["report.json"] = render_sidecar(report)
+    return files
+
+
 @dataclass
 class RunResult:
     report: MetricsReport
     field: ParameterField
     curves: dict[str, DiscreteCurve]
-    transformed_names: list[str]
     outputs: list[Path]
 
 
@@ -378,8 +404,7 @@ def run_experiment(config: ProjectConfig) -> RunResult:
     """Execute a full experiment and write its reports and curve files."""
     sets = select_sets(read_correspondences(config.correspondences), config.regions)
     fits, errors_table = fit_with_global(sets)
-    grid = GridDomain(config.domain_origin, config.domain_n1, config.domain_n2)
-    fld = build_field(sets, grid, fits, use_hull=config.use_hull)
+    fld = build_field(sets, config.grid, fits, use_hull=config.use_hull)
 
     curves: dict[str, DiscreteCurve] = {}
     transformed: list[str] = []
@@ -413,34 +438,20 @@ def run_experiment(config: ProjectConfig) -> RunResult:
             )
         return curves[name]
 
-    report = MetricsReport(transform_errors=errors_table, bands_km=list(config.bands_km))
-    for a_name, b_name in config.comparisons:
-        hd, ml = compare_pair(lookup(a_name), lookup(b_name), config.bands_km)
-        report.hausdorff.append(hd)
-        report.matching.append(ml)
-    for a_name, b_name in config.source_comparisons or config.comparisons:
-        report.sources.append(
-            SourceEntry(a_name, b_name, source_distance(lookup(a_name), lookup(b_name)))
-        )
-    report.curves = [
-        CurveInfo(c.name, c.point_count, c.length / 1000.0) for c in curves.values()
-    ]
+    report = measure(
+        list(curves.values()),
+        [(lookup(a), lookup(b)) for a, b in config.comparisons],
+        [(lookup(a), lookup(b)) for a, b in config.source_comparisons or config.comparisons],
+        config.bands_km,
+        errors_table,
+    )
 
     # Render everything first; only then touch the filesystem.
-    files: dict[str, str] = dict(render_csv_tables(report))
-    files["report.txt"] = render_human(report)
-    files["report.json"] = render_sidecar(report)
+    files = report_files(report)
     for name in transformed:
         files[f"curves/{name}.geojson"] = render_geojson_curve(curves[name])
-
     outdir = Path(config.output_dir)
-    outputs = []
-    for rel, content in files.items():
-        target = outdir / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(content)
-        outputs.append(target)
+    outputs = write_outputs({outdir / rel: text for rel, text in files.items()})
     if config.dump_field:
         outputs.extend(write_field_dump(fld, outdir / "field"))
-
-    return RunResult(report, fld, curves, transformed, outputs)
+    return RunResult(report, fld, curves, outputs)

@@ -144,6 +144,35 @@ class TestFormats:
         assert cli_main(argv) == 2
         assert not (tmp_path / "cmp").exists()
 
+    def test_positions_with_altitude_read_lon_lat(self, tmp_path, capsys):
+        # RFC 7946 §3.1.1 allows an altitude after longitude and latitude.
+        base = tmp_path / "exp"
+        write_experiment(base)
+        fc = json.loads((base / "main.geojson").read_text())
+        coords = fc["features"][0]["geometry"]["coordinates"]
+        fc["features"][0]["geometry"]["coordinates"] = [[lon, lat, 120.0 + i] for i, (lon, lat) in enumerate(coords)]
+        high = tmp_path / "main.geojson"
+        high.write_text(json.dumps(fc))
+        assert read_geo_curve(high) == read_geo_curve(base / "main.geojson")
+        runs = []
+        for a in (base / "main.geojson", high):
+            assert cli_main(["compare", "--curve-a", str(a), "--curve-b", str(base / "side.geojson")]) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "position", [[10.0], [10.0, 45.0, 1.0, 2.0], [10.0, 45.0, "high"], "10 45"],
+        ids=["one number", "four numbers", "non-number altitude", "string"],
+    )
+    def test_bad_position_exits_2(self, tmp_path, position):
+        base = tmp_path / "exp"
+        write_experiment(base)
+        bad = tmp_path / "bad.geojson"
+        bad.write_text(json.dumps({"type": "LineString", "coordinates": [[11.0, 46.0], position]}))
+        argv = ["compare", "--curve-a", str(bad), "--curve-b", str(base / "side.geojson"), "--output", str(tmp_path / "cmp")]
+        assert cli_main(argv) == 2
+        assert not (tmp_path / "cmp").exists()
+
     def test_geo_curve_without_name_is_named_after_its_file(self, tmp_path):
         # RFC 7946 allows null properties; a name that is not a string is
         # no name either.
@@ -427,6 +456,7 @@ class TestConfig:
             "domain: {x1_min: 1, x2_min: 1, x1_max: 120, x2_max: .inf}",
             'dump_field: "false"',
             "dump_field: 1",
+            "output_dir: {a: 1}",
         ],
     )
     def test_bad_values_exit_2_before_any_output(self, tmp_path, line):
@@ -437,6 +467,22 @@ class TestConfig:
         config_path.write_text(text + line + "\n")
         assert cli_main(["run", "--config", str(config_path)]) == 2
         assert not (tmp_path / "exp" / "out").exists()
+
+    @pytest.mark.parametrize("value", ["{a: 1}", "[out]", "5", "null"])
+    def test_non_string_output_dir_exits_2_before_any_output(self, tmp_path, capsys, value):
+        # Any YAML value used to become a directory name through str().
+        config_path, _ = write_experiment(tmp_path / "exp")
+        config_path.write_text(config_path.read_text().replace("output_dir: out", f"output_dir: {value}"))
+        before = sorted(p.name for p in (tmp_path / "exp").iterdir())
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert "output_dir must be a string" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "exp").iterdir()) == before
+
+    def test_output_dir_with_nul_exits_2(self, tmp_path, capsys):
+        config_path, _ = write_experiment(tmp_path / "exp")
+        config_path.write_text(config_path.read_text().replace("output_dir: out", 'output_dir: "o\\0ut"'))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
 
     def test_dump_field_accepts_yaml_booleans(self, tmp_path):
         config_path, _ = write_experiment(tmp_path / "exp")
@@ -816,6 +862,97 @@ class TestCli:
         )
         assert rc == 2
         assert not (tmp_path / "cmp").exists()
+
+    @staticmethod
+    def _argv(base, command, out):
+        sets = ["--correspondences", str(base / "correspondences.txt")]
+        domain = ["--domain", "1", "1", "120", "90"]
+        return {
+            "fit": ["fit", *sets, "--output", str(out)],
+            "field": ["field", *sets, *domain, "--output", str(out)],
+            "transform": ["transform", *sets, *domain, "--curve", str(base / "probe.txt"), "--output", str(out)],
+            "compare": ["compare", "--curve-a", str(base / "main.geojson"), "--curve-b",
+                        str(base / "side.geojson"), "--output", str(out)],
+            "run": ["run", "--config", str(base / "experiment.yaml"), "--output", str(out)],
+        }[command]
+
+    REPORT_FILES = {"hausdorff.csv", "matching.csv", "sources.csv", "curves.csv", "report.txt", "report.json"}
+
+    @pytest.mark.parametrize(
+        "command, files",
+        [
+            ("fit", {"transform_errors_mean.csv", "transform_errors_max.csv", "transforms.json"}),
+            ("field", {f"{p}.csv" for p in AffineParams.PARAM_NAMES}),
+            ("transform", {"t.geojson"}),
+            ("compare", REPORT_FILES),
+            ("run", REPORT_FILES | {"transform_errors_mean.csv", "transform_errors_max.csv",
+                                    "curves/probe.geojson", "curves/probe_up.geojson",
+                                    "curves/probe_down.geojson"}),
+        ],
+        ids=["fit", "field", "transform", "compare", "run"],
+    )
+    def test_output_writes_exactly_these_files(self, tmp_path, command, files):
+        base = tmp_path / "exp"
+        write_experiment(base)
+        out = tmp_path / "out"
+        target = out / "t.geojson" if command == "transform" else out
+        assert cli_main(self._argv(base, command, target)) == 0
+        assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == files
+
+    @pytest.mark.parametrize("command", ["run", "fit", "field", "transform"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        base = tmp_path / "exp"
+        write_experiment(base)
+        out = tmp_path / "out"
+        if command == "run":
+            # A file where the curve directory goes.
+            out.mkdir()
+            (out / "curves").write_text("")
+        elif command == "transform":
+            out.mkdir()  # a directory where the GeoJSON file goes
+        else:
+            out.write_text("")  # a file where the output directory goes
+        assert cli_main(self._argv(base, command, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
+
+    def test_compare_report_txt_is_the_printed_report(self, tmp_path, capsys):
+        base = tmp_path / "exp"
+        write_experiment(base)
+        out = tmp_path / "cmp"
+        assert cli_main(self._argv(base, "compare", out)) == 0
+        printed = capsys.readouterr().out
+        assert printed == (out / "report.txt").read_text() + f"\nwrote metric tables to {out}\n"
+
+    def test_compare_matches_run_on_sample_data(self, tmp_path):
+        # `compare` on a reference curve and the transformed curve that `run`
+        # wrote reproduces `run`'s rows for that pair.
+        sample = tmp_path / "sample"
+        sample.mkdir()
+        for f in (Path(__file__).resolve().parent.parent / "sample_data").iterdir():
+            if f.is_file():
+                (sample / f.name).write_bytes(f.read_bytes())
+        config = load_config(sample / "experiment.yaml")
+        assert cli_main(["run", "--config", str(sample / "experiment.yaml"), "--output", str(tmp_path / "run")]) == 0
+        argv = ["compare", "--curve-a", str(sample / "main_river.geojson"),
+                "--curve-b", str(tmp_path / "run" / "curves" / "river.geojson"),
+                "--bands", *map(str, config.bands_km), "--output", str(tmp_path / "cmp")]
+        assert cli_main(argv) == 0
+
+        def pair_rows(path):
+            # Rows of the pair in either direction, and the average rows
+            # that follow them in the matching table.
+            rows, keep = [], False
+            for row in csv.reader(path.read_text().splitlines()[1:]):
+                names = {row[0], row[2] if path.name == "matching.csv" else row[1]}
+                keep = names == {"main river", "river"} or (row[0] == "Average" and keep)
+                if keep:
+                    rows.append(row)
+            return rows
+
+        for table in ("hausdorff.csv", "matching.csv", "sources.csv"):
+            want = pair_rows(tmp_path / "run" / table)
+            assert want and pair_rows(tmp_path / "cmp" / table) == want, table
 
     def test_compare_default_bands(self, tmp_path, capsys):
         base = tmp_path / "exp"
