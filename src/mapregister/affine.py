@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateConfigurationError, OutOfRangeError
-from .geodesy import GeoPoint, geodesic_distance_many
+from .geodesy import GeoPoint, geodesic_distance_many, normalize_lon_many
 
 _COLLINEAR_RTOL = 1e-12
 
@@ -84,14 +84,24 @@ class CorrespondenceSet:
         return CorrespondenceSet(name, pairs)
 
 
+def affine_images(params: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two linear forms at (n, 2) pixel positions (x1, x2), with (n, 6)
+    parameters in `PARAM_NAMES` order or one (1, 6) row for all: returns
+    (n, 2) unnormalized (lon, lat) and a mask of the finite rows whose
+    latitude lies in [-90, 90]."""
+    a1, a2, a3, a4, b1, b2 = params.T
+    x1, x2 = x.T
+    lon = a1 * x1 + a2 * x2 + b1
+    lat = a3 * x1 + a4 * x2 + b2
+    return np.stack([lon, lat], axis=1), np.isfinite(lon) & (lat >= -90.0) & (lat <= 90.0)
+
+
 def apply_affine(t: AffineParams, x: PixelPoint) -> GeoPoint:
-    """Evaluate the two linear forms; raises if the latitude leaves range."""
-    lon = t.a1 * x.x1 + t.a2 * x.x2 + t.b1
-    lat = t.a3 * x.x1 + t.a4 * x.x2 + t.b2
+    """`affine_images` at one position; raises if the latitude leaves range."""
+    images, _ = affine_images(np.array([t.as_tuple()]), np.array([[x.x1, x.x2]]))
+    lon, lat = images[0].tolist()
     if not -90.0 <= lat <= 90.0:
-        raise OutOfRangeError(
-            f"pixel ({x.x1}, {x.x2}) transforms to latitude {lat}, outside [-90, 90]"
-        )
+        raise OutOfRangeError(f"pixel ({x.x1}, {x.x2}) transforms to latitude {lat}, outside [-90, 90]")
     return GeoPoint(lon, lat)
 
 
@@ -168,16 +178,17 @@ def fit_affine(cset: CorrespondenceSet) -> AffineParams:
 def errors_km(t: AffineParams, sets: list[CorrespondenceSet]) -> tuple[list[float], list[float]]:
     """RMS and largest geodesic residual in kilometers of t on each set.
 
-    One array inverse measures every pair of every set; the per-set sums
-    and maxima then run in pair order, as a loop over the sets would.
+    One `affine_images` call maps and one array inverse measures every
+    pair of every set; the per-set sums and maxima then run in pair order,
+    as a loop over the sets would.
     """
     pairs = [c for s in sets for c in s.pairs]
-    images = [apply_affine(t, c.source) for c in pairs]
-    lat1 = np.array([c.target.lat for c in pairs])
-    lon1 = np.array([c.target.lon for c in pairs])
-    lat2 = np.array([g.lat for g in images])
-    lon2 = np.array([g.lon for g in images])
-    r = (geodesic_distance_many(lat1, lon1, lat2, lon2) / 1000.0).tolist()
+    images, valid = affine_images(np.array([t.as_tuple()]), np.array([(c.source.x1, c.source.x2) for c in pairs]))
+    if not valid.all():
+        apply_affine(t, pairs[int(valid.argmin())].source)  # raises for the first invalid image
+    target = np.array([(c.target.lon, c.target.lat) for c in pairs])
+    d = geodesic_distance_many(target[:, 1], target[:, 0], images[:, 1], normalize_lon_many(images[:, 0]))
+    r = (d / 1000.0).tolist()
     rms, largest = [], []
     start = 0
     for s in sets:

@@ -11,9 +11,9 @@ matching length.  `DistanceProfile` holds those distances for one
 direction, weighted by segment length, and is the one place where the
 means, maxima and band lengths are reduced.
 
-A `DiscreteCurve` keeps its geometry as arrays: the chain of vertices and
-edge midpoints, the chain's edge lengths and the segment lengths.  Only the
-deduplicated vertices stay `GeoPoint` objects, for the writers.
+A `DiscreteCurve` keeps its geometry as arrays only: the chain of vertices
+and edge midpoints, the chain's edge lengths and the segment lengths.
+`GeoPoint` objects of its vertices are built on demand.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class DiscreteCurve:
     """
 
     name: str
-    points: list[GeoPoint]
     chain: np.ndarray
     edge_lengths: np.ndarray
     segment_lengths: np.ndarray
@@ -91,32 +90,41 @@ class DiscreteCurve:
 
     @property
     def point_count(self) -> int:
-        return len(self.points)
+        return (len(self.chain) + 1) // 2
+
+    @property
+    def points(self) -> list[GeoPoint]:
+        """The vertices, chain[::2], as `GeoPoint`s."""
+        return [GeoPoint(lon, lat) for lon, lat in self.chain[::2].tolist()]
 
     @property
     def segments(self) -> list[CurveSegment]:
         return [CurveSegment(p, ln) for p, ln in zip(self.points, self.segment_lengths.tolist())]
 
 
-def build_segments(points: list[GeoPoint], name: str = "") -> DiscreteCurve:
+def build_segments(points: list[GeoPoint] | np.ndarray, name: str = "") -> DiscreteCurve:
     """Construct a curve and its midpoint-rule segments.
 
-    Consecutive duplicate points are dropped first; fewer than two distinct
-    points leave nothing to measure.  Midpoints are geodesic midpoints, so
-    the two halves of an edge have equal geodesic length.  All edges are
-    solved at once with the array geodesics, which give the same values as
+    `points` are `GeoPoint`s or an (n, 2) array of (lon, lat) with valid
+    latitudes; longitudes are normalized as `GeoPoint` does.  Consecutive
+    duplicate points are dropped first; fewer than two distinct points
+    leave nothing to measure.  Midpoints are geodesic midpoints, so the two
+    halves of an edge have equal geodesic length.  All edges are solved at
+    once with the array geodesics, which give the same values as
     `geodesic_midpoint` and `geodesic_distance` edge by edge.
     """
-    pts: list[GeoPoint] = []
-    for p in points:
-        if not pts or p != pts[-1]:
-            pts.append(p)
+    if not isinstance(points, np.ndarray):
+        points = [(p.lon, p.lat) for p in points]
+    pts = np.array(points, dtype=float).reshape(-1, 2)
+    pts[:, 0] = normalize_lon_many(pts[:, 0])
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    pts = pts[keep]
     if len(pts) < 2:
         raise DegenerateCurveError(f"curve '{name}' has {len(pts)} distinct points, need at least 2")
 
     chain = np.empty((2 * len(pts) - 1, 2))
-    chain[::2, 0] = [p.lon for p in pts]
-    chain[::2, 1] = [p.lat for p in pts]
+    chain[::2] = pts
     lon, lat = chain[::2, 0], chain[::2, 1]
     s12, azi1 = WGS84.inverse_many(lat[:-1], lon[:-1], lat[1:], lon[1:])
     mlat, mlon = WGS84.direct_many(lat[:-1], lon[:-1], azi1, s12 / 2)
@@ -124,17 +132,17 @@ def build_segments(points: list[GeoPoint], name: str = "") -> DiscreteCurve:
     chain[1::2, 0], chain[1::2, 1] = mlon, mlat
     left_half = geodesic_distance_many(lat[:-1], lon[:-1], mlat, mlon)
     right_half = geodesic_distance_many(mlat, mlon, lat[1:], lon[1:])
-    return _assemble(name, pts, chain, np.stack([left_half, right_half], axis=1).ravel())
+    return _assemble(name, chain, np.stack([left_half, right_half], axis=1).ravel())
 
 
-def _assemble(name: str, points: list[GeoPoint], chain: np.ndarray, edge_lengths: np.ndarray) -> DiscreteCurve:
-    # A curve from its vertices, its chain and the chain's edge lengths;
+def _assemble(name: str, chain: np.ndarray, edge_lengths: np.ndarray) -> DiscreteCurve:
+    # A curve from its chain and the chain's edge lengths;
     # `build_segments` and the halves of `split_at_nearest_vertex` both end
     # here.  Interior segment i is the right half of edge i - 1 plus the
     # left half of edge i.
     left, right = edge_lengths[0::2], edge_lengths[1::2]
     seg = np.concatenate([left[:1], right[:-1] + left[1:], right[-1:]])
-    return DiscreteCurve(name, points, chain, edge_lengths, seg, sum(seg.tolist()))
+    return DiscreteCurve(name, chain, edge_lengths, seg, sum(seg.tolist()))
 
 
 def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
@@ -298,7 +306,7 @@ def matching_average(a: DiscreteCurve, b: DiscreteCurve, band: BandThreshold) ->
 
 def source_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
     """Geodesic distance between the two source points (index 0), in km."""
-    return geodesic_distance(a.points[0], b.points[0]) / 1000.0
+    return geodesic_distance(GeoPoint(*a.chain[0].tolist()), GeoPoint(*b.chain[0].tolist())) / 1000.0
 
 
 def split_at_nearest_vertex(
@@ -312,7 +320,7 @@ def split_at_nearest_vertex(
     """
     lon, lat = curve.chain[::2, 0], curve.chain[::2, 1]
     k = int(np.argmin(geodesic_distance_many(lat, lon, ref.lat, ref.lon)))
-    if k == 0 or k == len(curve.points) - 1:
+    if k == 0 or k == curve.point_count - 1:
         raise DegenerateCurveError(
             f"split point of '{curve.name}' falls on an endpoint (vertex {k})"
         )
@@ -320,6 +328,6 @@ def split_at_nearest_vertex(
         names = (f"{curve.name}1", f"{curve.name}2")
     # Each half is what `build_segments` would make of its points: the
     # parent's vertices, midpoints and half-edge lengths on that side.
-    first = _assemble(names[0], curve.points[: k + 1], curve.chain[: 2 * k + 1], curve.edge_lengths[: 2 * k])
-    second = _assemble(names[1], curve.points[k:], curve.chain[2 * k :], curve.edge_lengths[2 * k :])
+    first = _assemble(names[0], curve.chain[: 2 * k + 1], curve.edge_lengths[: 2 * k])
+    second = _assemble(names[1], curve.chain[2 * k :], curve.edge_lengths[2 * k :])
     return first, second

@@ -74,10 +74,6 @@ class GridDomain:
     def node_count(self) -> int:
         return self.n1 * self.n2
 
-    def to_node(self, p: PixelPoint) -> tuple[float, float]:
-        """Pixel coordinates -> fractional node coordinates (i, j)."""
-        return p.x1 - self.origin.x1 + 1.0, p.x2 - self.origin.x2 + 1.0
-
 
 @dataclass(frozen=True)
 class DirichletRegion:
@@ -179,7 +175,8 @@ def rasterize_envelope(region: DirichletRegion, grid: GridDomain) -> np.ndarray:
     Returns a boolean (n1, n2) array indexed [i-1, j-1].  The marked set
     must stay clear of the domain boundary.
     """
-    verts = np.array([grid.to_node(p) for p in region.polygon], dtype=float)
+    # Fractional node coordinates (i, j) of the vertices.
+    verts = np.array([(p.x1, p.x2) for p in region.polygon]) - (grid.origin.x1, grid.origin.x2) + 1.0
     if (
         verts[:, 0].min() < 1 or verts[:, 0].max() > grid.n1
         or verts[:, 1].min() < 1 or verts[:, 1].max() > grid.n2
@@ -238,7 +235,7 @@ class LaplaceSystem:
     """Assembled sparse system shared by the six parameters."""
 
     grid: GridDomain
-    matrix: sp.csc_matrix
+    matrix: sp.csr_matrix
     rhs: np.ndarray  # (node_count, 6)
     dirichlet_mask: np.ndarray  # (n1, n2) bool
 
@@ -294,9 +291,9 @@ def assemble_from_masks(
         cols.append(((ni - 1) * n2 + (nj - 1))[free])
         vals.append(np.full(free.sum(), -1.0))
 
-    matrix = sp.coo_matrix(
+    matrix = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsc()
+    )
     rhs = np.zeros((n, 6))
     rhs[dir_flat] = values.reshape(-1, 6)[dir_flat]
     return LaplaceSystem(grid, matrix, rhs, combined)
@@ -378,7 +375,7 @@ def _free_system(system: LaplaceSystem, free: np.ndarray):
     side2 = np.ones(system.grid.n2)
     side2[[0, -1]] = 0.5
     row_scale = np.outer(side1, side2).reshape(-1)[free]
-    rows = sp.diags(row_scale) @ m.tocsr()[free]
+    rows = sp.diags(row_scale) @ m[free]
     return rows[:, free], row_scale[:, None] * rhs[free] - rows @ pinned, shift
 
 
@@ -511,23 +508,17 @@ def _check_maximum_principle(grids, mask, rhs, dir_flat):
         raise ConvergenceError("solved field violates the discrete maximum principle")
 
 
-def sample_field(f: ParameterField, x: PixelPoint) -> AffineParams:
-    """Bilinear interpolation of the six grids at a pixel position."""
-    fi, fj = f.grid.to_node(x)
-    n1, n2 = f.grid.n1, f.grid.n2
-    eps = 1e-9
-    if not (1.0 - eps <= fi <= n1 + eps and 1.0 - eps <= fj <= n2 + eps):
-        raise OutOfDomainError(
-            f"pixel ({x.x1}, {x.x2}) lies outside the field domain "
-            f"[{f.grid.origin.x1}, {f.grid.origin.x1 + n1 - 1}] x "
-            f"[{f.grid.origin.x2}, {f.grid.origin.x2 + n2 - 1}]"
-        )
-    fi = min(max(fi, 1.0), float(n1))
-    fj = min(max(fj, 1.0), float(n2))
-    i0 = min(int(math.floor(fi)), n1 - 1)
-    j0 = min(int(math.floor(fj)), n2 - 1)
-    s = fi - i0
-    t = fj - j0
+def sample_grids(f: ParameterField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear interpolation of the six grids at (n, 2) pixel positions
+    (x1, x2): returns the (n, 6) parameters and a mask of the positions
+    inside the domain (1e-9 nodes of slack); the others are clamped to it."""
+    n = np.array([f.grid.n1, f.grid.n2])
+    node = x - (f.grid.origin.x1, f.grid.origin.x2) + 1.0  # fractional node coordinates (i, j)
+    inside = ((1.0 - 1e-9 <= node) & (node <= n + 1e-9)).all(axis=1)
+    node = np.clip(node, 1.0, n)
+    corner = np.minimum(np.floor(node).astype(int), n - 1)
+    i0, j0 = corner.T
+    s, t = (node - corner).T[:, :, None]
     g = f.params
     v = (
         g[i0 - 1, j0 - 1] * (1 - s) * (1 - t)
@@ -535,4 +526,17 @@ def sample_field(f: ParameterField, x: PixelPoint) -> AffineParams:
         + g[i0 - 1, j0] * (1 - s) * t
         + g[i0, j0] * s * t
     )
-    return AffineParams(*v)
+    return v, inside
+
+
+def sample_field(f: ParameterField, x: PixelPoint) -> AffineParams:
+    """The six parameters at one pixel position: `sample_grids` at one
+    point; raises if the position lies outside the domain."""
+    v, inside = sample_grids(f, np.array([[x.x1, x.x2]]))
+    if not inside[0]:
+        o = f.grid.origin
+        raise OutOfDomainError(
+            f"pixel ({x.x1}, {x.x2}) lies outside the field domain "
+            f"[{o.x1}, {o.x1 + f.grid.n1 - 1}] x [{o.x2}, {o.x2 + f.grid.n2 - 1}]"
+        )
+    return AffineParams(*v[0].tolist())

@@ -30,7 +30,7 @@ import json
 from pathlib import Path
 
 from .affine import AffineParams, Correspondence, CorrespondenceSet, PixelPoint
-from .errors import ConfigError
+from .errors import ConfigError, OutOfRangeError
 from .field import ParameterField
 from .geodesy import GeoPoint
 from .report import check_table_name
@@ -71,10 +71,11 @@ def read_correspondences(path: str | Path) -> list[CorrespondenceSet]:
             raise ConfigError(f"{path}:{lineno}: expected 'x1 x2 lon lat [label]'")
         try:
             x1, x2, lon, lat = (float(v) for v in parts[:4])
-        except ValueError as exc:
+            source, target = PixelPoint(x1, x2), GeoPoint(lon, lat)
+        except (ValueError, OutOfRangeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad number ({exc})") from exc
         label = parts[4] if len(parts) == 5 else ""
-        current.pairs.append(Correspondence(PixelPoint(x1, x2), GeoPoint(lon, lat), label))
+        current.pairs.append(Correspondence(source, target, label))
     if not sets:
         raise ConfigError(f"{path}: no correspondence sets found")
     return sets
@@ -114,7 +115,7 @@ def read_pixel_curve(path: str | Path) -> list[PixelPoint]:
             raise ConfigError(f"{path}:{lineno}: expected 'x1 x2'")
         try:
             pts.append(PixelPoint(float(parts[0]), float(parts[1])))
-        except ValueError as exc:
+        except (ValueError, OutOfRangeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad number ({exc})") from exc
     if not pts:
         raise ConfigError(f"{path}: empty pixel curve")
@@ -170,20 +171,20 @@ def read_geo_curve(path: str | Path) -> tuple[str, list[GeoPoint]]:
     if not isinstance(coords, list) or len(coords) < 2:
         raise ConfigError(f"{path}: LineString needs a list of at least 2 coordinates")
     pts = []
-    for pos in coords:
+    for k, pos in enumerate(coords):
         # RFC 7946 §3.1.1: an altitude after longitude and latitude is ignored.
         try:
             if not isinstance(pos, list) or len(pos) not in (2, 3):
                 raise ValueError(f"a position is a list of 2 or 3 numbers, got {pos!r:.40}")
             lon, lat, *_ = (float(v) for v in pos)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{path}: bad coordinate ({exc})") from exc
-        pts.append(GeoPoint(lon, lat))
+            pts.append(GeoPoint(lon, lat))
+        except (TypeError, ValueError, OverflowError, OutOfRangeError) as exc:
+            raise ConfigError(f"{path}: bad position {k} ({exc})") from exc
     return name, pts
 
 
-def _geojson_text(name: str, points: list[GeoPoint], length_km: float | None) -> str:
-    props: dict = {"name": name, "point_count": len(points)}
+def _geojson_text(name: str, coordinates: list[list[float]], length_km: float | None) -> str:
+    props: dict = {"name": name, "point_count": len(coordinates)}
     if length_km is not None:
         props["length_km"] = length_km
     feature = {
@@ -191,7 +192,7 @@ def _geojson_text(name: str, points: list[GeoPoint], length_km: float | None) ->
         "properties": props,
         "geometry": {
             "type": "LineString",
-            "coordinates": [[p.lon, p.lat] for p in points],
+            "coordinates": coordinates,
         },
     }
     return json.dumps({"type": "FeatureCollection", "features": [feature]}, indent=2) + "\n"
@@ -200,12 +201,12 @@ def _geojson_text(name: str, points: list[GeoPoint], length_km: float | None) ->
 def write_geo_curve(
     path: str | Path, name: str, points: list[GeoPoint], length_km: float | None = None
 ) -> None:
-    write_outputs({Path(path): _geojson_text(name, points, length_km)})
+    write_outputs({Path(path): _geojson_text(name, [[p.lon, p.lat] for p in points], length_km)})
 
 
 def render_geojson_curve(curve) -> str:
-    """GeoJSON FeatureCollection text for a DiscreteCurve."""
-    return _geojson_text(curve.name, curve.points, curve.length / 1000.0)
+    """GeoJSON FeatureCollection text for a DiscreteCurve's vertices."""
+    return _geojson_text(curve.name, curve.chain[::2].tolist(), curve.length / 1000.0)
 
 
 def write_field_dump(field: ParameterField, directory: str | Path) -> list[Path]:

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field as dc_field
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import yaml
 
-from .affine import AffineParams, CorrespondenceSet, PixelPoint, apply_affine, errors_km, fit_affine
+from .affine import AffineParams, CorrespondenceSet, PixelPoint, affine_images, apply_affine, errors_km, fit_affine
 from .curves import (
     BandThreshold,
     DiscreteCurve,
@@ -37,6 +38,7 @@ from .field import (
     assemble_system,
     region_from_correspondences,
     sample_field,
+    sample_grids,
     solve_field,
 )
 from .formats import (
@@ -325,15 +327,20 @@ def build_field(
 
 
 def transform_curve(f: ParameterField, pixels: list[PixelPoint], name: str = "") -> DiscreteCurve:
-    """Sample the field at every pixel center and apply the local affine."""
-    geo = []
-    for idx, p in enumerate(pixels):
+    """Sample the field at every pixel center and apply the local affine, on
+    arrays; the first failing pixel is redone by `sample_field` and
+    `apply_affine`, whose error is raised naming the curve and the point."""
+    x = np.array([(p.x1, p.x2) for p in pixels], dtype=float).reshape(-1, 2)
+    params, inside = sample_grids(f, x)
+    images, valid = affine_images(params, x)
+    bad = ~(inside & valid)
+    if bad.any():
+        idx = int(bad.argmax())
         try:
-            params = sample_field(f, p)
-        except OutOfDomainError as exc:
-            raise OutOfDomainError(f"curve '{name}', point {idx}: {exc}") from exc
-        geo.append(apply_affine(params, p))
-    return build_segments(geo, name)
+            apply_affine(sample_field(f, pixels[idx]), pixels[idx])
+        except (OutOfDomainError, OutOfRangeError) as exc:
+            raise type(exc)(f"curve '{name}', point {idx}: {exc}") from exc
+    return build_segments(images, name)
 
 
 def compare_pair(

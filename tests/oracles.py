@@ -13,7 +13,9 @@ point-to-segment distance with the planar-chord helpers it used;
 long-edge fallback is that function; `full_anchor_min_distances`, its array
 anchor pass before the chord-bound skip test; `scalar_build_segments`, its
 edge-by-edge segment building; `lu_solve_field`, its sparse-LU field solve;
-and `scalar_write_field_dump`, its value-by-value field dump.  The test-only
+`scalar_write_field_dump`, its value-by-value field dump; and
+`scalar_transform_curve`, its pixel-by-pixel curve transform with
+`scalar_sample_field` and `scalar_apply_affine`.  The test-only
 readers of library outputs (`least_squares_objective`, `read_field_dump`)
 live here too.
 """
@@ -338,6 +340,70 @@ def scalar_build_segments(points):
     return pts, chain, edge_lengths, seg, sum(seg)
 
 
+def scalar_sample_field(f, x):
+    """`field.sample_field` at one pixel with Python scalars."""
+    from mapregister.affine import AffineParams
+    from mapregister.errors import OutOfDomainError
+
+    fi, fj = x.x1 - f.grid.origin.x1 + 1.0, x.x2 - f.grid.origin.x2 + 1.0
+    n1, n2 = f.grid.n1, f.grid.n2
+    eps = 1e-9
+    if not (1.0 - eps <= fi <= n1 + eps and 1.0 - eps <= fj <= n2 + eps):
+        raise OutOfDomainError(
+            f"pixel ({x.x1}, {x.x2}) lies outside the field domain "
+            f"[{f.grid.origin.x1}, {f.grid.origin.x1 + n1 - 1}] x "
+            f"[{f.grid.origin.x2}, {f.grid.origin.x2 + n2 - 1}]"
+        )
+    fi = min(max(fi, 1.0), float(n1))
+    fj = min(max(fj, 1.0), float(n2))
+    i0 = min(int(math.floor(fi)), n1 - 1)
+    j0 = min(int(math.floor(fj)), n2 - 1)
+    s = fi - i0
+    t = fj - j0
+    g = f.params
+    v = (
+        g[i0 - 1, j0 - 1] * (1 - s) * (1 - t)
+        + g[i0, j0 - 1] * s * (1 - t)
+        + g[i0 - 1, j0] * (1 - s) * t
+        + g[i0, j0] * s * t
+    )
+    return AffineParams(*v)
+
+
+def scalar_apply_affine(t, x):
+    """`affine.apply_affine` with Python scalars."""
+    from mapregister.errors import OutOfRangeError
+    from mapregister.geodesy import GeoPoint
+
+    lon = t.a1 * x.x1 + t.a2 * x.x2 + t.b1
+    lat = t.a3 * x.x1 + t.a4 * x.x2 + t.b2
+    if not -90.0 <= lat <= 90.0:
+        raise OutOfRangeError(
+            f"pixel ({x.x1}, {x.x2}) transforms to latitude {lat}, outside [-90, 90]"
+        )
+    return GeoPoint(lon, lat)
+
+
+def scalar_transform_curve(f, pixels, name=""):
+    """`pipeline.transform_curve` one pixel at a time: one `AffineParams`
+    and one `GeoPoint` per pixel, then `build_segments` on the points.  A
+    latitude error names the curve and the point like a domain error."""
+    from mapregister.curves import build_segments
+    from mapregister.errors import OutOfDomainError, OutOfRangeError
+
+    geo = []
+    for idx, p in enumerate(pixels):
+        try:
+            params = scalar_sample_field(f, p)
+        except OutOfDomainError as exc:
+            raise OutOfDomainError(f"curve '{name}', point {idx}: {exc}") from exc
+        try:
+            geo.append(scalar_apply_affine(params, p))
+        except OutOfRangeError as exc:
+            raise OutOfRangeError(f"curve '{name}', point {idx}: {exc}") from exc
+    return build_segments(geo, name)
+
+
 def least_squares_objective(t, cset):
     """The fitted objective: summed squared degree-space residuals."""
     total = 0.0
@@ -381,7 +447,7 @@ def lu_solve_field(system):
     if not system.dirichlet_mask.any():
         raise SingularSystemError("no Dirichlet nodes: the pure-Neumann system is singular")
     try:
-        lu = spla.splu(system.matrix)
+        lu = spla.splu(system.matrix.tocsc())
     except RuntimeError as exc:
         raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
 

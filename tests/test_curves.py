@@ -34,6 +34,7 @@ from mapregister.geodesy import (
     densify,
     geodesic_distance,
     geodesic_midpoint,
+    normalize_lon_many,
     point_to_segment_distance,
     polyline_length,
     walk,
@@ -117,6 +118,19 @@ class TestBuildSegments:
         p, q = GeoPoint(1, 1), GeoPoint(2, 2)
         c = build_segments([p, p, q, q])
         assert c.points == [p, q]
+
+    def test_array_input_and_points_rebuild_the_chain(self):
+        # An (n, 2) array of unnormalized longitudes builds the curve of its
+        # GeoPoints, and normalizing a normalized longitude changes nothing,
+        # so a curve's `points` rebuild exactly its chain.
+        lon = np.random.default_rng(7).uniform(-1000.0, 1000.0, 10**6)
+        once = normalize_lon_many(lon)
+        assert (normalize_lon_many(once) == once).all()
+        pts = random_curve(random.Random(7), "c", n=30, start=GeoPoint(179.99, 10.0))
+        shifted = [(p.lon + 360.0 * (k % 3 - 1), p.lat) for k, p in enumerate(pts)]
+        c = build_segments(np.array(shifted), "c")
+        assert_same_curve(c, build_segments([GeoPoint(lon, lat) for lon, lat in shifted], "c"))
+        assert build_segments(c.points, "c").chain.tolist() == c.chain.tolist()
 
     def test_degenerate_curve_rejected(self):
         p = GeoPoint(1, 1)

@@ -1,4 +1,6 @@
 import csv
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -18,12 +20,14 @@ from hypothesis import strategies as st
 import mapregister.field as field_module
 from mapregister.affine import AffineParams, PixelPoint, apply_affine
 from mapregister.cli import main as cli_main
-from mapregister.errors import ConfigError, DegenerateCurveError, OutOfDomainError
+from mapregister.curves import build_segments
+from mapregister.errors import ConfigError, DegenerateCurveError, MapRegisterError, OutOfDomainError, OutOfRangeError
 from mapregister.field import (
     DirichletRegion,
     GridDomain,
     ParameterField,
     assemble_system,
+    sample_field,
     solve_field,
 )
 from mapregister.formats import (
@@ -58,7 +62,13 @@ from mapregister.report import (
     render_human,
 )
 
-from oracles import read_field_dump, scalar_write_field_dump
+from oracles import (
+    read_field_dump,
+    scalar_apply_affine,
+    scalar_sample_field,
+    scalar_transform_curve,
+    scalar_write_field_dump,
+)
 from synth import (
     EXPERIMENT_REGIONS,
     random_affine,
@@ -324,10 +334,82 @@ class TestTransformCurve:
         with pytest.raises(OutOfDomainError, match="point 1"):
             transform_curve(field, pixels, "c")
 
+    def test_latitude_error_names_point_index(self):
+        field = self.build_constant_field(AffineParams(0.02, 0, 0, 2.0, 10, 50))
+        pixels = [PixelPoint(5, 5), PixelPoint(5, 29)]
+        with pytest.raises(OutOfRangeError, match=r"^curve 'c', point 1: pixel \(5, 29\) transforms to latitude 108"):
+            transform_curve(field, pixels, "c")
+
     def test_empty_curve_rejected(self):
         field = self.build_constant_field(AffineParams(0.02, 0, 0, -0.02, 10, 50))
         with pytest.raises(DegenerateCurveError):
             transform_curve(field, [], "c")
+
+    @staticmethod
+    def _pixel(rng, kind, grid):
+        # A pixel of one kind: a node centre, within 1.5e-9 of a domain edge
+        # (inside or outside the 1e-9 slack), on the clamped last cell,
+        # anywhere inside, or outside the domain.
+        lo1, lo2 = grid.origin.x1, grid.origin.x2
+        hi1, hi2 = lo1 + grid.n1 - 1, lo2 + grid.n2 - 1
+        if kind == "node":
+            return PixelPoint(lo1 + int(rng.integers(grid.n1)), lo2 + int(rng.integers(grid.n2)))
+        x = [float(rng.uniform(lo1, hi1)), float(rng.uniform(lo2, hi2))]
+        if kind == "edge":
+            k = int(rng.integers(2))
+            x[k] = float(rng.choice([(lo1, hi1), (lo2, hi2)][k]) + rng.uniform(-1.5e-9, 1.5e-9))
+        elif kind == "clamped":
+            x[0] = hi1
+            x[1] = hi2 if rng.random() < 0.5 else x[1]
+        elif kind == "outside":
+            x[0] = hi1 + float(rng.uniform(0.5, 5.0))
+        return PixelPoint(*x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(3, 7), st.integers(3, 7)),
+        kinds=st.lists(st.sampled_from(["node", "edge", "clamped", "inside"]), max_size=12),
+        outside_at=st.none() | st.integers(0, 12),
+        lat0=st.sampled_from([45.0, 88.0, -89.5]),
+    )
+    def test_array_path_equals_per_pixel_path(self, seed, shape, kinds, outside_at, lat0):
+        # Random grids, not solved fields: the sampling and the affine see
+        # any values.  Base longitudes beyond +-180 exercise normalization,
+        # base latitudes near the poles the latitude check.
+        rng = np.random.default_rng(seed)
+        n1, n2 = shape
+        grid = GridDomain(PixelPoint(float(rng.integers(-20, 20)), float(rng.integers(-20, 20)) + 0.25), n1, n2)
+        params = np.empty((n1, n2, 6))
+        params[..., :4] = rng.normal(0.0, 0.05, (n1, n2, 4))
+        params[..., 4] = rng.uniform(-400.0, 400.0, (n1, n2))
+        params[..., 5] = lat0 + rng.uniform(-1.0, 1.0, (n1, n2))
+        field = ParameterField(grid, params, np.zeros((n1, n2), dtype=bool), 0.0)
+        if outside_at is not None:
+            kinds.insert(outside_at, "outside")
+        pixels = [self._pixel(rng, kind, grid) for kind in kinds]
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except MapRegisterError as exc:
+                return type(exc), str(exc)
+
+        for p in pixels:
+            sampled = outcome(sample_field, field, p)
+            assert sampled == outcome(scalar_sample_field, field, p)
+            if isinstance(sampled, AffineParams):
+                assert outcome(apply_affine, sampled, p) == outcome(scalar_apply_affine, sampled, p)
+        got, want = outcome(transform_curve, field, pixels, "c"), outcome(scalar_transform_curve, field, pixels, "c")
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert got.chain.tolist() == want.chain.tolist()
+        assert got.edge_lengths.tolist() == want.edge_lengths.tolist()
+        assert got.segment_lengths.tolist() == want.segment_lengths.tolist()
+        assert got.length == want.length
+        assert got.points == want.points
+        assert build_segments(got.points, "c").chain.tolist() == got.chain.tolist()
 
 
 @pytest.fixture(scope="module")
@@ -489,6 +571,22 @@ class TestConfig:
         for value, want in (("false", False), ("true", True), ("no", False)):
             config_path.write_text(config_path.read_text().split("dump_field")[0] + f"dump_field: {value}\n")
             assert load_config(config_path).dump_field is want
+
+
+SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"
+
+
+def _sample_copy(directory: Path) -> Path:
+    # A copy of the shipped sample experiment; returns its config path.
+    directory.mkdir(parents=True)
+    for f in SAMPLE_DATA.iterdir():
+        if f.is_file():
+            (directory / f.name).write_bytes(f.read_bytes())
+    return directory / "experiment.yaml"
+
+
+def _tree(directory: Path) -> dict[str, bytes]:
+    return {p.relative_to(directory).as_posix(): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
 
 
 def _edit_config(config_path, edit):
@@ -927,11 +1025,7 @@ class TestCli:
     def test_compare_matches_run_on_sample_data(self, tmp_path):
         # `compare` on a reference curve and the transformed curve that `run`
         # wrote reproduces `run`'s rows for that pair.
-        sample = tmp_path / "sample"
-        sample.mkdir()
-        for f in (Path(__file__).resolve().parent.parent / "sample_data").iterdir():
-            if f.is_file():
-                (sample / f.name).write_bytes(f.read_bytes())
+        sample = _sample_copy(tmp_path / "sample").parent
         config = load_config(sample / "experiment.yaml")
         assert cli_main(["run", "--config", str(sample / "experiment.yaml"), "--output", str(tmp_path / "run")]) == 0
         argv = ["compare", "--curve-a", str(sample / "main_river.geojson"),
@@ -982,3 +1076,88 @@ class TestCli:
         assert (tmp_path / "fieldout" / "b2.csv").is_file()
         printed = re.search(r"Dirichlet nodes, (\d+) CG iterations, max residual", capsys.readouterr().out)
         assert printed and int(printed.group(1)) >= 1
+
+
+class TestBadNumbersInInputs:
+    # A number that parses but is no valid coordinate exits 2 and names
+    # the file and the line or position, before any output is written.
+    def test_non_finite_pixel(self, tmp_path, capsys):
+        config = _sample_copy(tmp_path / "exp")
+        pixels = config.parent / "river_pixels.txt"
+        lines = pixels.read_text().splitlines()
+        lineno = next(k for k, line in enumerate(lines, 1) if line.strip() and not line.startswith("#"))
+        lines[lineno - 1] = "nan 5"
+        pixels.write_text("\n".join(lines) + "\n")
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {pixels}:{lineno}: bad number (non-finite pixel coordinates (nan, 5.0))\n"
+        assert not (config.parent / "out").exists()
+
+    def test_infinite_correspondence_pixel(self, tmp_path, capsys):
+        config = _sample_copy(tmp_path / "exp")
+        corr = config.parent / "correspondences.txt"
+        lines = corr.read_text().splitlines()
+        assert lines[2].startswith("32.0 25.0 ")
+        lines[2] = "inf" + lines[2][4:]
+        corr.write_text("\n".join(lines) + "\n")
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {corr}:3: bad number (non-finite pixel coordinates (inf, 25.0))\n"
+        assert not (config.parent / "out").exists()
+
+    def test_latitude_out_of_range_in_geojson(self, tmp_path, capsys):
+        bad = tmp_path / "bad.geojson"
+        bad.write_text(json.dumps({"type": "LineString", "coordinates": [[11.0, 46.0], [12.0, 95.0]]}))
+        argv = ["compare", "--curve-a", str(bad), "--curve-b", str(SAMPLE_DATA / "side_river.geojson"),
+                "--output", str(tmp_path / "cmp")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: bad position 1 (latitude 95.0 outside [-90, 90])\n"
+        assert not (tmp_path / "cmp").exists()
+
+
+class TestPolygonMode:
+    # Sample data with the 2nd and 3rd landmarks of 'coast west' swapped:
+    # in the given order the polygon crosses itself, its hull is the
+    # original hexagon.
+    @pytest.fixture
+    def swapped(self, tmp_path):
+        config = _sample_copy(tmp_path / "swapped")
+        corr = config.parent / "correspondences.txt"
+        lines = corr.read_text().splitlines()
+        k = lines.index("set coast west")
+        lines[k + 2], lines[k + 3] = lines[k + 3], lines[k + 2]
+        corr.write_text("\n".join(lines) + "\n")
+        return config
+
+    def test_order_rejects_self_intersecting_polygon(self, swapped, capsys):
+        assert cli_main(["run", "--config", str(swapped)]) == 3
+        assert "polygon is self-intersecting" in capsys.readouterr().err
+
+    def test_hull_reproduces_the_sample_run(self, tmp_path, swapped):
+        swapped.write_text(swapped.read_text().replace("polygon_mode: order", "polygon_mode: hull"))
+        assert cli_main(["run", "--config", str(swapped), "--output", str(tmp_path / "hull")]) == 0
+        plain = _sample_copy(tmp_path / "plain")
+        assert cli_main(["run", "--config", str(plain), "--output", str(tmp_path / "plain_out")]) == 0
+        assert _tree(tmp_path / "hull") == _tree(tmp_path / "plain_out")
+
+    def test_field_hull_flag_on_sample_data(self, capsys):
+        argv = ["field", "--correspondences", str(SAMPLE_DATA / "correspondences.txt"), "--domain", "1", "1", "120", "90"]
+        printed = []
+        for extra in ([], ["--hull"]):
+            assert cli_main(argv + extra) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and printed[0].startswith("solved 120x90 field")
+
+
+def test_traced_boundaries_resolve():
+    # The benchmark's tracer (perfbench/tracing.py) replaces the functions
+    # it lists at the names their callers look up; each must exist.
+    path = SAMPLE_DATA.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.WRAPPED
+    for module, attr, _ in tracing.WRAPPED:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"{module}.{attr}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module}.{attr}"
