@@ -71,7 +71,8 @@ def cmd_field(args) -> int:
     n_dirichlet = int(fld.dirichlet_mask.sum())
     print(
         f"solved {fld.grid.n1}x{fld.grid.n2} field: {n_dirichlet} Dirichlet nodes, "
-        f"{fld.iterations} CG iterations, max residual {fld.residual:.3e}"
+        f"{fld.iterations} CG iterations, max residual {fld.residual:.3e}, "
+        f"{fld.columns} right-hand sides"
     )
     if args.output:
         written = write_field_dump(fld, Path(args.output))

@@ -27,9 +27,13 @@ from ._geodesic import WGS84
 from .errors import DegenerateCurveError, OutOfRangeError
 from .geodesy import (
     LONG_SEGMENT_M,
+    PRUNE_ATOL_M,
+    PRUNE_RTOL,
     GeoPoint,
+    chords,
     densified_distances,
     densify,
+    ecef,
     geodesic_distance,
     geodesic_distance_many,
     normalize_lon_many,
@@ -42,10 +46,6 @@ from .geodesy import (
 #: hundred points, few enough to keep the temporaries under about 16 MB
 #: even when nothing is skipped.
 ANCHOR_BATCH_PAIRS = 16384
-# Margins of the skip test in `anchor_min_distances`, far above the
-# roundoff of the chords, the geodesic lengths and the planar chords.
-_PRUNE_RTOL = 1e-9
-_PRUNE_ATOL_M = 1e-3
 
 
 @dataclass(frozen=True)
@@ -180,12 +180,12 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
     alon, alat = a.chain[::2, 0], a.chain[::2, 1]
     blon, blat = b.chain[:, 0], b.chain[:, 1]
     m = len(blat)
-    ea, eb = _ecef(alat, alon), _ecef(blat, blon)
+    ea, eb = ecef(alat, alon), ecef(blat, blon)
     arc = np.concatenate([[0.0], np.cumsum(b.edge_lengths)])
     out = np.empty(len(alat))
     for batch in _batches(len(alat), m):
         lat0, lon0 = alat[batch, None], alon[batch, None]
-        chord = np.sqrt(sum((ea[batch, None, i] - eb[:, i]) ** 2 for i in range(3)))
+        chord = chords(ea[batch], eb)
 
         # Plane coordinates of the chord-nearest chain point and its
         # neighbours give s* and U.
@@ -199,10 +199,10 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
 
         # The skip test, then the endpoints of the surviving edges.
         reach = np.hypot(px[rows, near], py[rows, near]) + np.maximum(arc[1:] - arc[near], arc[near] - arc[:-1])
-        x = np.minimum((reach * (1 + _PRUNE_RTOL) + _PRUNE_ATOL_M) / WGS84.b, math.pi / 2)
+        x = np.minimum((reach * (1 + PRUNE_RTOL) + PRUNE_ATOL_M) / WGS84.b, math.pi / 2)
         half = np.where(x < math.pi / 2, b.edge_lengths / 2 / np.sinc(x / math.pi), np.inf)  # kappa_k l_k / 2
-        lower = np.minimum(chord[:, :-1], chord[:, 1:]) * (1 - _PRUNE_RTOL) - half * (1 + _PRUNE_RTOL)
-        keep = lower - _PRUNE_ATOL_M <= upper[:, None]
+        lower = np.minimum(chord[:, :-1], chord[:, 1:]) * (1 - PRUNE_RTOL) - half * (1 + PRUNE_RTOL)
+        keep = lower - PRUNE_ATOL_M <= upper[:, None]
         need = np.zeros(chord.shape, dtype=bool)
         need[:, :-1] = keep
         need[:, 1:] |= keep
@@ -217,16 +217,6 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
         for batch in _batches(len(alat), len(slat)):
             out[batch] = np.minimum(out[batch], densified_distances(alat[batch], alon[batch], slat, slon))
     return out.tolist()
-
-
-def _ecef(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    # Earth-centred Cartesian coordinates (m, 3) of geodetic positions; the
-    # straight chord between two of them is a lower bound on their geodesic
-    # distance.
-    phi, lam = np.radians(lat), np.radians(lon)
-    n = WGS84.a / np.sqrt(1 - WGS84.e2 * np.sin(phi) ** 2)
-    r = n * np.cos(phi)
-    return np.stack([r * np.cos(lam), r * np.sin(lam), n * (1 - WGS84.e2) * np.sin(phi)], axis=1)
 
 
 def _batches(anchors: int, points: int) -> list[slice]:

@@ -4,11 +4,14 @@ Each correspondence region pins the six transform parameters (Dirichlet
 data) on the nodes it covers; everywhere else the parameters satisfy the
 five-point discrete Laplace equation, with zero-Neumann conditions realized
 by reflecting values across the domain boundary.  One sparse matrix serves
-all six parameters.  `solve_field` solves for the free nodes only, by
-conjugate gradients preconditioned with a geometric-multigrid V-cycle
-(Briggs, Henson & McCormick, *A Multigrid Tutorial*, 2nd ed., SIAM 2000),
-one block iteration for all six right-hand sides; its memory grows linearly
-with the node count.
+every right-hand side.  The field is linear in the Dirichlet data, so with
+R distinct region values it is solved as R - 1 harmonic measures (one per
+region value but the first) when R <= 6, not at all when R = 1, and as the
+six parameter columns when R >= 7.  `solve_field` solves for the free nodes
+only, by conjugate gradients preconditioned with a geometric-multigrid
+V-cycle (Briggs, Henson & McCormick, *A Multigrid Tutorial*, 2nd ed., SIAM
+2000), one block iteration for all right-hand sides; its memory grows
+linearly with the node count.
 """
 
 from __future__ import annotations
@@ -232,12 +235,19 @@ def rasterize_envelope(region: DirichletRegion, grid: GridDomain) -> np.ndarray:
 
 @dataclass
 class LaplaceSystem:
-    """Assembled sparse system shared by the six parameters."""
+    """Assembled sparse system shared by the six parameters.
+
+    `labels` holds, for each Dirichlet node in flat node order, the row of
+    `values` (the distinct region values, (R, 6)) that pins it; regions
+    with equal values share a row.
+    """
 
     grid: GridDomain
     matrix: sp.csr_matrix
     rhs: np.ndarray  # (node_count, 6)
     dirichlet_mask: np.ndarray  # (n1, n2) bool
+    labels: np.ndarray  # (Dirichlet node count,) int
+    values: np.ndarray  # (R, 6)
 
     def node_index(self, i: int, j: int) -> int:
         return (i - 1) * self.grid.n2 + (j - 1)
@@ -254,24 +264,32 @@ def assemble_from_masks(
     claimed twice with different values raise a conflict.
     """
     n1, n2 = grid.n1, grid.n2
-    combined = np.zeros((n1, n2), dtype=bool)
-    values = np.zeros((n1, n2, 6), dtype=float)
-    for mask, params in masks_and_values:
-        vals = np.array(params.as_tuple(), dtype=float)
-        overlap = combined & mask
-        if overlap.any():
-            bad = np.argwhere(overlap & np.any(values != vals, axis=2))
-            if len(bad):
-                nodes = ", ".join(f"({i + 1}, {j + 1})" for i, j in bad[:8])
-                raise RegionConflictError(
-                    f"nodes {nodes} claimed by two regions with different values"
-                )
-        combined |= mask
-        values[mask] = vals
-
     n = grid.node_count
+    labels = np.full(n, -1)  # -1 on free nodes
+    table: list[np.ndarray] = []
+    rows_of: dict[bytes, int] = {}  # a value's bits -> its row of the table
+    for mask, params in masks_and_values:
+        flat = mask.reshape(-1)
+        if not flat.any():
+            continue  # a value that pins no node has no row
+        vals = np.array(params.as_tuple(), dtype=float)
+        label = rows_of.setdefault(vals.tobytes(), len(table))
+        if label == len(table):
+            table.append(vals)
+        claimed = np.flatnonzero(flat & (labels >= 0))
+        differs = np.array([(row != vals).any() for row in table])
+        bad = claimed[differs[labels[claimed]]]
+        if len(bad):
+            nodes = ", ".join(f"({k // n2 + 1}, {k % n2 + 1})" for k in bad[:8])
+            raise RegionConflictError(
+                f"nodes {nodes} claimed by two regions with different values"
+            )
+        labels[flat] = label
+    values = np.array(table).reshape(-1, 6)
+
     lin = np.arange(n).reshape(n1, n2)
-    dir_flat = combined.reshape(-1)
+    dir_flat = labels >= 0
+    combined = dir_flat.reshape(n1, n2)
 
     rows = [lin.reshape(-1)]
     cols = [lin.reshape(-1)]
@@ -294,9 +312,10 @@ def assemble_from_masks(
     matrix = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
+    dir_labels = labels[dir_flat]
     rhs = np.zeros((n, 6))
-    rhs[dir_flat] = values.reshape(-1, 6)[dir_flat]
-    return LaplaceSystem(grid, matrix, rhs, combined)
+    rhs[dir_flat] = values[dir_labels]
+    return LaplaceSystem(grid, matrix, rhs, combined, dir_labels, values)
 
 
 def assemble_system(grid: GridDomain, regions: list[DirichletRegion]) -> LaplaceSystem:
@@ -314,35 +333,54 @@ class ParameterField:
     dirichlet_mask: np.ndarray
     residual: float
     iterations: int = 0  # CG iterations of the solve
+    columns: int = 0  # right-hand sides solved: 0, R - 1 or 6
 
 
 def solve_field(system: LaplaceSystem) -> ParameterField:
-    """Solve the six right-hand sides by multigrid-preconditioned CG.
+    """Solve for the six parameters by multigrid-preconditioned CG.
+
+    The field is linear in the Dirichlet data, so with R distinct region
+    values V_0..V_{R-1} it is V_0 + sum_k phi_k (V_k - V_0), phi_k the
+    harmonic measure of region k (1 on its nodes, 0 on the other regions').
+    For R <= 6 the solve is for the R - 1 measures phi_1..phi_{R-1}, and
+    R = 1 needs no solve at all; for R >= 7 it is for the six parameter
+    columns themselves.  `ParameterField.columns` records which.
 
     Only the free nodes are unknowns: the Dirichlet columns move into the
     right-hand side, and halving the reflected-Neumann rows at edge nodes
     (quartering them at corners) makes the free operator symmetric positive
-    definite.  The mean Dirichlet value of each parameter is subtracted
+    definite.  The mean Dirichlet value of each column is subtracted
     before the solve and added back after it, which is exact because every
     free row sums to zero.  One block CG, preconditioned by a geometric
-    multigrid V-cycle, runs over all six columns; it stops once every
-    column's residual max-norm is at most `_PCG_RTOL` of its right-hand
-    side's.  Dirichlet entries are then restored bit-for-bit and the
-    residual contract re-checked on the assembled matrix.
+    multigrid V-cycle, runs over all columns; it stops once every column's
+    residual max-norm is at most `_PCG_RTOL` of its right-hand side's.
+    Dirichlet entries are then restored bit-for-bit and the residual
+    contract re-checked on the assembled matrix.
     """
     if not system.dirichlet_mask.any():
         raise SingularSystemError("no Dirichlet nodes: the pure-Neumann system is singular")
 
-    m, rhs = system.matrix, system.rhs
+    m, rhs, values = system.matrix, system.rhs, system.values
     n1, n2 = system.grid.n1, system.grid.n2
     dir_flat = system.dirichlet_mask.reshape(-1)
     free = ~dir_flat
     u = rhs.copy()
-    iterations = 0
-    if free.any():
-        a, b, shift = _free_system(system, free)
+    iterations = columns = 0
+    measures = len(values) <= 6  # R - 1 measures are no more columns than six parameters
+    if len(values) == 1:
+        u[free] = values[0]
+    elif free.any():
+        if measures:
+            # Indicator columns of the labels 1..R-1.
+            data = np.zeros((len(u), len(values) - 1))
+            data[dir_flat] = np.eye(len(values))[system.labels, 1:]
+        else:
+            data = rhs
+        a, b, shift = _free_system(system, free, data)
         v, iterations = _pcg(a, b, _VCycle(a, free.reshape(n1, n2)))
-        u[free] = v + shift
+        v += shift
+        columns = v.shape[1]
+        u[free] = values[0] + v @ (values[1:] - values[0]) if measures else v
 
     scale = np.maximum(1.0, np.abs(rhs).max(axis=0))
     residuals = np.abs(m @ u - rhs).max(axis=0)
@@ -356,18 +394,20 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
     grids = u.reshape(n1, n2, 6)
     _check_maximum_principle(grids, system.dirichlet_mask, rhs, dir_flat)
     grids.setflags(write=False)
-    return ParameterField(system.grid, grids, system.dirichlet_mask.copy(), worst, iterations)
+    return ParameterField(
+        system.grid, grids, system.dirichlet_mask.copy(), worst, iterations, columns
+    )
 
 
-def _free_system(system: LaplaceSystem, free: np.ndarray):
+def _free_system(system: LaplaceSystem, free: np.ndarray, data: np.ndarray):
     """Matrix and right-hand sides of the free nodes, symmetric positive
-    definite, for the Dirichlet values less their mean; returns
-    (matrix, rhs, mean)."""
-    m, rhs = system.matrix, system.rhs
+    definite, for the Dirichlet values `data` (node_count, columns) less
+    their mean; returns (matrix, rhs, mean)."""
+    m = system.matrix
     dir_flat = ~free
-    shift = rhs[dir_flat].mean(axis=0)
-    pinned = np.zeros_like(rhs)
-    pinned[dir_flat] = rhs[dir_flat] - shift
+    shift = data[dir_flat].mean(axis=0)
+    pinned = np.zeros_like(data)
+    pinned[dir_flat] = data[dir_flat] - shift
     # Halving the rows of edge nodes and quartering those of corners makes
     # the reflected-Neumann operator symmetric.
     side1 = np.ones(system.grid.n1)
@@ -376,7 +416,7 @@ def _free_system(system: LaplaceSystem, free: np.ndarray):
     side2[[0, -1]] = 0.5
     row_scale = np.outer(side1, side2).reshape(-1)[free]
     rows = sp.diags(row_scale) @ m[free]
-    return rows[:, free], row_scale[:, None] * rhs[free] - rows @ pinned, shift
+    return rows[:, free], row_scale[:, None] * data[free] - rows @ pinned, shift
 
 
 def _coarse_nodes_1d(n: int) -> np.ndarray:

@@ -9,7 +9,9 @@ The planar-chord method exists once, on arrays: `plane_coords` projects
 points into the AEQD planes of their centers and `origin_to_chord` measures
 from a center to a projected edge.  Segments longer than `LONG_SEGMENT_M`
 are sampled by `densify` and measured by `densified_distances`.  The curve
-metrics and `point_to_segment_distance` both use these.
+metrics and `point_to_segment_distance` both use these.  The straight chord
+between `ecef` points (`chords`) bounds a geodesic distance from below; the
+skip tests of the distance passes rest on it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .errors import OutOfRangeError
 LONG_SEGMENT_M = 100_000.0
 #: Step used to densify long segments.
 DENSIFY_STEP_M = 1_000.0
+#: Margins of the chord-bound skip tests, far above the roundoff of the
+#: chords, the geodesic lengths and the planar chords.
+PRUNE_RTOL = 1e-9
+PRUNE_ATOL_M = 1e-3
 
 
 def normalize_lon(lon: float) -> float:
@@ -152,15 +158,42 @@ def densified_distances(lat, lon, slat, slon) -> np.ndarray:
     """Distance from each point (lat, lon) to a segment given by its
     `densify` samples: the distance to the nearest sample (the first of
     ties), or less if the chord between that sample's neighbours passes
-    closer in the point's own plane."""
+    closer in the point's own plane.
+
+    Only samples that could be nearest are solved: the straight (ECEF)
+    chord to a sample is a lower bound on its geodesic distance, so a
+    sample whose chord exceeds the geodesic distance to the chord-nearest
+    sample (with a margin) is not the nearest and is skipped.
+    """
     lat, lon = lat[:, None], lon[:, None]
-    d = geodesic_distance_many(lat, lon, slat, slon)
+    chord = chords(ecef(lat[:, 0], lon[:, 0]), ecef(slat, slon))
+    near = chord.argmin(axis=1)[:, None]
+    bound = geodesic_distance_many(lat, lon, slat[near], slon[near])
+    i, j = np.nonzero(chord * (1 - PRUNE_RTOL) - PRUNE_ATOL_M <= bound)
+    d = np.full(chord.shape, np.inf)
+    d[i, j] = geodesic_distance_many(lat[i, 0], lon[i, 0], slat[j], slon[j])
     k = d.argmin(axis=1)[:, None]
     lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, len(slat) - 1)
     ax, ay = plane_coords(lat, lon, slat[lo], slon[lo])
     bx, by = plane_coords(lat, lon, slat[hi], slon[hi])
     best = np.take_along_axis(d, k, axis=1)
     return np.minimum(best, origin_to_chord(ax, ay, bx, by))[:, 0]
+
+
+def ecef(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """Earth-centred Cartesian coordinates (m, 3) in meters of geodetic
+    positions; the straight chord between two of them is a lower bound on
+    their geodesic distance."""
+    phi, lam = np.radians(lat), np.radians(lon)
+    n = WGS84.a / np.sqrt(1 - WGS84.e2 * np.sin(phi) ** 2)
+    r = n * np.cos(phi)
+    return np.stack([r * np.cos(lam), r * np.sin(lam), n * (1 - WGS84.e2) * np.sin(phi)], axis=1)
+
+
+def chords(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Straight-line distances (n, m) between the `ecef` points p (n, 3)
+    and q (m, 3)."""
+    return np.sqrt(sum((p[:, None, i] - q[:, i]) ** 2 for i in range(3)))
 
 
 def point_to_segment_distance(p: GeoPoint, s: GeoSegment) -> float:

@@ -11,8 +11,9 @@ below uses; `scalar_point_to_segment_distance`, its one-geodesic-at-a-time
 point-to-segment distance with the planar-chord helpers it used;
 `scalar_anchor_min_distances`, its one-inverse-per-pair anchor pass, whose
 long-edge fallback is that function; `full_anchor_min_distances`, its array
-anchor pass before the chord-bound skip test; `scalar_build_segments`, its
-edge-by-edge segment building; `lu_solve_field`, its sparse-LU field solve;
+anchor pass before the chord-bound skip tests, with its long-edge fallback
+`full_densified_distances`; `scalar_build_segments`, its edge-by-edge
+segment building; `lu_solve_field`, its sparse-LU field solve;
 `scalar_write_field_dump`, its value-by-value field dump; and
 `scalar_transform_curve`, its pixel-by-pixel curve transform with
 `scalar_sample_field` and `scalar_apply_affine`.  The test-only
@@ -251,7 +252,7 @@ def full_anchor_min_distances(a, b):
     most 4096 anchor x point pairs."""
     import numpy as np
 
-    from mapregister.geodesy import LONG_SEGMENT_M, densified_distances, densify, origin_to_chord, plane_coords
+    from mapregister.geodesy import LONG_SEGMENT_M, densify, origin_to_chord, plane_coords
 
     alon, alat = a.chain[::2, 0], a.chain[::2, 1]
     blon, blat = b.chain[:, 0], b.chain[:, 1]
@@ -263,8 +264,25 @@ def full_anchor_min_distances(a, b):
         out[batch] = origin_to_chord(x[:, :-1], y[:, :-1], x[:, 1:], y[:, 1:]).min(axis=1)
     for k in np.flatnonzero(b.edge_lengths > LONG_SEGMENT_M):
         slat, slon = densify(blat[k], blon[k], blat[k + 1], blon[k + 1])
-        out = np.minimum(out, densified_distances(alat, alon, slat, slon))
+        out = np.minimum(out, full_densified_distances(alat, alon, slat, slon))
     return out.tolist()
+
+
+def full_densified_distances(lat, lon, slat, slon):
+    """`geodesy.densified_distances` without its skip test: one inverse
+    from every point to every sample."""
+    import numpy as np
+
+    from mapregister.geodesy import geodesic_distance_many, origin_to_chord, plane_coords
+
+    lat, lon = lat[:, None], lon[:, None]
+    d = geodesic_distance_many(lat, lon, slat, slon)
+    k = d.argmin(axis=1)[:, None]
+    lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, len(slat) - 1)
+    ax, ay = plane_coords(lat, lon, slat[lo], slon[lo])
+    bx, by = plane_coords(lat, lon, slat[hi], slon[hi])
+    best = np.take_along_axis(d, k, axis=1)
+    return np.minimum(best, origin_to_chord(ax, ay, bx, by))[:, 0]
 
 
 def _plane_coords(center, p):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapregister import curves
+from mapregister import curves, geodesy
 from mapregister._geodesic import WGS84
 from mapregister.curves import (
     BandThreshold,
@@ -42,6 +42,7 @@ from mapregister.geodesy import (
 
 from oracles import (
     full_anchor_min_distances,
+    full_densified_distances,
     scalar_anchor_min_distances,
     scalar_build_segments,
     scalar_point_to_segment_distance,
@@ -304,7 +305,9 @@ class TestLongEdgeFallback:
         lat = np.array([q.lat for q in anchors])
         lon = np.array([q.lon for q in anchors])
 
-        got = densified_distances(lat, lon, *densify(edge.start.lat, edge.start.lon, edge.end.lat, edge.end.lon))
+        samples_ll = densify(edge.start.lat, edge.start.lon, edge.end.lat, edge.end.lon)
+        got = densified_distances(lat, lon, *samples_ll)
+        assert got.tolist() == full_densified_distances(lat, lon, *samples_ll).tolist()
         want = [scalar_point_to_segment_distance(q, edge) for q in anchors]
         assert_close_to_scalar(got.tolist(), want)
         assert [point_to_segment_distance(q, edge) for q in anchors] == got.tolist()
@@ -314,6 +317,30 @@ class TestLongEdgeFallback:
         a = build_segments(anchors, "A")
         with mock.patch.object(curves, "ANCHOR_BATCH_PAIRS", 2 * samples):
             assert_close_to_scalar(anchor_min_distances(a, b), scalar_anchor_min_distances(a, b))
+
+    def test_skip_test_spares_most_samples(self):
+        # 200 anchors around a curve whose chain edges are 190 km and
+        # 101 km long: its first vertex, points along its first edge and
+        # points up to 60 km off it.
+        rng = random.Random(7)
+        p0 = GeoPoint(20.0, 45.0)
+        p1 = walk(p0, 80.0, 380_000.0)
+        b = build_segments([p0, p1, walk(p1, 140.0, 202_000.0)], "B")
+        assert [round(x / 1000) for x in b.edge_lengths] == [190, 190, 101, 101]
+        anchors = [walk(p0, 80.0, DENSIFY_STEP_M * k) for k in (0, 1, 57, 190, 380)]
+        while len(anchors) < 200:
+            q = walk(p0, 80.0, rng.uniform(-20_000.0, 400_000.0))
+            anchors.append(walk(q, rng.uniform(0, 360), rng.uniform(0, 60_000.0)))
+        a = build_segments(anchors, "A")
+        lat, lon = a.chain[::2, 1], a.chain[::2, 0]
+        for k in range(4):
+            samples_ll = densify(*b.chain[k, ::-1], *b.chain[k + 1, ::-1])
+            with mock.patch.object(geodesy, "geodesic_distance_many", wraps=geodesy.geodesic_distance_many) as solved:
+                got = densified_distances(lat, lon, *samples_ll)
+            pairs = sum(np.broadcast(*c.args).size for c in solved.call_args_list)
+            assert pairs < 0.05 * len(lat) * len(samples_ll[0])
+            assert got.tolist() == full_densified_distances(lat, lon, *samples_ll).tolist()
+        assert anchor_min_distances(a, b) == full_anchor_min_distances(a, b)
 
 
 class TestDistanceProfile:

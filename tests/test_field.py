@@ -479,6 +479,92 @@ class TestMultigridSolve:
             solve_field(random_system(0, 221, 181))
 
 
+def block_system(values, n1: int = 48, n2: int = 40, seed: int = 0) -> LaplaceSystem:
+    """One square Dirichlet block per value, side by side along i."""
+    rng = np.random.default_rng(seed)
+    masks = []
+    for k in range(len(values)):
+        mask = np.zeros((n1, n2), dtype=bool)
+        i0, j0, side = 2 + 6 * k, rng.integers(2, n2 - 6), rng.integers(1, 5)
+        mask[i0 : i0 + side, j0 : j0 + side] = True
+        masks.append(mask)
+    return system_from_masks(n1, n2, masks, values)
+
+
+def assert_matches_lu_with_hierarchy(system: LaplaceSystem) -> list[ParameterField]:
+    """`assert_matches_lu` directly and through a multigrid hierarchy down
+    to 50 nodes."""
+    fields = [assert_matches_lu(system)]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(field_module, "_DIRECT_NODES", 50)
+        m.setattr(field_module, "_COARSE_NODES", 50)
+        fields.append(assert_matches_lu(system))
+    return fields
+
+
+class TestHarmonicMeasureBasis:
+    """R distinct region values are solved as R - 1 harmonic measures up to
+    R = 6, as the six parameter columns from R = 7, and not at all for
+    R = 1."""
+
+    @pytest.mark.parametrize("regions", [1, 2, 3, 4, 5, 6, 7])
+    def test_basis_matches_lu(self, regions):
+        rng = np.random.default_rng(regions)
+        values = rng.uniform(-1.0, 1.0, size=(regions, 6)) * [0.01, 0.01, 0.01, 0.01, 60, 60]
+        system = block_system(values.tolist())
+        assert len(system.values) == regions
+        for f in assert_matches_lu_with_hierarchy(system):
+            assert f.columns == (0 if regions == 1 else min(6, regions - 1))
+            if regions == 1:
+                assert f.iterations == 0 and (f.params == values[0]).all()
+            else:
+                assert f.iterations >= 1
+
+    def test_equal_values_count_as_one(self):
+        v, w = [0.3, -0.2, 0.1, 1.0, 12.0, -7.5], [0.0, 0.5, -0.4, 0.9, -3.0, 4.0]
+        system = block_system([v, w, v, v])
+        assert system.values.tolist() == [v, w]
+        for f in assert_matches_lu_with_hierarchy(system):
+            assert f.columns == 1
+
+    def test_overlapping_identical_values(self):
+        n1, n2 = 40, 36
+        a, b, c = (np.zeros((n1, n2), dtype=bool) for _ in range(3))
+        a[5:15, 5:15] = True
+        b[10:20, 10:20] = True
+        c[28:34, 20:30] = True
+        v, w = AffineParams(0.5, 0.1, -0.2, 0.8, 40.0, -11.0), AffineParams(0.4, 0.0, 0.3, 1.1, -5.0, 2.0)
+        system = assemble_from_masks(GridDomain(PixelPoint(1, 1), n1, n2), [(a, v), (b, v), (c, w)])
+        assert system.values.tolist() == [list(v.as_tuple()), list(w.as_tuple())]
+        assert (system.labels == np.where(c[system.dirichlet_mask], 1, 0)).all()
+        for f in assert_matches_lu_with_hierarchy(system):
+            assert f.columns == 1
+
+    def test_label_table_reproduces_rhs(self):
+        # Overlapping regions of equal values, one of them -0.0 where the
+        # other has 0.0: the later region's bits pin the overlap, as a
+        # node-by-node assignment of the region values in order does.
+        n1, n2 = 30, 25
+        grid = GridDomain(PixelPoint(1, 1), n1, n2)
+        rng = np.random.default_rng(4)
+        pairs = []
+        for k in range(5):
+            mask = np.zeros((n1, n2), dtype=bool)
+            i0, j0 = rng.integers(1, n1 - 8), rng.integers(1, n2 - 8)
+            mask[i0 : i0 + 7, j0 : j0 + 7] = True
+            pairs.append((mask, AffineParams(0.0, 0.25, -1.5, 1.0, 3.0, -0.0)))
+        pairs[2] = (pairs[2][0], AffineParams(-0.0, 0.25, -1.5, 1.0, 3.0, 0.0))
+        pairs.append((np.eye(n1, n2, dtype=bool) & ~np.any([m for m, _ in pairs], axis=0), scalar_params(2.0)))
+        system = assemble_from_masks(grid, pairs)
+        expected = np.zeros((n1, n2, 6))
+        for mask, value in pairs:
+            expected[mask] = value.as_tuple()
+        dir_flat = system.dirichlet_mask.reshape(-1)
+        assert len(system.values) == 3
+        assert system.rhs.tobytes() == expected.reshape(-1, 6).tobytes()
+        assert system.values[system.labels].tobytes() == system.rhs[dir_flat].tobytes()
+
+
 class TestSampleField:
     def make_field(self, grids: np.ndarray) -> ParameterField:
         n1, n2 = grids.shape[:2]

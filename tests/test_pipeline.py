@@ -1074,8 +1074,12 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "fieldout" / "b2.csv").is_file()
-        printed = re.search(r"Dirichlet nodes, (\d+) CG iterations, max residual", capsys.readouterr().out)
+        printed = re.search(
+            r"Dirichlet nodes, (\d+) CG iterations, max residual \S+, (\d+) right-hand sides",
+            capsys.readouterr().out,
+        )
         assert printed and int(printed.group(1)) >= 1
+        assert int(printed.group(2)) == 2  # three regions: two harmonic measures
 
 
 class TestBadNumbersInInputs:
