@@ -15,6 +15,16 @@ provided: distance and departure azimuth for the inverse problem, position
 for the direct problem.  If the inverse iteration does not converge
 (possible only within a vanishing neighbourhood of antipodal pairs) the
 over-the-pole meridional path length is returned so the function stays total.
+
+The transcendental steps are NumPy's own (sin, cos, arctan2, hypot, cbrt).
+They differ from the `math` functions of Karney's scalar formulation by an
+ulp on a few percent of arguments, which the inverse's cancellations turn
+into nanometres.  The tests keep that scalar formulation as the reference
+and hold the engine to a measured allowance against it (`tests/oracles.py`):
+distances within 3e-8 m + 5e-15 s12, departure azimuths within a sideways
+offset |dazi1| s12 of 3e-8 m + 5e-12 s12, and direct positions within 3e-8 m
++ 1e-14 s12 of the reference's.  Each is about ten times the worst case
+measured on over a million random and special-case problems.
 """
 
 from __future__ import annotations
@@ -39,23 +49,7 @@ _NA3 = 6
 _NC3 = 6
 
 
-# Angle helpers on arrays, with the arithmetic of Karney's scalar
-# formulation, which the tests keep as the reference engine.
-
-
-def _elementwise(fn, nin):
-    # `fn` applied element by element.  NumPy's own arctan2, hypot and power
-    # differ from math.atan2, math.hypot and C pow (behind a float's `**`)
-    # by an ulp on a few percent of arguments, and the inverse amplifies one
-    # ulp to ~1e-9 m through its cancellations; calling the same functions
-    # as the scalar reference engine keeps the results bit-identical to it.
-    ufunc = np.frompyfunc(fn, nin, 1)
-    return lambda *args: np.asarray(ufunc(*args), dtype=float)
-
-
-_atan2_many = _elementwise(math.atan2, 2)
-_hypot_many = _elementwise(math.hypot, 2)
-_pow_many = _elementwise(math.pow, 2)
+# Angle helpers on arrays.
 
 
 def _ang_normalize_many(x):
@@ -95,13 +89,13 @@ def _atan2d_many(y, x):
     swap = np.abs(y) > np.abs(x)
     x, y = np.where(swap, y, x), np.where(swap, x, y)
     neg = x < 0
-    ang = np.degrees(_atan2_many(y, np.where(neg, -x, x)))
+    ang = np.degrees(np.arctan2(y, np.where(neg, -x, x)))
     q = 2 * swap + neg
     return np.choose(q, (ang, np.where(y >= 0, 180.0, -180.0) - ang, 90.0 - ang, -90.0 + ang))
 
 
 def _norm_many(s, c):
-    r = _hypot_many(s, c)
+    r = np.hypot(s, c)
     return s / r, c / r
 
 
@@ -124,9 +118,9 @@ def _astroid_many(x, y):
     root = np.sqrt(np.abs(disc))
     t3 = s + r3
     t3 = t3 + np.where(t3 < 0, -root, root)
-    t = np.copysign(_pow_many(np.abs(t3), 1.0 / 3.0), t3)
+    t = np.cbrt(t3)
     cubic = t + np.where(t != 0, r2 / np.where(t != 0, t, 1.0), 0.0)
-    trig = 2 * r * np.cos(_atan2_many(root, -(s + r3)) / 3)
+    trig = 2 * r * np.cos(np.arctan2(root, -(s + r3)) / 3)
     u = r + np.where(disc >= 0, cubic, trig)
     v = np.sqrt(u * u + q)
     uv = np.where(u < 0, q / np.where(u < 0, v - u, 1.0), u + v)
@@ -333,10 +327,8 @@ class Geodesic:
         formula, or by Newton's method on lambda12 (started from the
         astroid for nearly antipodal pairs), with the over-the-pole fallback
         where Newton does not converge.  A branch runs only on the elements
-        that take it.  Every transcendental step uses the function of
-        Karney's scalar formulation (see `_elementwise`), which the tests
-        keep as the reference; they allow |ds12| <= 1e-9 m + 1e-14 s12 in
-        case a NumPy sin or cos differs from the `math` one.
+        that take it.  Distances and azimuths keep to the measured
+        allowance against the scalar reference (see the module docstring).
         """
         args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lat1, lon1, lat2, lon2)))
         shape = args[0].shape
@@ -379,7 +371,7 @@ class Geodesic:
         if k.size:
             sb1, cb1, sb2, cb2 = sbet1[k], cbet1[k], sbet2[k], cbet2[k]
             csig1 = clam12[k] * cb1
-            sig12 = _atan2_many(np.maximum(csig1 * sb2 - sb1 * cb2, 0.0), csig1 * cb2 + sb1 * sb2)
+            sig12 = np.arctan2(np.maximum(csig1 * sb2 - sb1 * cb2, 0.0), csig1 * cb2 + sb1 * sb2)
             s12x, m12x, _ = self._lengths(self.n, sig12, sb1, csig1, sb2, cb2, cb1, cb2)
             shortest = (sig12 < 1) | (m12x >= 0)
             meridian[k[~shortest]] = False
@@ -434,7 +426,7 @@ class Geodesic:
             sbet12 + cbet2 * sbet1 * somg12 * somg12 / den,
             sbet12a - cbet2 * sbet1 * somg12 * somg12 / den,
         )
-        ssig12 = _hypot_many(salp1, calp1)
+        ssig12 = np.hypot(salp1, calp1)
         csig12 = sbet1 * sbet2 + cbet1 * cbet2 * comg12
         short = shortline & (ssig12 < self._etol2)
         k = np.flatnonzero(~short & ~((csig12 >= 0) | (ssig12 >= 3 * abs(self.f) * math.pi * cbet1 * cbet1)))
@@ -444,7 +436,7 @@ class Geodesic:
 
         s12, salp2, calp2 = np.zeros((3, lam12.size))
         k = np.flatnonzero(short)
-        s12[k] = _atan2_many(ssig12[k], csig12[k]) * self.a * w1[k]
+        s12[k] = np.arctan2(ssig12[k], csig12[k]) * self.a * w1[k]
         salp2[k], calp2[k] = _norm_many(
             cbet1[k] * somg12[k], sbet12[k] - cbet1[k] * sbet2[k] * somg12[k] * somg12[k] / (1 + comg12[k])
         )
@@ -535,7 +527,7 @@ class Geodesic:
         # Break the degeneracy of the equatorial line.
         calp1 = np.where((sbet1 == 0) & (calp1 == 0), -_TINY, calp1)
         salp0 = salp1 * cbet1
-        calp0 = _hypot_many(calp1, salp1 * sbet1)
+        calp0 = np.hypot(calp1, salp1 * sbet1)
         somg1 = salp0 * sbet1
         csig1 = comg1 = calp1 * cbet1
         ssig1, csig1 = _norm_many(sbet1, csig1)
@@ -544,7 +536,7 @@ class Geodesic:
         calp2 = np.where(
             (cbet2 != cbet1) | (np.abs(sbet2) != -sbet1),
             np.sqrt(
-                _pow_many(calp1 * cbet1, 2.0)
+                (calp1 * cbet1) * (calp1 * cbet1)
                 + np.where(
                     cbet1 < -sbet1, (cbet2 - cbet1) * (cbet1 + cbet2), (sbet1 - sbet2) * (sbet1 + sbet2)
                 )
@@ -556,8 +548,8 @@ class Geodesic:
         csig2 = comg2 = calp2 * cbet2
         ssig2, csig2 = _norm_many(sbet2, csig2)
 
-        sig12 = _atan2_many(np.maximum(csig1 * ssig2 - ssig1 * csig2, 0.0), csig1 * csig2 + ssig1 * ssig2)
-        omg12 = _atan2_many(np.maximum(comg1 * somg2 - somg1 * comg2, 0.0), comg1 * comg2 + somg1 * somg2)
+        sig12 = np.arctan2(np.maximum(csig1 * ssig2 - ssig1 * csig2, 0.0), csig1 * csig2 + ssig1 * ssig2)
+        omg12 = np.arctan2(np.maximum(comg1 * somg2 - somg1 * comg2, 0.0), comg1 * comg2 + somg1 * somg2)
 
         k2 = calp0 * calp0 * self.ep2
         eps = k2 / (2 * (1 + np.sqrt(1 + k2)) + k2)
@@ -579,8 +571,9 @@ class Geodesic:
         (lat1, lon1), for broadcast arrays.
 
         The special cases of a line (a start on a pole, a line along the
-        equator, a point reaching a pole) are masks; atan2 and hypot are the
-        `math` functions (see `_elementwise`), as in the scalar reference.
+        equator, a point reaching a pole) are masks.  Destinations keep to
+        the measured allowance against the scalar reference (see the module
+        docstring).
         """
         args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lat1, lon1, azi1, s12)))
         lat1, lon1, azi1, s12 = args
@@ -591,7 +584,7 @@ class Geodesic:
         sbet1, cbet1 = _norm_many(sbet1 * self.f1, cbet1)
         cbet1 = np.maximum(_TINY, cbet1)
         salp0 = salp1 * cbet1
-        calp0 = _hypot_many(calp1, salp1 * sbet1)
+        calp0 = np.hypot(calp1, salp1 * sbet1)
         somg1 = salp0 * sbet1
         csig1 = comg1 = np.where((sbet1 != 0) | (calp1 != 0), cbet1 * calp1, 1.0)
         ssig1, csig1 = _norm_many(sbet1, csig1)
@@ -615,12 +608,12 @@ class Geodesic:
         ssig2 = ssig1 * csig12 + csig1 * ssig12
         csig2 = csig1 * csig12 - ssig1 * ssig12
         sbet2 = calp0 * ssig2
-        cbet2 = _hypot_many(salp0, calp0 * csig2)
+        cbet2 = np.hypot(salp0, calp0 * csig2)
         pole = cbet2 == 0
         cbet2 = np.where(pole, _TINY, cbet2)
         csig2 = comg2 = np.where(pole, _TINY, csig2)
         somg2 = salp0 * ssig2
-        omg12 = _atan2_many(somg2 * comg1 - comg2 * somg1, comg2 * comg1 + somg2 * somg1)
+        omg12 = np.arctan2(somg2 * comg1 - comg2 * somg1, comg2 * comg1 + somg2 * somg1)
         lam12 = omg12 + a3c * (sig12 + (_sin_cos_series(True, ssig2, csig2, c3a, _NC3 - 1) - b31))
         lon12 = _ang_normalize_many(np.degrees(lam12))
         lon2 = _ang_normalize_many(_ang_normalize_many(lon1) + lon12)

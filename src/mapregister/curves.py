@@ -252,7 +252,7 @@ class DistanceProfile:
         distance test, regardless of where the rest of the segment lies.
         """
         lm = sum(w for w, d in zip(self.weights, self.distances) if d < meters)
-        return lm, 100.0 * lm / self.length
+        return lm, 100.0 * (lm / self.length)
 
 
 def _profile(a: DiscreteCurve, b: DiscreteCurve) -> DistanceProfile:
@@ -291,7 +291,7 @@ def matching_average(a: DiscreteCurve, b: DiscreteCurve, band: BandThreshold) ->
     """Two-direction matching average: (meters, percent of combined length)."""
     lab, _ = matching_length(a, b, band)
     lba, _ = matching_length(b, a, band)
-    return (lab + lba) / 2.0, 100.0 * (lab + lba) / (a.length + b.length)
+    return (lab + lba) / 2.0, 100.0 * ((lab + lba) / (a.length + b.length))
 
 
 def source_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:

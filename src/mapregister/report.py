@@ -103,7 +103,7 @@ class MatchingBand:
         return (self.lm_ab_km + self.lm_ba_km) / 2.0
 
     def average_pct(self, length_a_km: float, length_b_km: float) -> float:
-        return 100.0 * (self.lm_ab_km + self.lm_ba_km) / (length_a_km + length_b_km)
+        return 100.0 * ((self.lm_ab_km + self.lm_ba_km) / (length_a_km + length_b_km))
 
 
 @dataclass

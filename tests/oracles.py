@@ -6,14 +6,15 @@ brute-force densification; none of these share code with the package.  The
 exceptions are the package's earlier scalar and direct paths, kept as the
 references for the array paths that replaced them: `ScalarGeodesic`, its
 Karney engine solving one geodesic at a time (on WGS84 `SCALAR_WGS84`,
-with `scalar_distance` and `scalar_midpoint`), which every scalar reference
-below uses; `scalar_point_to_segment_distance`, its one-geodesic-at-a-time
-point-to-segment distance with the planar-chord helpers it used;
+with `scalar_distance`), which every scalar reference below uses, and the
+allowance the array engine keeps to it (`assert_inverse_close`,
+`assert_direct_close`); `scalar_point_to_segment_distance`, its
+one-geodesic-at-a-time point-to-segment distance with the planar-chord
+helpers it used;
 `scalar_anchor_min_distances`, its one-inverse-per-pair anchor pass, whose
 long-edge fallback is that function; `full_anchor_min_distances`, its array
 anchor pass before the chord-bound skip tests, with its long-edge fallback
-`full_densified_distances`; `scalar_build_segments`, its edge-by-edge
-segment building; `lu_solve_field`, its sparse-LU field solve;
+`full_densified_distances`; `lu_solve_field`, its sparse-LU field solve;
 `scalar_write_field_dump`, its value-by-value field dump; and
 `scalar_transform_curve`, its pixel-by-pixel curve transform with
 `scalar_sample_field` and `scalar_apply_affine`.  The test-only
@@ -337,25 +338,6 @@ def scalar_point_to_segment_distance(p, s) -> float:
     lo = samples[max(k - 1, 0)]
     hi = samples[min(k + 1, len(samples) - 1)]
     return min(point_d[k], _projected_distance(p, lo, hi))
-
-
-def scalar_build_segments(points):
-    """`curves.build_segments` edge by edge with the scalar geodesics:
-    returns (vertices, chain, edge_lengths, segment lengths, length)."""
-    pts = []
-    for p in points:
-        if not pts or p != pts[-1]:
-            pts.append(p)
-    mids = [scalar_midpoint(p, q) for p, q in zip(pts, pts[1:])]
-    left = [scalar_distance(p, m) for p, m in zip(pts, mids)]
-    right = [scalar_distance(m, q) for m, q in zip(mids, pts[1:])]
-    chain = [pts[0]]
-    edge_lengths = []
-    for i in range(len(mids)):
-        chain += [mids[i], pts[i + 1]]
-        edge_lengths += [left[i], right[i]]
-    seg = [left[0]] + [right[i - 1] + left[i] for i in range(1, len(pts) - 1)] + [right[-1]]
-    return pts, chain, edge_lengths, seg, sum(seg)
 
 
 def scalar_sample_field(f, x):
@@ -930,20 +912,50 @@ class GeodesicLine:
 #: The scalar engine on WGS84.
 SCALAR_WGS84 = ScalarGeodesic(WGS84.a, WGS84.f)
 
+# The allowance of the array engine against the scalar one.  The array
+# engine takes arctan2, hypot and cbrt from NumPy, which differ from the
+# `math` functions by an ulp on a few percent of arguments, and the
+# inverse's cancellations turn an ulp into nanometres.  Worst cases measured
+# on 1.4M inverse pairs (uniform; within 2 deg; 1e-8 to 0.03 deg apart;
+# within 0.5 deg of the antipode, also near the equator; 1e-9 to 1e-2 deg
+# from it; exactly antipodal; meridians; the equator; pole endpoints), of
+# which 4.7% changed:
+#   |ds12|         2.1e-9 m below 100 km, 1.1e-8 m at most (s12 near 2e7 m);
+#   |dazi1| s12    1.7e-9 m below 100 km; |dazi1| 1.1e-12 rad beyond 1 km;
+# and on 1.2M direct lines (uniform; from the poles and the equator;
+# azimuths 0, +-90 and +-180 deg; 0 to 4e7 m), of which 6.3% changed:
+#   the distance between the destinations   3.2e-9 m below 100 km (2.1e-9 m
+#                  at s12 = 0, an ulp of a coordinate), 1.2e-8 m at most.
+# Each allowance is about ten times its worst case (9.4 times for direct
+# lines shorter than a meter).  The anchor distances of the array pass keep
+# to the distance allowance too: 2.8e-9 m at worst over 3,645 anchors of
+# 480 random curve pairs and long-edge cases.
+ENGINE_ABS_M = 3e-8
+INVERSE_REL = 5e-15
+AZIMUTH_RAD = 5e-12
+DIRECT_REL = 1e-14
+
+
+def assert_inverse_close(s12: float, azi1: float, ref: Inverse) -> None:
+    """An array inverse (s12, azi1) within the allowance of the scalar
+    `ref`: the distance, and the departure azimuth as the sideways offset
+    |dazi1| * s12 it makes over the line, both within ENGINE_ABS_M plus a
+    multiple of s12."""
+    assert abs(s12 - ref.s12) <= ENGINE_ABS_M + INVERSE_REL * ref.s12, (s12, ref)
+    dazi = math.radians(abs((azi1 - ref.azi1 + 180.0) % 360.0 - 180.0))
+    assert dazi * ref.s12 <= ENGINE_ABS_M + AZIMUTH_RAD * ref.s12, (azi1, ref)
+
+
+def assert_direct_close(got: tuple[float, float], lat1: float, lon1: float, azi1: float, s12: float) -> None:
+    """An array direct position `got` = (lat2, lon2) within the allowance
+    of the scalar one: the geodesic distance between them, in meters."""
+    want = SCALAR_WGS84.direct(lat1, lon1, azi1, s12)
+    gap = SCALAR_WGS84.inverse(*got, *want).s12
+    assert gap <= ENGINE_ABS_M + DIRECT_REL * abs(s12), ((lat1, lon1, azi1, s12), got, want)
+
 
 def scalar_distance(p, q) -> float:
     """`geodesy.geodesic_distance` by the scalar engine."""
     if p.lat == q.lat and p.lon == q.lon:
         return 0.0
     return SCALAR_WGS84.inverse(p.lat, p.lon, q.lat, q.lon).s12
-
-
-def scalar_midpoint(p, q):
-    """`geodesy.geodesic_midpoint` by the scalar engine."""
-    from mapregister.geodesy import GeoPoint
-
-    if p == q:
-        return p
-    r = SCALAR_WGS84.inverse(p.lat, p.lon, q.lat, q.lon)
-    lat, lon = SCALAR_WGS84.direct(p.lat, p.lon, r.azi1, r.s12 / 2)
-    return GeoPoint(lon, lat)

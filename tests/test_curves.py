@@ -39,12 +39,17 @@ from mapregister.geodesy import (
     polyline_length,
     walk,
 )
+from mapregister.report import MatchingBand
 
 from oracles import (
+    ENGINE_ABS_M,
+    INVERSE_REL,
+    SCALAR_WGS84,
+    assert_direct_close,
+    assert_inverse_close,
     full_anchor_min_distances,
     full_densified_distances,
     scalar_anchor_min_distances,
-    scalar_build_segments,
     scalar_point_to_segment_distance,
 )
 from synth import random_curve
@@ -62,10 +67,34 @@ def chain_points(c: DiscreteCurve) -> list[GeoPoint]:
 
 
 def assert_matches_scalar_build(pts):
+    # Every geodesic the build solves (an inverse per edge, a direct to its
+    # midpoint, an inverse per half edge) is within the engine allowance of
+    # the scalar engine, and the curve is assembled from them exactly.
     c = build_segments(pts, "r")
-    got = (c.points, chain_points(c), c.edge_lengths.tolist(), c.segment_lengths.tolist(), c.length)
-    assert got == scalar_build_segments(pts)
+    chain = chain_points(c)
+    assert c.points == chain[::2] == [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
+    for p, m, q in zip(chain[::2], chain[1::2], chain[2::2]):
+        s12, azi1 = WGS84.inverse(p.lat, p.lon, q.lat, q.lon)
+        assert_inverse_close(s12, azi1, SCALAR_WGS84.inverse(p.lat, p.lon, q.lat, q.lon))
+        assert_direct_close((m.lat, m.lon), p.lat, p.lon, azi1, s12 / 2)
+    for p, q, d in zip(chain, chain[1:], c.edge_lengths.tolist()):
+        assert d == geodesic_distance(p, q)
+        pair = (p.lat, p.lon, q.lat, q.lon)
+        assert_inverse_close(*WGS84.inverse(*pair), SCALAR_WGS84.inverse(*pair))
+    left, right = c.edge_lengths[0::2].tolist(), c.edge_lengths[1::2].tolist()
+    assert c.segment_lengths.tolist() == left[:1] + [r + l for r, l in zip(right, left[1:])] + right[-1:]
     assert [s.length for s in c.segments] == c.segment_lengths.tolist()
+    assert c.length == sum(c.segment_lengths.tolist())
+
+
+def assert_close_to_scalar(got, want):
+    # Anchor distances within the inverse's distance allowance of the
+    # scalar path's: the array path solves the same geodesics with the
+    # array engine and takes its plane coordinates with NumPy's sin, cos and
+    # hypot.
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= ENGINE_ABS_M + INVERSE_REL * w, (g, w)
 
 
 def assert_same_curve(got: DiscreteCurve, want: DiscreteCurve):
@@ -239,8 +268,7 @@ class TestAnchorMinDistances:
         a = build_segments(random_curve(rng, "A", n=n_a, step_m=step_m), "A")
         start = walk(a.points[0], rng.uniform(0, 360), rng.uniform(0, 4 * step_m))
         b = build_segments(random_curve(rng, "B", n=n_b, start=start, step_m=step_m), "B")
-        for got, want in zip(anchor_min_distances(a, b), scalar_anchor_min_distances(a, b)):
-            assert abs(got - want) <= 1e-9 + 1e-14 * want
+        assert_close_to_scalar(anchor_min_distances(a, b), scalar_anchor_min_distances(a, b))
 
     def test_batches_and_long_edges_match_scalar_reference(self, monkeypatch):
         # More anchors than one batch holds, and a chain edge past
@@ -252,9 +280,8 @@ class TestAnchorMinDistances:
         monkeypatch.setattr(curves, "ANCHOR_BATCH_PAIRS", 12)
         got = anchor_min_distances(a, b)
         want = scalar_anchor_min_distances(a, b)
-        assert len(got) == len(want) == 9
-        for g, w in zip(got, want):
-            assert abs(g - w) <= 1e-9 + 1e-14 * w
+        assert len(got) == 9
+        assert_close_to_scalar(got, want)
 
     def test_coincident_anchors_are_exactly_zero(self):
         rng = random.Random(3)
@@ -264,14 +291,6 @@ class TestAnchorMinDistances:
         assert dists[2:7] == [0.0] * 5
         assert all(isinstance(d, float) for d in dists)
         assert anchor_min_distances(a, a) == [0.0] * 10
-
-
-def assert_close_to_scalar(got, want):
-    # The array path takes its plane coordinates with NumPy's sin, cos and
-    # hypot, which can differ from the math functions by an ulp.
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert abs(g - w) <= 1e-9 + 1e-14 * w, (g, w)
 
 
 class TestLongEdgeFallback:
@@ -357,7 +376,7 @@ class TestDistanceProfile:
         assert profile.mean() == sum(l * d for l, d in zip(seg, dists)) / a.length
         for m in sorted(dists)[:: max(1, n_a // 4)] + [1_000.0, 1e9]:
             lm = sum(l for l, d in zip(seg, dists) if d < m)
-            assert profile.within(m) == (lm, 100.0 * lm / a.length)
+            assert profile.within(m) == (lm, 100.0 * (lm / a.length))
         assert directed_mean_hausdorff(a, b) == profile.mean()
         assert directed_max_hausdorff(a, b) == profile.max()
         assert matching_length(a, b, BandThreshold(1_000.0)) == profile.within(1_000.0)
@@ -446,6 +465,18 @@ class TestMatching:
         lm, pct = matching_length(a, b, BandThreshold.from_km(100_000.0))
         assert lm == a.length
         assert pct == 100.0
+
+    def test_full_match_is_exactly_100_percent(self):
+        # 100 * L / L need not round to 100 (for a few of these lengths it
+        # does not); 100 * (L / L) does.
+        rng = random.Random(2024)
+        band = BandThreshold.from_km(100_000.0)
+        for _ in range(100):
+            a = build_segments(random_curve(rng, "A", n=5), "A")
+            assert matching_length(a, a, band) == (a.length, 100.0)
+            assert matching_average(a, a, band) == (a.length, 100.0)
+            km = a.length / 1000.0
+            assert MatchingBand(100_000.0, km, 100.0, km, 100.0).average_pct(km, km) == 100.0
 
     def test_disjoint_far_curves_zero(self):
         a = build_segments([GeoPoint(0, 0), GeoPoint(0.1, 0)], "A")

@@ -21,6 +21,8 @@ from mapregister.geodesy import (
 
 from oracles import (
     SCALAR_WGS84,
+    assert_direct_close,
+    assert_inverse_close,
     densified_point_to_segment,
     equator_arc,
     quarter_meridian,
@@ -228,14 +230,6 @@ class TestPointToSegment:
         assert got == pytest.approx(ref, abs=0.01)
 
 
-def _assert_inverse_close(s12, azi1, ref):
-    # The array engine calls the scalar reference's atan2, hypot and pow,
-    # so only an ulp from a NumPy sin or cos could separate them: 1e-9 m
-    # plus 1e-14 of the distance, 1e-10 deg.
-    assert abs(s12 - ref.s12) <= 1e-9 + 1e-14 * ref.s12, (s12, ref)
-    assert abs((azi1 - ref.azi1 + 180.0) % 360.0 - 180.0) <= 1e-10, (azi1, ref)
-
-
 class TestSeriesHelpersOnArrays:
     EPS = [0.0, 1e-6, 3.3e-4, 1.1e-3, 0.0016792]
 
@@ -286,18 +280,34 @@ _lat = st.floats(-90, 90)
 _lon = st.floats(-180, 180)
 
 
+def _clip_lat(lat):
+    return min(90.0, max(-90.0, lat))
+
+
 @st.composite
 def _pairs(draw):
-    # A batch mixing far pairs, short pairs and the special cases.
+    # A batch mixing far pairs, pairs within 2 deg and within 1e-5 deg (about
+    # a metre), meridians, the equator, pole endpoints, pairs within 0.5 deg
+    # of the antipode and the special cases.
     out = []
     for _ in range(draw(st.integers(1, 12))):
         lat1, lon1 = draw(_lat), draw(_lon)
-        kind = draw(st.sampled_from(["far", "near", "special"]))
+        kind = draw(st.sampled_from(["far", "near", "submetre", "meridian", "equator", "pole", "antipodal", "special"]))
         if kind == "far":
             out.append((lat1, lon1, draw(_lat), draw(_lon)))
-        elif kind == "near":
-            dlat, dlon = draw(st.floats(-2, 2)), draw(st.floats(-2, 2))
-            out.append((lat1, lon1, min(90.0, max(-90.0, lat1 + dlat)), lon1 + dlon))
+        elif kind in ("near", "submetre"):
+            r = 2.0 if kind == "near" else 1e-5
+            dlat, dlon = draw(st.floats(-r, r)), draw(st.floats(-r, r))
+            out.append((lat1, lon1, _clip_lat(lat1 + dlat), lon1 + dlon))
+        elif kind == "meridian":
+            out.append((lat1, lon1, draw(_lat), lon1 + draw(st.sampled_from([0.0, 180.0]))))
+        elif kind == "equator":
+            out.append((0.0, lon1, 0.0, draw(_lon)))
+        elif kind == "pole":
+            out.append((draw(st.sampled_from([-90.0, 90.0])), lon1, draw(_lat), draw(_lon)))
+        elif kind == "antipodal":
+            dlat, dlon = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+            out.append((lat1, lon1, _clip_lat(dlat - lat1), lon1 + 180.0 + dlon))
         else:
             out.append(draw(st.sampled_from(list(SPECIAL_PAIRS.values()))))
     return out
@@ -311,7 +321,7 @@ class TestInverseMany:
         s12, azi1 = WGS84.inverse_many(a[:, 0], a[:, 1], a[:, 2], a[:, 3])
         assert s12.shape == azi1.shape == (len(pairs),)
         for p, s, z in zip(pairs, s12, azi1):
-            _assert_inverse_close(s, z, SCALAR_WGS84.inverse(*p))
+            assert_inverse_close(s, z, SCALAR_WGS84.inverse(*p))
 
     def test_random_pairs_with_long_lines(self):
         rng = np.random.default_rng(5)
@@ -322,22 +332,22 @@ class TestInverseMany:
         lon2[near] = lon1[near] + rng.uniform(-3, 3, 1000)
         s12, azi1 = WGS84.inverse_many(lat1, lon1, lat2, lon2)
         for i in range(2000):
-            _assert_inverse_close(s12[i], azi1[i], SCALAR_WGS84.inverse(lat1[i], lon1[i], lat2[i], lon2[i]))
+            assert_inverse_close(s12[i], azi1[i], SCALAR_WGS84.inverse(lat1[i], lon1[i], lat2[i], lon2[i]))
 
     @pytest.mark.parametrize("name", list(SPECIAL_PAIRS))
     def test_special_branches_use_scalar_path(self, name):
-        # Each special branch gives the scalar reference's result, for the
-        # pair alone, through the one-element `inverse`, and mixed with a
-        # general pair.
+        # Each special branch keeps to the allowance of the scalar
+        # reference's result, for the pair alone, through the one-element
+        # `inverse`, and mixed with a general pair.
         pair = SPECIAL_PAIRS[name]
         want = SCALAR_WGS84.inverse(*pair)
         general = (30.0, 0.0, -29.0, 150.0)
         s12, azi1 = WGS84.inverse_many(*pair)
-        _assert_inverse_close(s12, azi1, want)
-        _assert_inverse_close(*WGS84.inverse(*pair), want)
+        assert_inverse_close(s12, azi1, want)
+        assert_inverse_close(*WGS84.inverse(*pair), want)
         s12, azi1 = WGS84.inverse_many(*(np.array([x, y]) for x, y in zip(pair, general)))
-        _assert_inverse_close(s12[0], azi1[0], want)
-        _assert_inverse_close(s12[1], azi1[1], SCALAR_WGS84.inverse(*general))
+        assert_inverse_close(s12[0], azi1[0], want)
+        assert_inverse_close(s12[1], azi1[1], SCALAR_WGS84.inverse(*general))
 
     def test_fallback_over_the_pole(self, monkeypatch):
         # No known input makes Newton's method fail, so both engines get
@@ -354,7 +364,7 @@ class TestInverseMany:
         s12, azi1 = WGS84.inverse_many(*np.array(pairs).T)
         for i, p in enumerate(pairs):
             want = SCALAR_WGS84.inverse(*p)
-            _assert_inverse_close(s12[i], azi1[i], want)
+            assert_inverse_close(s12[i], azi1[i], want)
             if p in newton:
                 assert want == SCALAR_WGS84._antipodal_fallback(p[0], p[2]) and azi1[i] == 0.0
             else:
@@ -362,25 +372,10 @@ class TestInverseMany:
 
     def test_short_line_cancellation(self):
         # One ulp of NumPy's arctan2 or hypot, amplified by the cancellation
-        # in sigma12, once moved this 1.4 km line by 1.4e-9 m.
+        # in sigma12, moves this 1.4 km line by 1.4e-9 m.
         pair = (35.79953313176809, -15.988751514007987, 35.80830280710825, -16.000014064695705)
         s12, azi1 = WGS84.inverse_many(*(np.array([x]) for x in pair))
-        _assert_inverse_close(s12[0], azi1[0], SCALAR_WGS84.inverse(*pair))
-
-    @pytest.mark.parametrize(
-        "many, scalar",
-        [(_geodesic._atan2_many, math.atan2), (_geodesic._hypot_many, math.hypot), (_geodesic._pow_many, math.pow)],
-        ids=["atan2", "hypot", "pow"],
-    )
-    def test_elementwise_helpers_match_math(self, many, scalar):
-        rng = np.random.default_rng(8)
-        x, y = rng.uniform(-1.0, 1.0, (2, 4000))
-        if scalar is math.pow:
-            y = np.full_like(x, 2.0)
-        got = many(x, y)
-        assert got.dtype == np.float64 and got.shape == x.shape
-        assert got.tolist() == [scalar(a, b) for a, b in zip(x.tolist(), y.tolist())]
-        assert many(x[:0], y[:0]).shape == (0,)
+        assert_inverse_close(s12[0], azi1[0], SCALAR_WGS84.inverse(*pair))
 
     def test_broadcasts(self):
         lats = np.array([[45.0], [46.0]])
@@ -389,17 +384,7 @@ class TestInverseMany:
         assert s12.shape == azi1.shape == (2, 3)
         for i in range(2):
             for j in range(3):
-                _assert_inverse_close(s12[i, j], azi1[i, j], SCALAR_WGS84.inverse(45.5, 10.2, lats[i, 0], lons[j]))
-
-
-def _assert_direct_close(got, lat1, lon1, azi1, s12):
-    # Equal to the scalar reference; should a NumPy sin or cos differ by an
-    # ulp on some platform, the two positions may lie as far apart as the
-    # inverse tolerance above allows, 1e-9 m plus 1e-14 of the distance.
-    lat2, lon2 = SCALAR_WGS84.direct(lat1, lon1, azi1, s12)
-    if got != (lat2, lon2):
-        gap = SCALAR_WGS84.inverse(got[0], got[1], lat2, lon2).s12
-        assert gap <= 1e-9 + 1e-14 * abs(s12), ((lat1, lon1, azi1, s12), got, (lat2, lon2))
+                assert_inverse_close(s12[i, j], azi1[i, j], SCALAR_WGS84.inverse(45.5, 10.2, lats[i, 0], lons[j]))
 
 
 #: Lines through the special cases of a geodesic line: starts on a pole
@@ -434,7 +419,19 @@ class TestDirectMany:
         lat2, lon2 = WGS84.direct_many(a[:, 0], a[:, 1], a[:, 2], a[:, 3])
         assert lat2.shape == lon2.shape == (len(lines),)
         for line, la, lo in zip(lines, lat2.tolist(), lon2.tolist()):
-            _assert_direct_close((la, lo), *line)
+            assert_direct_close((la, lo), *line)
+
+    @given(_pairs(), st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_direct_along_inverse_lines(self, pairs, frac):
+        # The scalar solutions of the inverse pairs, walked a fraction of
+        # their length: sub-metre lines, meridians, the equator, lines from
+        # a pole and nearly antipodal lines.
+        refs = [SCALAR_WGS84.inverse(*p) for p in pairs]
+        lines = [(p[0], p[1], r.azi1, frac * r.s12) for p, r in zip(pairs, refs)]
+        lat2, lon2 = WGS84.direct_many(*np.array(lines).T)
+        for line, la, lo in zip(lines, lat2.tolist(), lon2.tolist()):
+            assert_direct_close((la, lo), *line)
 
     def test_seeded_lines_and_special_cases(self):
         rng = np.random.default_rng(11)
@@ -449,7 +446,7 @@ class TestDirectMany:
         lines = np.concatenate([np.stack([lat1, lon1, azi1, s12], axis=1), np.array(DIRECT_CASES)])
         lat2, lon2 = WGS84.direct_many(*lines.T)
         for line, la, lo in zip(lines.tolist(), lat2.tolist(), lon2.tolist()):
-            _assert_direct_close((la, lo), *line)
+            assert_direct_close((la, lo), *line)
 
     def test_broadcasts(self):
         azi = np.array([[0.0], [45.0], [-180.0]])
@@ -458,4 +455,4 @@ class TestDirectMany:
         assert lat2.shape == lon2.shape == (3, 3)
         for i in range(3):
             for j in range(3):
-                _assert_direct_close((lat2[i, j], lon2[i, j]), 45.5, 10.2, azi[i, 0], s12[j])
+                assert_direct_close((lat2[i, j], lon2[i, j]), 45.5, 10.2, azi[i, 0], s12[j])

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -485,6 +486,21 @@ class TestRunExperiment:
             assert (tmp_path / "out_a" / rel).read_bytes() == (
                 tmp_path / "out_b" / rel
             ).read_bytes()
+
+    def test_sample_tables_equal_the_benchmark_reference(self, tmp_path):
+        # The six CSV tables and report.txt of the shipped sample experiment,
+        # byte for byte as recorded in perfbench/refs/sample.json.
+        ref = json.loads((SAMPLE_DATA.parent / "perfbench" / "refs" / "sample.json").read_text())
+        tables = ref["variants"]["0"]["outputs"]["tables"]
+        assert sorted(tables) == sorted(
+            ["curves.csv", "hausdorff.csv", "matching.csv", "sources.csv", "transform_errors_max.csv",
+             "transform_errors_mean.csv", "report.txt"]
+        )
+        config = load_config(_sample_copy(tmp_path / "sample"))
+        config.output_dir = tmp_path / "out"
+        run_experiment(config)
+        got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in tables}
+        assert got == tables
 
     def test_unknown_comparison_curve_rejected(self, tmp_path):
         config_path, _ = write_experiment(tmp_path / "exp3")
