@@ -2,9 +2,12 @@
 
 Implements the series-expansion method of C. F. F. Karney, "Algorithms for
 geodesics", J. Geodesy 87, 43-55 (2013), with sixth-order expansions in the
-third flattening.  The inverse problem is solved by Newton iteration on the
-departure azimuth, seeded with the astroid construction for nearly antipodal
-pairs.  Accuracy on WGS84 is far below a millimeter for non-antipodal pairs.
+third flattening.  The expansions are data, one table per series of the
+paper (A1 and C1, C1', A2 and C2, A3 and C3), read by one Horner routine,
+one routine for the Fourier coefficients and one Clenshaw sum.  The inverse
+problem is solved by Newton iteration on the departure azimuth, seeded with
+the astroid construction for nearly antipodal pairs.  Accuracy on WGS84 is
+far below a millimeter for non-antipodal pairs.
 
 Both problems are solved on arrays, by `Geodesic.inverse_many` for batches
 of point pairs and `Geodesic.direct_many` for batches of lines; every
@@ -40,13 +43,6 @@ _TOL1 = 200 * _TOL0
 _TOL2 = math.sqrt(_TOL0)
 _XTHRESH = 1000 * _TOL2
 _MAXIT = 100
-
-# Series orders (sixth order in the third flattening).
-_NC1 = 6
-_NC1P = 6
-_NC2 = 6
-_NA3 = 6
-_NC3 = 6
 
 
 # Angle helpers on arrays.
@@ -129,96 +125,67 @@ def _astroid_many(x, y):
     return k
 
 
-def _sin_cos_series(sinp: bool, sinx: float, cosx: float, c, n: int) -> float:
-    # Clenshaw summation of sum(c[i] sin(2i x)) or sum(c[i] cos((2i+1) x));
-    # c[0] is unused for the sine series.
-    k = n + (1 if sinp else 0)
+# Karney's series to sixth order in eps as data.  A polynomial is a tuple of
+# coefficients, highest power first; a table has one row (den_k, p_k) per
+# Fourier coefficient eps^k p_k(x) / den_k, k = 1, 2, ....  The helpers take
+# floats (the scalar reference engine) or arrays; none may update an
+# argument in place (d = d * eps, never d *= eps), since the caller's eps
+# would change with it.
+
+# Distance, I1: A1 - 1 = (_A1(eps^2) / 256 + eps) / (1 - eps), and C1(eps^2).
+# The coefficients are floats: Python's float arithmetic is slower on ints.
+_A1 = (1.0, 4.0, 64.0, 0.0)
+_C1 = ((32, (-1.0, 6.0, -16.0)), (2048, (-9.0, 64.0, -128.0)), (768, (9.0, -16.0)),
+       (512, (3.0, -5.0)), (1280, (-7.0,)), (2048, (-7.0,)))
+# The inverse of the distance series, for the direct problem: C1'(eps^2).
+_C1P = ((1536, (205.0, -432.0, 768.0)), (12288, (4005.0, -4736.0, 3840.0)), (384, (-225.0, 116.0)),
+        (7680, (-7173.0, 2695.0)), (7680, (3467.0,)), (61440, (38081.0,)))
+# Reduced length, I2: A2 - 1 = _A2(eps^2) / 256 (1 - eps) - eps, and C2(eps^2).
+_A2 = (25.0, 36.0, 64.0, 0.0)
+_C2 = ((32, (1.0, 2.0, 16.0)), (2048, (35.0, 64.0, 384.0)), (768, (15.0, 80.0)),
+       (512, (7.0, 35.0)), (1280, (63.0,)), (2048, (77.0,)))
+# Longitude, I3: the coefficients of A3(eps) and of each C3_k(eps), highest
+# power of eps first, are polynomials in n, evaluated by `Geodesic.__init__`.
+_A3 = ((128, (-3,)), (64, (-2, -3)), (16, (-1, -3, -1)), (8, (3, -1, -2)), (2, (1, -1)), (1, (1,)))
+_C3 = (
+    ((128, (3,)), (128, (2, 5)), (64, (-1, 3, 3)), (8, (-1, 0, 1)), (4, (-1, 1))),
+    ((256, (5,)), (128, (1, 3)), (64, (-3, -2, 3)), (32, (1, -3, 2))),
+    ((512, (7,)), (384, (-10, 9)), (192, (5, -9, 5))),
+    ((512, (7,)), (512, (-14, 7))),
+    ((2560, (21,)),),
+)
+
+
+def _horner(p, x):
+    # The polynomial p at x.
+    y = p[0]
+    for c in p[1:]:
+        y = y * x + c
+    return y
+
+
+def _series(table, eps, x):
+    # The Fourier coefficients eps^k p_k(x) / den_k of a table.
+    c = []
+    d = 1.0
+    for den, p in table:
+        d = d * eps
+        c.append(d * _horner(p, x) / den)
+    return c
+
+
+def _sin_series(sinx, cosx, c):
+    # Clenshaw summation of sum(c[k] sin(2 (k + 1) x)), k = 0 .. len(c) - 1.
     ar = 2 * (cosx - sinx) * (cosx + sinx)
+    k = len(c)
+    y0 = c[k - 1] if k & 1 else 0.0
     y1 = 0.0
-    if n & 1:
-        k -= 1
-        y0 = c[k]
-    else:
-        y0 = 0.0
-    n = n // 2
-    while n:
-        n -= 1
-        k -= 1
-        y1 = ar * y0 - y1 + c[k]
-        k -= 1
-        y0 = ar * y1 - y0 + c[k]
-    return 2 * sinx * cosx * y0 if sinp else cosx * (y0 - y1)
-
-
-# The series helpers below take floats (the scalar reference engine) or
-# arrays; none may update an argument in place (d = d * eps, never
-# d *= eps), since the caller's eps would change with it.
-
-
-def _a1m1f(eps: float) -> float:
-    eps2 = eps * eps
-    t = eps2 * (eps2 * (eps2 + 4) + 64) / 256
-    return (t + eps) / (1 - eps)
-
-
-def _c1f(eps: float) -> list[float]:
-    eps2 = eps * eps
-    c = [0.0] * (_NC1 + 1)
-    d = eps
-    c[1] = d * ((6 - eps2) * eps2 - 16) / 32
-    d = d * eps
-    c[2] = d * ((64 - 9 * eps2) * eps2 - 128) / 2048
-    d = d * eps
-    c[3] = d * (9 * eps2 - 16) / 768
-    d = d * eps
-    c[4] = d * (3 * eps2 - 5) / 512
-    d = d * eps
-    c[5] = -7 * d / 1280
-    d = d * eps
-    c[6] = -7 * d / 2048
-    return c
-
-
-def _c1pf(eps: float) -> list[float]:
-    eps2 = eps * eps
-    c = [0.0] * (_NC1P + 1)
-    d = eps
-    c[1] = d * (eps2 * (205 * eps2 - 432) + 768) / 1536
-    d = d * eps
-    c[2] = d * (eps2 * (4005 * eps2 - 4736) + 3840) / 12288
-    d = d * eps
-    c[3] = d * (116 - 225 * eps2) / 384
-    d = d * eps
-    c[4] = d * (2695 - 7173 * eps2) / 7680
-    d = d * eps
-    c[5] = 3467 * d / 7680
-    d = d * eps
-    c[6] = 38081 * d / 61440
-    return c
-
-
-def _a2m1f(eps: float) -> float:
-    eps2 = eps * eps
-    t = eps2 * (eps2 * (25 * eps2 + 36) + 64) / 256
-    return t * (1 - eps) - eps
-
-
-def _c2f(eps: float) -> list[float]:
-    eps2 = eps * eps
-    c = [0.0] * (_NC2 + 1)
-    d = eps
-    c[1] = d * (eps2 * (eps2 + 2) + 16) / 32
-    d = d * eps
-    c[2] = d * (eps2 * (35 * eps2 + 64) + 384) / 2048
-    d = d * eps
-    c[3] = d * (15 * eps2 + 80) / 768
-    d = d * eps
-    c[4] = d * (7 * eps2 + 35) / 512
-    d = d * eps
-    c[5] = 63 * d / 1280
-    d = d * eps
-    c[6] = 77 * d / 2048
-    return c
+    k -= k & 1
+    while k:
+        y1 = ar * y0 - y1 + c[k - 1]
+        y0 = ar * y1 - y0 + c[k - 2]
+        k -= 2
+    return 2 * sinx * cosx * y0
 
 
 class Inverse(NamedTuple):
@@ -241,77 +208,27 @@ class Geodesic:
         self.n = self.f / (2 - self.f)
         self.b = self.a * self.f1
         self._etol2 = _TOL2 / max(0.1, math.sqrt(abs(self.e2)))
-        n = self.n
-        self._a3x = [
-            1.0,
-            (n - 1) / 2,
-            (n * (3 * n - 1) - 2) / 8,
-            ((-n - 3) * n - 1) / 16,
-            (-2 * n - 3) / 64,
-            -3.0 / 128,
-        ]
-        self._c3x = [
-            (1 - n) / 4,
-            (1 - n * n) / 8,
-            ((3 - n) * n + 3) / 64,
-            (2 * n + 5) / 128,
-            3.0 / 128,
-            ((n - 3) * n + 2) / 32,
-            ((-3 * n - 2) * n + 3) / 64,
-            (n + 3) / 128,
-            5.0 / 256,
-            (n * (5 * n - 9) + 5) / 192,
-            (9 - 10 * n) / 384,
-            7.0 / 512,
-            (7 - 14 * n) / 512,
-            7.0 / 512,
-            21.0 / 2560,
-        ]
-
-    def _a3f(self, eps: float) -> float:
-        v = 0.0
-        for i in range(_NA3 - 1, -1, -1):
-            v = eps * v + self._a3x[i]
-        return v
-
-    def _c3f(self, eps: float) -> list[float]:
-        c = [0.0] * _NC3
-        j = len(self._c3x)
-        for k in range(_NC3 - 1, 0, -1):
-            t = 0.0
-            for _ in range(_NC3 - k):
-                j -= 1
-                t = eps * t + self._c3x[j]
-            c[k] = t
-        mult = 1.0
-        for k in range(1, _NC3):
-            mult *= eps
-            c[k] *= mult
-        return c
+        # A3 and the C3 table: their coefficients are polynomials in n.
+        self._a3 = tuple(_horner(p, self.n) / den for den, p in _A3)
+        self._c3 = tuple((1.0, tuple(_horner(p, self.n) / den for den, p in row)) for row in _C3)
 
     def _lengths(self, eps, sig12, ssig1, csig1, ssig2, csig2, cbet1, cbet2):
         # Distance and reduced length along an arc of the auxiliary sphere;
         # both come back without their a/b factors.
-        c1a = _c1f(eps)
-        c2a = _c2f(eps)
-        a1m1 = _a1m1f(eps)
-        ab1 = (1 + a1m1) * (
-            _sin_cos_series(True, ssig2, csig2, c1a, _NC1)
-            - _sin_cos_series(True, ssig1, csig1, c1a, _NC1)
-        )
-        a2m1 = _a2m1f(eps)
-        ab2 = (1 + a2m1) * (
-            _sin_cos_series(True, ssig2, csig2, c2a, _NC2)
-            - _sin_cos_series(True, ssig1, csig1, c2a, _NC2)
-        )
-        m0 = a1m1 - a2m1
-        j12 = m0 * sig12 + (ab1 - ab2)
+        eps2 = eps * eps
+        c1a = _series(_C1, eps, eps2)
+        c2a = _series(_C2, eps, eps2)
+        a1m1 = (_horner(_A1, eps2) / 256 + eps) / (1 - eps)
+        ab1 = (1 + a1m1) * (_sin_series(ssig2, csig2, c1a) - _sin_series(ssig1, csig1, c1a))
+        a2m1 = _horner(_A2, eps2) / 256 * (1 - eps) - eps
+        ab2 = (1 + a2m1) * (_sin_series(ssig2, csig2, c2a) - _sin_series(ssig1, csig1, c2a))
+        j12 = (a1m1 - a2m1) * sig12 + (ab1 - ab2)
         w1 = np.sqrt(1 - self.e2 * cbet1 * cbet1)
         w2 = np.sqrt(1 - self.e2 * cbet2 * cbet2)
         # Reduced length over a, distance over b.
         m12a = (w2 * (csig1 * ssig2) - w1 * (ssig1 * csig2)) - self.f1 * csig1 * csig2 * j12
         s12b = (1 + a1m1) * sig12 + ab1
-        return s12b, m12a, m0
+        return s12b, m12a
 
     def inverse(self, lat1: float, lon1: float, lat2: float, lon2: float) -> Inverse:
         """Shortest geodesic between two points; total for all inputs."""
@@ -372,7 +289,7 @@ class Geodesic:
             sb1, cb1, sb2, cb2 = sbet1[k], cbet1[k], sbet2[k], cbet2[k]
             csig1 = clam12[k] * cb1
             sig12 = np.arctan2(np.maximum(csig1 * sb2 - sb1 * cb2, 0.0), csig1 * cb2 + sb1 * sb2)
-            s12x, m12x, _ = self._lengths(self.n, sig12, sb1, csig1, sb2, cb2, cb1, cb2)
+            s12x, m12x = self._lengths(self.n, sig12, sb1, csig1, sb2, cb2, cb1, cb2)
             shortest = (sig12 < 1) | (m12x >= 0)
             meridian[k[~shortest]] = False
             k = k[shortest]
@@ -454,7 +371,7 @@ class Geodesic:
         # with the antipode at the origin (oblate case).
         k2 = sbet1 * sbet1 * self.ep2
         eps = k2 / (2 * (1 + np.sqrt(1 + k2)) + k2)
-        lamscale = self.f * cbet1 * self._a3f(eps) * math.pi
+        lamscale = self.f * cbet1 * _horner(self._a3, eps) * math.pi
         betscale = lamscale * cbet1
         x = (lam12 - math.pi) / lamscale
         y = sbet12a / betscale
@@ -472,7 +389,9 @@ class Geodesic:
 
     def _newton_many(self, sbet1, cbet1, sbet2, cbet2, lam12, salp1, calp1):
         # Newton's method on lambda12 for arrays of canonical problems.  Each
-        # pass evaluates only the elements still iterating.  Returns s12 and
+        # pass evaluates only the elements still iterating: lambda12 and the
+        # lengths, whose distance the stopping elements keep and whose
+        # reduced length gives the others' Newton step.  Returns s12 and
         # the final azimuth sines and cosines, plus a mask of the elements
         # that did not converge.
         n = lam12.size
@@ -491,23 +410,19 @@ class Geodesic:
             nlam12, sa2, ca2, sig12, ssig1, csig1, ssig2, csig2, eps = self._lambda12_many(
                 sb1, cb1, sb2, cb2, sa1, ca1
             )
+            s12b, m12a = self._lengths(eps, sig12, ssig1, csig1, ssig2, csig2, cb1, cb2)
             v = nlam12 - lam12[act]
             stop = ~(np.abs(v) > _TINY) | trip[act]
             if stop.any():
                 k = act[stop]
                 failed[k] = ~(np.abs(v[stop]) <= np.maximum(_TOL1, ov[k]))
-                s12x = self._lengths(
-                    eps[stop], sig12[stop], ssig1[stop], csig1[stop], ssig2[stop], csig2[stop], cb1[stop], cb2[stop]
-                )[0]
-                s12[k] = s12x * self.b
+                s12[k] = s12b[stop] * self.b
                 salp2[k], calp2[k] = sa2[stop], ca2[stop]
                 go = ~stop
                 act = act[go]
                 if not act.size:
                     break
-                sb1, cb1, cb2, sa1, ca1, sa2, ca2, v = (x[go] for x in (sb1, cb1, cb2, sa1, ca1, sa2, ca2, v))
-                sig12, ssig1, csig1, ssig2, csig2, eps = (x[go] for x in (sig12, ssig1, csig1, ssig2, csig2, eps))
-            _, m12a, _ = self._lengths(eps, sig12, ssig1, csig1, ssig2, csig2, cb1, cb2)
+                sb1, cb1, cb2, sa1, ca1, ca2, v, m12a = (x[go] for x in (sb1, cb1, cb2, sa1, ca1, ca2, v, m12a))
             # d(lambda12)/d(alp1), with its limit at a vertex (calp2 == 0).
             vertex = ca2 == 0
             dv = np.where(vertex, -2 * np.sqrt(1 - self.e2 * cb1 * cb1), m12a) / np.where(vertex, sb1, ca2 * cb2)
@@ -553,11 +468,9 @@ class Geodesic:
 
         k2 = calp0 * calp0 * self.ep2
         eps = k2 / (2 * (1 + np.sqrt(1 + k2)) + k2)
-        c3a = self._c3f(eps)
-        b312 = _sin_cos_series(True, ssig2, csig2, c3a, _NC3 - 1) - _sin_cos_series(
-            True, ssig1, csig1, c3a, _NC3 - 1
-        )
-        h0 = -self.f * self._a3f(eps)
+        c3a = _series(self._c3, eps, eps)
+        b312 = _sin_series(ssig2, csig2, c3a) - _sin_series(ssig1, csig1, c3a)
+        h0 = -self.f * _horner(self._a3, eps)
         lam12 = omg12 + salp0 * h0 * (sig12 + b312)
         return lam12, salp2, calp2, sig12, ssig1, csig1, ssig2, csig2, eps
 
@@ -590,19 +503,20 @@ class Geodesic:
         ssig1, csig1 = _norm_many(sbet1, csig1)
         k2 = calp0 * calp0 * self.ep2
         eps = k2 / (2 * (1 + np.sqrt(1 + k2)) + k2)
-        a1m1 = _a1m1f(eps)
-        b11 = _sin_cos_series(True, ssig1, csig1, _c1f(eps), _NC1)
+        eps2 = eps * eps
+        a1m1 = (_horner(_A1, eps2) / 256 + eps) / (1 - eps)
+        b11 = _sin_series(ssig1, csig1, _series(_C1, eps, eps2))
         s, c = np.sin(b11), np.cos(b11)
         stau1 = ssig1 * c + csig1 * s
         ctau1 = csig1 * c - ssig1 * s
-        c3a = self._c3f(eps)
-        a3c = -self.f * salp0 * self._a3f(eps)
-        b31 = _sin_cos_series(True, ssig1, csig1, c3a, _NC3 - 1)
+        c3a = _series(self._c3, eps, eps)
+        a3c = -self.f * salp0 * _horner(self._a3, eps)
+        b31 = _sin_series(ssig1, csig1, c3a)
 
         # The point at distance s12 along it.
         tau12 = s12 / (self.b * (1 + a1m1))
         s, c = np.sin(tau12), np.cos(tau12)
-        b12 = -_sin_cos_series(True, stau1 * c + ctau1 * s, ctau1 * c - stau1 * s, _c1pf(eps), _NC1P)
+        b12 = -_sin_series(stau1 * c + ctau1 * s, ctau1 * c - stau1 * s, _series(_C1P, eps, eps2))
         sig12 = tau12 - (b12 - b11)
         ssig12, csig12 = np.sin(sig12), np.cos(sig12)
         ssig2 = ssig1 * csig12 + csig1 * ssig12
@@ -614,7 +528,7 @@ class Geodesic:
         csig2 = comg2 = np.where(pole, _TINY, csig2)
         somg2 = salp0 * ssig2
         omg12 = np.arctan2(somg2 * comg1 - comg2 * somg1, comg2 * comg1 + somg2 * somg1)
-        lam12 = omg12 + a3c * (sig12 + (_sin_cos_series(True, ssig2, csig2, c3a, _NC3 - 1) - b31))
+        lam12 = omg12 + a3c * (sig12 + (_sin_series(ssig2, csig2, c3a) - b31))
         lon12 = _ang_normalize_many(np.degrees(lam12))
         lon2 = _ang_normalize_many(_ang_normalize_many(lon1) + lon12)
         return _atan2d_many(sbet2, self.f1 * cbet2), lon2

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .affine import AffineParams, CorrespondenceSet, PixelPoint
 from .errors import (
@@ -32,6 +32,12 @@ from .errors import (
     RegionConflictError,
     SingularSystemError,
 )
+
+# scipy.sparse and scipy.sparse.linalg are imported in the functions that use
+# them: together they take about half of the time `import mapregister` and
+# loading a configuration take, which every run pays.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Absolute tolerance for a node center sitting exactly on a polygon edge.
 _ON_EDGE_TOL = 1e-9
@@ -309,6 +315,8 @@ def assemble_from_masks(
         cols.append(((ni - 1) * n2 + (nj - 1))[free])
         vals.append(np.full(free.sum(), -1.0))
 
+    import scipy.sparse as sp
+
     matrix = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
@@ -403,6 +411,8 @@ def _free_system(system: LaplaceSystem, free: np.ndarray, data: np.ndarray):
     """Matrix and right-hand sides of the free nodes, symmetric positive
     definite, for the Dirichlet values `data` (node_count, columns) less
     their mean; returns (matrix, rhs, mean)."""
+    import scipy.sparse as sp
+
     m = system.matrix
     dir_flat = ~free
     shift = data[dir_flat].mean(axis=0)
@@ -427,6 +437,8 @@ def _coarse_nodes_1d(n: int) -> np.ndarray:
 
 def _interpolation_1d(n: int) -> sp.csr_matrix:
     """Linear interpolation onto n fine nodes from `_coarse_nodes_1d(n)`."""
+    import scipy.sparse as sp
+
     i = np.arange(n)
     lo = i // 2
     lo[-1] = n // 2
@@ -448,6 +460,8 @@ class _VCycle:
     """
 
     def __init__(self, a: sp.csr_matrix, free: np.ndarray):
+        import scipy.sparse as sp
+
         self.levels = []
         limit = _DIRECT_NODES
         while free.sum() > limit and min(free.shape) >= _MIN_COARSEN_SIDE:
@@ -464,8 +478,6 @@ class _VCycle:
             a = (r @ a @ p).tocsr()
             free = coarse
             limit = _COARSE_NODES
-        # Imported at its only use: importing it takes about a quarter of
-        # the package's import time.
         import scipy.sparse.linalg as spla
 
         try:

@@ -163,15 +163,20 @@ def densified_distances(lat, lon, slat, slon) -> np.ndarray:
     Only samples that could be nearest are solved: the straight (ECEF)
     chord to a sample is a lower bound on its geodesic distance, so a
     sample whose chord exceeds the geodesic distance to the chord-nearest
-    sample (with a margin) is not the nearest and is skipped.
+    sample (with a margin) is not the nearest and is skipped.  No (point,
+    sample) pair is solved twice.
     """
     lat, lon = lat[:, None], lon[:, None]
     chord = chords(ecef(lat[:, 0], lon[:, 0]), ecef(slat, slon))
     near = chord.argmin(axis=1)[:, None]
     bound = geodesic_distance_many(lat, lon, slat[near], slon[near])
-    i, j = np.nonzero(chord * (1 - PRUNE_RTOL) - PRUNE_ATOL_M <= bound)
     d = np.full(chord.shape, np.inf)
-    d[i, j] = geodesic_distance_many(lat[i, 0], lon[i, 0], slat[j], slon[j])
+    np.put_along_axis(d, near, bound, axis=1)
+    rest = chord * (1 - PRUNE_RTOL) - PRUNE_ATOL_M <= bound
+    np.put_along_axis(rest, near, False, axis=1)
+    i, j = np.nonzero(rest)
+    if i.size:
+        d[i, j] = geodesic_distance_many(lat[i, 0], lon[i, 0], slat[j], slon[j])
     k = d.argmin(axis=1)[:, None]
     lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, len(slat) - 1)
     ax, ay = plane_coords(lat, lon, slat[lo], slon[lo])

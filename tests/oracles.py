@@ -6,7 +6,8 @@ brute-force densification; none of these share code with the package.  The
 exceptions are the package's earlier scalar and direct paths, kept as the
 references for the array paths that replaced them: `ScalarGeodesic`, its
 Karney engine solving one geodesic at a time (on WGS84 `SCALAR_WGS84`,
-with `scalar_distance`), which every scalar reference below uses, and the
+with `scalar_distance`; it shares the package's series tables and their
+helpers), which every scalar reference below uses, and the
 allowance the array engine keeps to it (`assert_inverse_close`,
 `assert_direct_close`); `scalar_point_to_segment_distance`, its
 one-geodesic-at-a-time point-to-segment distance with the planar-chord
@@ -30,9 +31,9 @@ import scipy.special
 
 from mapregister import _geodesic
 from mapregister._geodesic import (
-    _NC1,
-    _NC1P,
-    _NC3,
+    _A1,
+    _C1,
+    _C1P,
     _TINY,
     _TOL0,
     _TOL1,
@@ -40,10 +41,9 @@ from mapregister._geodesic import (
     WGS84,
     Geodesic,
     Inverse,
-    _a1m1f,
-    _c1f,
-    _c1pf,
-    _sin_cos_series,
+    _horner,
+    _series,
+    _sin_series,
 )
 
 WGS84_A = 6378137.0
@@ -505,9 +505,11 @@ def scalar_write_field_dump(field, directory):
 
 # The package's scalar Karney engine, one geodesic at a time with the `math`
 # functions: the reference for `Geodesic.inverse_many` and
-# `Geodesic.direct_many`, which replaced it.  It shares the series helpers
-# and the constants with the package; `_MAXIT` is its own, so a test can
-# lower it in both engines.
+# `Geodesic.direct_many`, which replaced it.  It shares the series tables
+# (`_A1`, `_C1`, `_C1P` and the ellipsoid's A3 and C3), the helpers that
+# read them (`_horner`, `_series`, `_sin_series`), `Geodesic._lengths` and
+# the constants with the package; `_MAXIT` is its own, so a test can lower
+# it in both engines.
 
 _MAXIT = _geodesic._MAXIT
 
@@ -641,7 +643,7 @@ class ScalarGeodesic(Geodesic):
             # (x, y) with the antipode at the origin (oblate case).
             k2 = sbet1 * sbet1 * self.ep2
             eps = k2 / (2 * (1 + math.sqrt(1 + k2)) + k2)
-            lamscale = self.f * cbet1 * self._a3f(eps) * math.pi
+            lamscale = self.f * cbet1 * _horner(self._a3, eps) * math.pi
             betscale = lamscale * cbet1
             x = (lam12 - math.pi) / lamscale
             y = sbet12a / betscale
@@ -691,11 +693,9 @@ class ScalarGeodesic(Geodesic):
 
         k2 = calp0 * calp0 * self.ep2
         eps = k2 / (2 * (1 + math.sqrt(1 + k2)) + k2)
-        c3a = self._c3f(eps)
-        b312 = _sin_cos_series(True, ssig2, csig2, c3a, _NC3 - 1) - _sin_cos_series(
-            True, ssig1, csig1, c3a, _NC3 - 1
-        )
-        h0 = -self.f * self._a3f(eps)
+        c3a = _series(self._c3, eps, eps)
+        b312 = _sin_series(ssig2, csig2, c3a) - _sin_series(ssig1, csig1, c3a)
+        h0 = -self.f * _horner(self._a3, eps)
         domg12 = salp0 * h0 * (sig12 + b312)
         lam12 = omg12 + domg12
 
@@ -703,7 +703,7 @@ class ScalarGeodesic(Geodesic):
             if calp2 == 0:
                 dlam12 = -2 * math.sqrt(1 - self.e2 * cbet1 * cbet1) / sbet1
             else:
-                _, dlam12, _ = self._lengths(eps, sig12, ssig1, csig1, ssig2, csig2, cbet1, cbet2)
+                _, dlam12 = self._lengths(eps, sig12, ssig1, csig1, ssig2, csig2, cbet1, cbet2)
                 dlam12 /= calp2 * cbet2
         else:
             dlam12 = math.nan
@@ -765,7 +765,7 @@ class ScalarGeodesic(Geodesic):
             ssig1, csig1 = sbet1, calp1 * cbet1
             ssig2, csig2 = sbet2, calp2 * cbet2
             sig12 = math.atan2(max(0.0, csig1 * ssig2 - ssig1 * csig2), csig1 * csig2 + ssig1 * ssig2)
-            s12x, m12x, _ = self._lengths(self.n, sig12, ssig1, csig1, ssig2, csig2, cbet1, cbet2)
+            s12x, m12x = self._lengths(self.n, sig12, ssig1, csig1, ssig2, csig2, cbet1, cbet2)
             if sig12 < 1 or m12x >= 0:
                 s12 = s12x * self.b
                 done = True
@@ -817,7 +817,7 @@ class ScalarGeodesic(Geodesic):
                 if numit >= _MAXIT:
                     return self._antipodal_fallback(lat1 * latsign, lat2 * latsign)
 
-                s12x, _, _ = self._lengths(eps, sig12, ssig1, csig1, ssig2, csig2, cbet1, cbet2)
+                s12x, _ = self._lengths(eps, sig12, ssig1, csig1, ssig2, csig2, cbet1, cbet2)
                 s12 = s12x * self.b
                 done = True
 
@@ -863,17 +863,18 @@ class GeodesicLine:
 
         k2 = self._calp0 * self._calp0 * g.ep2
         eps = k2 / (2 * (1 + math.sqrt(1 + k2)) + k2)
-        self._a1m1 = _a1m1f(eps)
-        self._c1a = _c1f(eps)
-        self._b11 = _sin_cos_series(True, self._ssig1, self._csig1, self._c1a, _NC1)
+        eps2 = eps * eps
+        self._a1m1 = (_horner(_A1, eps2) / 256 + eps) / (1 - eps)
+        self._c1a = _series(_C1, eps, eps2)
+        self._b11 = _sin_series(self._ssig1, self._csig1, self._c1a)
         s, c = math.sin(self._b11), math.cos(self._b11)
         # tau1 = sig1 + B11
         self._stau1 = self._ssig1 * c + self._csig1 * s
         self._ctau1 = self._csig1 * c - self._ssig1 * s
-        self._c1pa = _c1pf(eps)
-        self._c3a = g._c3f(eps)
-        self._a3c = -g.f * self._salp0 * g._a3f(eps)
-        self._b31 = _sin_cos_series(True, self._ssig1, self._csig1, self._c3a, _NC3 - 1)
+        self._c1pa = _series(_C1P, eps, eps2)
+        self._c3a = _series(g._c3, eps, eps)
+        self._a3c = -g.f * self._salp0 * _horner(g._a3, eps)
+        self._b31 = _sin_series(self._ssig1, self._csig1, self._c3a)
 
     def position(self, s12: float) -> tuple[float, float]:
         """(lat2, lon2) at distance s12 meters from the start point."""
@@ -881,9 +882,7 @@ class GeodesicLine:
         tau12 = s12 / (g.b * (1 + self._a1m1))
         s, c = math.sin(tau12), math.cos(tau12)
         # tau2 = tau1 + tau12; invert the distance series for sigma.
-        b12 = -_sin_cos_series(
-            True, self._stau1 * c + self._ctau1 * s, self._ctau1 * c - self._stau1 * s, self._c1pa, _NC1P
-        )
+        b12 = -_sin_series(self._stau1 * c + self._ctau1 * s, self._ctau1 * c - self._stau1 * s, self._c1pa)
         sig12 = tau12 - (b12 - self._b11)
         ssig12, csig12 = math.sin(sig12), math.cos(sig12)
 
@@ -900,7 +899,7 @@ class GeodesicLine:
             somg2 * self._comg1 - comg2 * self._somg1, comg2 * self._comg1 + somg2 * self._somg1
         )
         lam12 = omg12 + self._a3c * (
-            sig12 + (_sin_cos_series(True, ssig2, csig2, self._c3a, _NC3 - 1) - self._b31)
+            sig12 + (_sin_series(ssig2, csig2, self._c3a) - self._b31)
         )
         lon12 = _ang_normalize(math.degrees(lam12))
         lon2 = _ang_normalize(_ang_normalize(self.lon1) + lon12)

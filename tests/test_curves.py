@@ -356,8 +356,10 @@ class TestLongEdgeFallback:
             samples_ll = densify(*b.chain[k, ::-1], *b.chain[k + 1, ::-1])
             with mock.patch.object(geodesy, "geodesic_distance_many", wraps=geodesy.geodesic_distance_many) as solved:
                 got = densified_distances(lat, lon, *samples_ll)
-            pairs = sum(np.broadcast(*c.args).size for c in solved.call_args_list)
-            assert pairs < 0.05 * len(lat) * len(samples_ll[0])
+            pairs = [np.broadcast_arrays(*c.args) for c in solved.call_args_list]
+            pairs = [tuple(x) for args in pairs for x in zip(*(v.ravel().tolist() for v in args))]
+            assert len(pairs) < 0.05 * len(lat) * len(samples_ll[0])
+            assert len(set(pairs)) == len(pairs)  # no (anchor, sample) pair solved twice
             assert got.tolist() == full_densified_distances(lat, lon, *samples_ll).tolist()
         assert anchor_min_distances(a, b) == full_anchor_min_distances(a, b)
 

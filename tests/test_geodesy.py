@@ -232,33 +232,143 @@ class TestPointToSegment:
 
 class TestSeriesHelpersOnArrays:
     EPS = [0.0, 1e-6, 3.3e-4, 1.1e-3, 0.0016792]
+    #: Each series table with the variable of its polynomials: eps^2 for the
+    #: I1 and I2 series, eps for I3.
+    TABLES = {
+        "C1": (_geodesic._C1, lambda e: e * e),
+        "C1P": (_geodesic._C1P, lambda e: e * e),
+        "C2": (_geodesic._C2, lambda e: e * e),
+        "C3": (WGS84._c3, lambda e: e),
+    }
 
-    @pytest.mark.parametrize(
-        "helper",
-        [_geodesic._a1m1f, _geodesic._c1f, _geodesic._c1pf, _geodesic._a2m1f, _geodesic._c2f,
-         WGS84._a3f, WGS84._c3f],
-    )
-    def test_elementwise_equal_and_argument_untouched(self, helper):
+    @pytest.mark.parametrize("name", TABLES)
+    def test_series_elementwise_and_argument_untouched(self, name):
+        table, var = self.TABLES[name]
         eps = np.array(self.EPS)
-        got = helper(eps)
-        assert eps.tolist() == self.EPS
+        x = var(eps)
+        x_before = x.tolist()
+        got = _geodesic._series(table, eps, x)
+        assert eps.tolist() == self.EPS and x.tolist() == x_before
+        assert len(got) == len(table)
         for i, e in enumerate(self.EPS):
-            want = helper(e)
-            if isinstance(want, list):
-                assert [c if isinstance(c, float) else c[i] for c in got] == want
-            else:
-                assert got[i] == want
+            assert [c[i] for c in got] == _geodesic._series(table, e, var(e))
 
-    def test_sin_cos_series(self):
+    @pytest.mark.parametrize("poly", [_geodesic._A1, _geodesic._A2, WGS84._a3], ids=["A1", "A2", "A3"])
+    def test_horner_elementwise_and_argument_untouched(self, poly):
         eps = np.array(self.EPS)
-        c = _geodesic._c1f(eps)
+        got = _geodesic._horner(poly, eps)
+        assert eps.tolist() == self.EPS
+        assert got.tolist() == [_geodesic._horner(poly, e) for e in self.EPS]
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_sin_series(self, name):
+        table, var = self.TABLES[name]
+        eps = np.array(self.EPS)
+        c = _geodesic._series(table, eps, var(eps))
         x = np.linspace(-3.0, 3.0, len(self.EPS))
         sx, cx = np.sin(x), np.cos(x)
-        for sinp in (True, False):
-            got = _geodesic._sin_cos_series(sinp, sx, cx, c, _geodesic._NC1)
-            for i in range(len(self.EPS)):
-                ci = [v if isinstance(v, float) else v[i] for v in c]
-                assert got[i] == _geodesic._sin_cos_series(sinp, sx[i], cx[i], ci, _geodesic._NC1)
+        got = _geodesic._sin_series(sx, cx, c)
+        for i in range(len(self.EPS)):
+            assert got[i] == _geodesic._sin_series(sx[i], cx[i], [v[i] for v in c])
+        # The sum it evaluates, to rounding.
+        want = sum(ck * np.sin(2 * (k + 1) * x) for k, ck in enumerate(c))
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-18)
+
+
+class TestSeriesPinnedValues:
+    # Values recorded from the engine before its series became tables (one
+    # coefficient function per series); they pin every coefficient and the
+    # results of each branch to the bit.
+    COEFFS = {
+        1e-6: (
+            1.00000125000125e-06, -9.9999975000025e-07, 0.99999950083936,
+            [-4.999999999998125e-07, -6.249999999996875e-14, -2.083333333332161e-20,
+             -9.76562499999414e-27, -5.468749999999999e-33, -3.41796875e-39],
+            [4.999999999997188e-07, 3.1249999999961456e-13, 3.0208333333274735e-19,
+             3.5091145833239926e-25, 4.514322916666666e-31, 6.198079427083333e-37],
+            [5.000000000000624e-07, 1.8750000000003126e-13, 1.0416666666668619e-19,
+             6.835937500001366e-26, 4.921875e-32, 3.7597656249999997e-38],
+            [2.4958031990309857e-07, 6.234270802935173e-14, 2.596305003663854e-20,
+             1.362597248943482e-26, 8.203124999999999e-33],
+        ),
+        3.3e-4: (
+            0.0003301361699362643, -0.00032997278398258284, 0.9998352498213626,
+            [-0.00016499999326181263, -6.806249629399693e-09, -7.486874541382113e-13,
+             -1.1581259008905486e-16, -2.1402168046875e-20, -4.414197159667968e-24],
+            [0.00016499998989271924, 3.403124542926324e-08, 1.0855966456910567e-11,
+             4.161531469570346e-15, 1.7666980147265623e-18, 8.004621049395995e-22],
+            [0.0001650000022460626, 2.0418750370600336e-08, 3.7434375764363146e-12,
+             8.106882012505386e-16, 1.92619512421875e-19, 4.855616875634765e-23],
+            [8.237507846757675e-05, 6.7907987399255686e-09, 9.33310773604393e-13,
+             1.6164661248891078e-16, 3.2103252070312503e-20],
+        ),
+        0.0016792: (
+            0.0016827305694564624, -0.0016784962544391633, 0.9991611040585993,
+            [-0.0008395991122138926, -1.7623179153824314e-07, -9.8642790732903e-11,
+             -7.76441984455851e-14, -7.301300082211162e-17, -7.662714436280614e-20],
+            [0.0008395986683219949, 8.811571356444238e-07, 1.4303149114238166e-09,
+             2.78999864546225e-12, 6.027049377387166e-15, 1.3895420402285813e-17],
+            [0.0008396002959292588, 5.286963684622384e-07, 4.932149967073838e-10,
+             5.435106151534055e-13, 6.571170073990046e-16, 8.428985879908675e-19],
+            [0.00041944774899814333, 1.760102740683564e-07, 1.2311751560716523e-10,
+             1.0851952479482645e-13, 1.0951950123316743e-16],
+        ),
+    }
+    #: (lat1, lon1, lat2, lon2) -> (s12, azi1).
+    INVERSE = {
+        (30.0, 5.0, 50.0, 5.0): (2220733.6437437674, 0.0),  # meridian
+        (30.0, 5.0, 40.0, -175.0): (12254289.030334549, 0.0),  # meridian over the pole
+        (0.0, 0.0, 0.0, 100.0): (11131949.079327356, 90.0),  # equator
+        (0.0, 0.0, 0.0, 179.5): (19980861.908890963, 55.966495140159),  # equator, past (1 - f) 180
+        (-30.0, 0.0, 29.9, 179.8): (19989832.82760953, 161.89052473632646),  # astroid start
+        (0.5, 0.0, -0.5, 179.7): (19995624.889961265, 29.83001097345139),  # nearly antipodal
+        (45.0, 10.0, 45.0001, 10.0001): (13.626109041338433, 35.35524355591416),  # short line
+        (10.0, 20.0, 10.000000001, 20.000000002): (0.00024559566901070554, 63.23289300585432),
+        (90.0, 0.0, -30.0, 40.0): (13322079.127253104, 140.0),  # pole endpoints
+        (-90.0, 0.0, 30.0, 40.0): (13322079.127253104, 40.0),
+        (12.0, 3.0, -90.0, 0.0): (11329050.198906204, 180.0),
+        (-33.9, 151.2, 40.7, -74.0): (15990627.264133751, 65.74619033656256),  # Newton
+        (10.0, 20.0, 10.0, 20.0): (0.0, 180.0),  # coincident
+        (20.0, 30.0, -20.0, -150.0): (20003931.458625447, 0.0),  # antipodal
+        (0.0, 0.0, 0.0, 180.0): (20003931.458625447, 0.0),
+    }
+    #: (lat1, lon1, azi1, s12) -> (lat2, lon2).
+    DIRECT = {
+        (90.0, 0.0, 30.0, 1e6): (81.04623281595062, 150.0),  # from a pole
+        (0.0, 10.0, 90.0, 5e6): (0.0, 54.915764205976075),  # along the equator
+        (60.0, 0.0, 0.0, 4e6): (84.1614591661161, 180.0),  # over a pole
+        (-33.9, 151.2, 50.0, 1.5e7): (50.551561767572665, -87.23479663589018),
+        (10.0, 20.0, 30.0, 0.0): (10.000000000000002, 20.0),
+        (45.0, 45.0, 120.0, -3e6): (52.2560982204419, 5.213930086046062),
+    }
+
+    @staticmethod
+    def _bits(values):
+        return [repr(float(v)) for v in values]  # tells -0.0 from 0.0
+
+    @pytest.mark.parametrize("eps", COEFFS)
+    def test_coefficients(self, eps):
+        a1m1, a2m1, a3, c1, c1p, c2, c3 = self.COEFFS[eps]
+        eps2 = eps * eps
+        assert (_geodesic._horner(_geodesic._A1, eps2) / 256 + eps) / (1 - eps) == a1m1
+        assert _geodesic._horner(_geodesic._A2, eps2) / 256 * (1 - eps) - eps == a2m1
+        assert _geodesic._horner(WGS84._a3, eps) == a3
+        assert _geodesic._series(_geodesic._C1, eps, eps2) == c1
+        assert _geodesic._series(_geodesic._C1P, eps, eps2) == c1p
+        assert _geodesic._series(_geodesic._C2, eps, eps2) == c2
+        assert _geodesic._series(WGS84._c3, eps, eps) == c3
+
+    def test_inverse_many(self):
+        s12, azi1 = WGS84.inverse_many(*np.array(list(self.INVERSE)).T)
+        want = list(self.INVERSE.values())
+        assert self._bits(s12) == self._bits(w[0] for w in want)
+        assert self._bits(azi1) == self._bits(w[1] for w in want)
+
+    def test_direct_many(self):
+        lat2, lon2 = WGS84.direct_many(*np.array(list(self.DIRECT)).T)
+        want = list(self.DIRECT.values())
+        assert self._bits(lat2) == self._bits(w[0] for w in want)
+        assert self._bits(lon2) == self._bits(w[1] for w in want)
 
 
 #: Pairs on each special branch of `inverse_many`: meridians (one nearly

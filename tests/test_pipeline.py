@@ -833,15 +833,16 @@ _set_names = st.text(
 class TestImportCost:
     def test_setup_imports_no_spatial_or_sparse_solver_modules(self):
         # `import mapregister` plus `load_config` is what every run pays
-        # before any work; scipy.spatial and scipy.sparse.linalg take a
-        # tenth of a second or more each, so they are imported where used.
+        # before any work; scipy.spatial, scipy.sparse and
+        # scipy.sparse.linalg take a tenth of a second or more each, so they
+        # are imported where used.
         root = Path(__file__).resolve().parent.parent
         code = (
             "import sys\n"
             "import mapregister\n"
             "from mapregister.pipeline import load_config\n"
             f"load_config({str(root / 'sample_data' / 'experiment.yaml')!r})\n"
-            "print([m for m in ('scipy.spatial', 'scipy.sparse.linalg') if m in sys.modules])\n"
+            "print([m for m in ('scipy.spatial', 'scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules])\n"
         )
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
