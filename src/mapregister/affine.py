@@ -72,7 +72,6 @@ class CorrespondenceSet:
 
     name: str
     pairs: list[Correspondence]
-    region_note: str = ""
 
     def source_points(self) -> list[PixelPoint]:
         return [c.source for c in self.pairs]

@@ -130,9 +130,8 @@ def build_segments(points: list[GeoPoint] | np.ndarray, name: str = "") -> Discr
     mlat, mlon = WGS84.direct_many(lat[:-1], lon[:-1], azi1, s12 / 2)
     mlon = normalize_lon_many(mlon)
     chain[1::2, 0], chain[1::2, 1] = mlon, mlat
-    left_half = geodesic_distance_many(lat[:-1], lon[:-1], mlat, mlon)
-    right_half = geodesic_distance_many(mlat, mlon, lat[1:], lon[1:])
-    return _assemble(name, chain, np.stack([left_half, right_half], axis=1).ravel())
+    edges = geodesic_distance_many(chain[:-1, 1], chain[:-1, 0], chain[1:, 1], chain[1:, 0])
+    return _assemble(name, chain, edges)
 
 
 def _assemble(name: str, chain: np.ndarray, edge_lengths: np.ndarray) -> DiscreteCurve:

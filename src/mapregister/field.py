@@ -264,10 +264,11 @@ def assemble_from_masks(
 ) -> LaplaceSystem:
     """Assemble the discrete Laplace system from explicit Dirichlet masks.
 
-    Dirichlet rows are identity rows carrying the region value; interior
-    rows use the five-point stencil; boundary rows fold the reflected
-    neighbor back onto the grid, doubling the opposite coefficient.  Nodes
-    claimed twice with different values raise a conflict.
+    Dirichlet rows are identity rows carrying the region value; free rows
+    use the five-point stencil, the Kronecker sum of one 1-D second
+    difference per grid side, whose end rows fold the reflected neighbor
+    back onto the grid, doubling the opposite coefficient.  Nodes claimed
+    twice with different values raise a conflict.
     """
     n1, n2 = grid.n1, grid.n2
     n = grid.node_count
@@ -293,37 +294,26 @@ def assemble_from_masks(
         labels[flat] = label
     values = np.array(table).reshape(-1, 6)
 
-    lin = np.arange(n).reshape(n1, n2)
-    dir_flat = labels >= 0
-    combined = dir_flat.reshape(n1, n2)
-
-    rows = [lin.reshape(-1)]
-    cols = [lin.reshape(-1)]
-    vals = [np.where(dir_flat, 1.0, 4.0)]
-
-    ii, jj = np.meshgrid(np.arange(1, n1 + 1), np.arange(1, n2 + 1), indexing="ij")
-    free = ~combined
-    for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        ni = ii + di
-        nj = jj + dj
-        # Zero-Neumann boundary: reflect the off-grid neighbor back inside.
-        ni = np.where(ni == 0, 2, ni)
-        ni = np.where(ni == n1 + 1, n1 - 1, ni)
-        nj = np.where(nj == 0, 2, nj)
-        nj = np.where(nj == n2 + 1, n2 - 1, nj)
-        rows.append(lin[free])
-        cols.append(((ni - 1) * n2 + (nj - 1))[free])
-        vals.append(np.full(free.sum(), -1.0))
-
     import scipy.sparse as sp
 
-    matrix = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
+    dir_flat = labels >= 0
+    laplacian = sp.kronsum(_second_difference(n2), _second_difference(n1), "csr")
+    matrix = sp.diags(~dir_flat * 1.0) @ laplacian + sp.diags(dir_flat * 1.0)
     dir_labels = labels[dir_flat]
     rhs = np.zeros((n, 6))
     rhs[dir_flat] = values[dir_labels]
-    return LaplaceSystem(grid, matrix, rhs, combined, dir_labels, values)
+    return LaplaceSystem(grid, matrix, rhs, dir_flat.reshape(n1, n2), dir_labels, values)
+
+
+def _second_difference(n: int) -> sp.dia_matrix:
+    """Negated 1-D second difference on n nodes with zero-Neumann ends: the
+    neighbor reflected across an end folds onto the inner one."""
+    import scipy.sparse as sp
+
+    lower = np.full(n - 1, -1.0)
+    upper = lower.copy()
+    lower[-1] = upper[0] = -2.0
+    return sp.diags([lower, np.full(n, 2.0), upper], [-1, 0, 1])
 
 
 def assemble_system(grid: GridDomain, regions: list[DirichletRegion]) -> LaplaceSystem:
@@ -370,21 +360,17 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
 
     m, rhs, values = system.matrix, system.rhs, system.values
     n1, n2 = system.grid.n1, system.grid.n2
-    dir_flat = system.dirichlet_mask.reshape(-1)
-    free = ~dir_flat
+    free = ~system.dirichlet_mask.reshape(-1)
     u = rhs.copy()
     iterations = columns = 0
     measures = len(values) <= 6  # R - 1 measures are no more columns than six parameters
     if len(values) == 1:
         u[free] = values[0]
     elif free.any():
-        if measures:
-            # Indicator columns of the labels 1..R-1.
-            data = np.zeros((len(u), len(values) - 1))
-            data[dir_flat] = np.eye(len(values))[system.labels, 1:]
-        else:
-            data = rhs
-        a, b, shift = _free_system(system, free, data)
+        # The solved columns on the Dirichlet nodes: indicators of the
+        # labels 1..R-1, or the six parameters.
+        pinned = (np.eye(len(values))[:, 1:] if measures else values)[system.labels]
+        a, b, shift = _free_system(system, free, pinned)
         v, iterations = _pcg(a, b, _VCycle(a, free.reshape(n1, n2)))
         v += shift
         columns = v.shape[1]
@@ -400,24 +386,20 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
         )
 
     grids = u.reshape(n1, n2, 6)
-    _check_maximum_principle(grids, system.dirichlet_mask, rhs, dir_flat)
+    _check_maximum_principle(grids, values)
     grids.setflags(write=False)
     return ParameterField(
         system.grid, grids, system.dirichlet_mask.copy(), worst, iterations, columns
     )
 
 
-def _free_system(system: LaplaceSystem, free: np.ndarray, data: np.ndarray):
+def _free_system(system: LaplaceSystem, free: np.ndarray, pinned: np.ndarray):
     """Matrix and right-hand sides of the free nodes, symmetric positive
-    definite, for the Dirichlet values `data` (node_count, columns) less
-    their mean; returns (matrix, rhs, mean)."""
+    definite, for the Dirichlet values `pinned` (Dirichlet nodes, columns)
+    less their mean; returns (matrix, rhs, mean)."""
     import scipy.sparse as sp
 
-    m = system.matrix
-    dir_flat = ~free
-    shift = data[dir_flat].mean(axis=0)
-    pinned = np.zeros_like(data)
-    pinned[dir_flat] = data[dir_flat] - shift
+    shift = pinned.mean(axis=0)
     # Halving the rows of edge nodes and quartering those of corners makes
     # the reflected-Neumann operator symmetric.
     side1 = np.ones(system.grid.n1)
@@ -425,8 +407,8 @@ def _free_system(system: LaplaceSystem, free: np.ndarray, data: np.ndarray):
     side2 = np.ones(system.grid.n2)
     side2[[0, -1]] = 0.5
     row_scale = np.outer(side1, side2).reshape(-1)[free]
-    rows = sp.diags(row_scale) @ m[free]
-    return rows[:, free], row_scale[:, None] * data[free] - rows @ pinned, shift
+    rows = sp.diags(row_scale) @ system.matrix[free]
+    return rows[:, free], rows[:, ~free] @ (shift - pinned), shift
 
 
 def _coarse_nodes_1d(n: int) -> np.ndarray:
@@ -551,10 +533,11 @@ def _column_max_abs(x: np.ndarray) -> np.ndarray:
     return np.array([np.abs(col).max() for col in x.T])
 
 
-def _check_maximum_principle(grids, mask, rhs, dir_flat):
-    dir_vals = rhs[dir_flat]
-    lo = dir_vals.min(axis=0) - _MAX_PRINCIPLE_TOL
-    hi = dir_vals.max(axis=0) + _MAX_PRINCIPLE_TOL
+def _check_maximum_principle(grids, values):
+    # Every row of the value table equals the value of some Dirichlet node,
+    # so its column ranges are those of the Dirichlet data.
+    lo = values.min(axis=0) - _MAX_PRINCIPLE_TOL
+    hi = values.max(axis=0) + _MAX_PRINCIPLE_TOL
     flat = grids.reshape(-1, 6)
     if (flat < lo).any() or (flat > hi).any():
         raise ConvergenceError("solved field violates the discrete maximum principle")

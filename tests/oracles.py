@@ -15,7 +15,9 @@ helpers it used;
 `scalar_anchor_min_distances`, its one-inverse-per-pair anchor pass, whose
 long-edge fallback is that function; `full_anchor_min_distances`, its array
 anchor pass before the chord-bound skip tests, with its long-edge fallback
-`full_densified_distances`; `lu_solve_field`, its sparse-LU field solve;
+`full_densified_distances`; `coo_laplace_matrix`, its Laplace matrix
+assembled from reflected neighbor indices; `lu_solve_field`, its sparse-LU
+field solve;
 `scalar_write_field_dump`, its value-by-value field dump; and
 `scalar_transform_curve`, its pixel-by-pixel curve transform with
 `scalar_sample_field` and `scalar_apply_affine`.  The test-only
@@ -435,6 +437,38 @@ def read_field_dump(path):
     return arr
 
 
+def coo_laplace_matrix(dirichlet_mask):
+    """`field.assemble_from_masks`'s matrix built as it was before the
+    Kronecker sum: index reflection in four directions and COO lists summed
+    into CSR."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    n1, n2 = dirichlet_mask.shape
+    n = n1 * n2
+    lin = np.arange(n).reshape(n1, n2)
+    dir_flat = dirichlet_mask.reshape(-1)
+    rows = [lin.reshape(-1)]
+    cols = [lin.reshape(-1)]
+    vals = [np.where(dir_flat, 1.0, 4.0)]
+    ii, jj = np.meshgrid(np.arange(1, n1 + 1), np.arange(1, n2 + 1), indexing="ij")
+    free = ~dirichlet_mask
+    for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        ni = ii + di
+        nj = jj + dj
+        # Zero-Neumann boundary: reflect the off-grid neighbor back inside.
+        ni = np.where(ni == 0, 2, ni)
+        ni = np.where(ni == n1 + 1, n1 - 1, ni)
+        nj = np.where(nj == 0, 2, nj)
+        nj = np.where(nj == n2 + 1, n2 - 1, nj)
+        rows.append(lin[free])
+        cols.append(((ni - 1) * n2 + (nj - 1))[free])
+        vals.append(np.full(free.sum(), -1.0))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+
+
 def lu_solve_field(system):
     """`field.solve_field` by one sparse LU factorization of the assembled
     matrix and two iterative refinement passes."""
@@ -473,7 +507,7 @@ def lu_solve_field(system):
 
     n1, n2 = system.grid.n1, system.grid.n2
     grids = u.reshape(n1, n2, 6)
-    _check_maximum_principle(grids, system.dirichlet_mask, rhs, dir_flat)
+    _check_maximum_principle(grids, system.values)
     grids.setflags(write=False)
     return ParameterField(system.grid, grids, system.dirichlet_mask.copy(), worst)
 

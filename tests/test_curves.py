@@ -174,6 +174,14 @@ class TestBuildSegments:
         chain = chain_points(c)
         assert c.edge_lengths.tolist() == [geodesic_distance(p, q) for p, q in zip(chain, chain[1:])]
 
+    def test_one_engine_call_per_step(self):
+        # Edges, their midpoints, then every chain edge's length at once.
+        pts = random_curve(random.Random(4), "r", n=9)
+        with mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse, \
+                mock.patch.object(WGS84, "direct_many", wraps=WGS84.direct_many) as direct:
+            build_segments(pts, "r")
+        assert (inverse.call_count, direct.call_count) == (2, 1)
+
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.sampled_from([0.01, 800.0, 5000.0, 300_000.0]))
     @settings(max_examples=25, deadline=None)
     def test_matches_scalar_reference(self, seed, n, step_m):

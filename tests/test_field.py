@@ -27,7 +27,7 @@ from mapregister.field import (
     solve_field,
 )
 
-from oracles import lu_solve_field
+from oracles import coo_laplace_matrix, lu_solve_field
 
 
 def scalar_params(v: float) -> AffineParams:
@@ -222,6 +222,17 @@ class TestStencil:
             ci, cj = divmod(c, n2)
             assert abs(ri - ci) + abs(rj - cj) == 1
 
+    @given(st.integers(3, 30), st.integers(3, 30), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_coo_reference(self, n1, n2, density, seed):
+        mask = np.random.default_rng(seed).random((n1, n2)) < density
+        pairs = [(mask, scalar_params(1.0))] if mask.any() else []
+        got = assemble_from_masks(GridDomain(PixelPoint(1, 1), n1, n2), pairs).matrix
+        ref = coo_laplace_matrix(mask)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
 
 class TestSolve:
     def test_constant_dirichlet_gives_constant_field(self):
@@ -299,17 +310,14 @@ class TestSolve:
         from mapregister.field import _check_maximum_principle
 
         n1 = n2 = 5
-        mask = np.zeros((n1, n2), dtype=bool)
-        mask[1, 1] = mask[3, 3] = True
-        rhs = np.zeros((n1 * n2, 6))
-        rhs[3 * n2 + 3, :] = 1.0
+        values = np.array([np.zeros(6), np.ones(6)])
         grids = np.full((n1, n2, 6), 0.5)
         grids[1, 1, :] = 0.0
         grids[3, 3, :] = 1.0
-        _check_maximum_principle(grids, mask, rhs, mask.reshape(-1))
+        _check_maximum_principle(grids, values)
         grids[0, 0, 0] = 1.5
         with pytest.raises(ConvergenceError):
-            _check_maximum_principle(grids, mask, rhs, mask.reshape(-1))
+            _check_maximum_principle(grids, values)
 
     def test_margin_growth_settles_probe_values(self):
         # Fixed regions in pixel space, growing domain margins: envelope
