@@ -10,13 +10,16 @@ byte for byte.
 
 import math
 import random
+import sys
 from pathlib import Path
 
 from mapregister.affine import AffineParams, Correspondence, CorrespondenceSet, PixelPoint, apply_affine
-from mapregister.formats import write_correspondences, write_geo_curve, write_pixel_curve
 from mapregister.geodesy import GeoPoint
 
 HERE = Path(__file__).parent
+# The input writers live with the test fixtures, the package only reads.
+sys.path.insert(0, str(HERE.parent / "tests"))
+from synth import write_correspondences, write_geo_curve, write_pixel_curve  # noqa: E402
 
 REGIONS = {
     "coast west": (AffineParams(0.043, 0.002, 0.001, -0.0342, 7.9, 52.1), (25.0, 25.0)),

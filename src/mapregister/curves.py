@@ -27,11 +27,8 @@ from ._geodesic import WGS84
 from .errors import DegenerateCurveError, OutOfRangeError
 from .geodesy import (
     LONG_SEGMENT_M,
-    PRUNE_ATOL_M,
-    PRUNE_RTOL,
     GeoPoint,
     chords,
-    densified_distances,
     densify,
     ecef,
     geodesic_distance,
@@ -46,6 +43,10 @@ from .geodesy import (
 #: hundred points, few enough to keep the temporaries under about 16 MB
 #: even when nothing is skipped.
 ANCHOR_BATCH_PAIRS = 16384
+#: Margins of the chord-bound skip test, far above the roundoff of the
+#: chords, the geodesic lengths and the planar chords.
+PRUNE_RTOL = 1e-9
+PRUNE_ATOL_M = 1e-3
 
 
 @dataclass(frozen=True)
@@ -149,13 +150,13 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
     to B's segments.
 
     The segments of B partition its chain edges, so the minimum over
-    segments equals the minimum over chain edges.  Per anchor, chain points
-    of B are projected into the azimuthal equidistant (AEQD) plane at the
-    anchor and each edge is handled as a planar chord, exactly as
-    `point_to_segment_distance` does; edges longer than `LONG_SEGMENT_M`
-    are also densified, all anchors against one edge at once.  Anchors are
-    processed in batches of at most `ANCHOR_BATCH_PAIRS` anchor x point
-    pairs.
+    segments equals the minimum over chain edges.  An edge longer than
+    `LONG_SEGMENT_M` is first replaced by the sub-edges between its
+    `densify` samples, as `point_to_segment_distance` does.  Per anchor,
+    chain points of B are projected into the azimuthal equidistant (AEQD)
+    plane at the anchor and each edge is handled as a planar chord.
+    Anchors are processed in batches of at most `ANCHOR_BATCH_PAIRS`
+    anchor x point pairs.
 
     Only edges that could hold an anchor's minimum are projected; the skip
     test is a rigorous lower bound, so the result equals that of projecting
@@ -174,23 +175,26 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
     AEQD map stretches lengths by at most s / m12 <= x / sin x, because
     the Gauss curvature of the ellipsoid is at most 1 / b^2 (Rauch
     comparison with the sphere of radius b); so the planar chord is at most
-    kappa_k l_k long and its value exceeds U.
+    kappa_k l_k long and its value exceeds U.  The argument only needs the
+    edges to be geodesics with known lengths, so it holds for sub-edges as
+    for any other edge.
     """
     alon, alat = a.chain[::2, 0], a.chain[::2, 1]
-    blon, blat = b.chain[:, 0], b.chain[:, 1]
+    chain, lengths = _split_long_edges(b.chain, b.edge_lengths)
+    blon, blat = chain[:, 0], chain[:, 1]
     m = len(blat)
     ea, eb = ecef(alat, alon), ecef(blat, blon)
-    arc = np.concatenate([[0.0], np.cumsum(b.edge_lengths)])
+    arc = np.concatenate([[0.0], np.cumsum(lengths)])
     out = np.empty(len(alat))
     for batch in _batches(len(alat), m):
         lat0, lon0 = alat[batch, None], alon[batch, None]
         chord = chords(ea[batch], eb)
 
-        # Plane coordinates of the chord-nearest chain point and its
-        # neighbours give s* and U.
+        # Plane coordinates of three consecutive chain points around the
+        # chord-nearest one give s* and U.
         rows = np.arange(len(chord))[:, None]
         near = chord.argmin(axis=1)[:, None]
-        nb = np.clip(near + [-1, 0, 1], 0, m - 1)
+        nb = np.clip(near, 1, m - 2) + [-1, 0, 1]
         px, py = np.zeros((2, *chord.shape))
         px[rows, nb], py[rows, nb] = plane_coords(lat0, lon0, blat[nb], blon[nb])
         e = np.clip(near + [-1, 0], 0, m - 2)
@@ -199,7 +203,7 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
         # The skip test, then the endpoints of the surviving edges.
         reach = np.hypot(px[rows, near], py[rows, near]) + np.maximum(arc[1:] - arc[near], arc[near] - arc[:-1])
         x = np.minimum((reach * (1 + PRUNE_RTOL) + PRUNE_ATOL_M) / WGS84.b, math.pi / 2)
-        half = np.where(x < math.pi / 2, b.edge_lengths / 2 / np.sinc(x / math.pi), np.inf)  # kappa_k l_k / 2
+        half = np.where(x < math.pi / 2, lengths / 2 / np.sinc(x / math.pi), np.inf)  # kappa_k l_k / 2
         lower = np.minimum(chord[:, :-1], chord[:, 1:]) * (1 - PRUNE_RTOL) - half * (1 + PRUNE_RTOL)
         keep = lower - PRUNE_ATOL_M <= upper[:, None]
         need = np.zeros(chord.shape, dtype=bool)
@@ -210,12 +214,20 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
         px[i, j], py[i, j] = plane_coords(lat0[i, 0], lon0[i, 0], blat[j], blon[j])
         d = origin_to_chord(px[:, :-1], py[:, :-1], px[:, 1:], py[:, 1:])
         out[batch] = np.minimum(upper, np.where(keep, d, np.inf).min(axis=1))
-
-    for k in np.flatnonzero(b.edge_lengths > LONG_SEGMENT_M):
-        slat, slon = densify(blat[k], blon[k], blat[k + 1], blon[k + 1])
-        for batch in _batches(len(alat), len(slat)):
-            out[batch] = np.minimum(out[batch], densified_distances(alat[batch], alon[batch], slat, slon))
     return out.tolist()
+
+
+def _split_long_edges(chain: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The chain and its edge lengths with every edge longer than
+    # LONG_SEGMENT_M replaced by the sub-edges between its `densify`
+    # samples, which start and end on the edge's own chain points.
+    points, edges, start = [], [], 0
+    for k in np.flatnonzero(lengths > LONG_SEGMENT_M).tolist():
+        lat, lon, dists = densify(chain[k, 1], chain[k, 0], chain[k + 1, 1], chain[k + 1, 0])
+        points += [chain[start:k], np.stack([lon, lat], axis=1)[:-1]]
+        edges += [lengths[start:k], np.diff(dists)]
+        start = k + 1
+    return np.concatenate(points + [chain[start:]]), np.concatenate(edges + [lengths[start:]])
 
 
 def _batches(anchors: int, points: int) -> list[slice]:

@@ -94,18 +94,6 @@ def write_outputs(files: dict[Path, str]) -> list[Path]:
     return list(files)
 
 
-def write_correspondences(path: str | Path, sets: list[CorrespondenceSet]) -> None:
-    lines = ["# x1 x2 lon lat label"]
-    for s in sets:
-        lines.append(f"set {s.name}")
-        for c in s.pairs:
-            lines.append(
-                f"{c.source.x1!r} {c.source.x2!r} {c.target.lon!r} {c.target.lat!r}"
-                + (f" {c.label}" if c.label else "")
-            )
-    write_outputs({Path(path): "\n".join(lines) + "\n"})
-
-
 def read_pixel_curve(path: str | Path) -> list[PixelPoint]:
     path = Path(path)
     pts = []
@@ -120,10 +108,6 @@ def read_pixel_curve(path: str | Path) -> list[PixelPoint]:
     if not pts:
         raise ConfigError(f"{path}: empty pixel curve")
     return pts
-
-
-def write_pixel_curve(path: str | Path, points: list[PixelPoint]) -> None:
-    write_outputs({Path(path): "".join(f"{p.x1!r} {p.x2!r}\n" for p in points)})
 
 
 def _member(obj: dict, key: str, path: Path) -> dict:
@@ -183,30 +167,18 @@ def read_geo_curve(path: str | Path) -> tuple[str, list[GeoPoint]]:
     return name, pts
 
 
-def _geojson_text(name: str, coordinates: list[list[float]], length_km: float | None) -> str:
-    props: dict = {"name": name, "point_count": len(coordinates)}
-    if length_km is not None:
-        props["length_km"] = length_km
+def render_geojson_curve(curve) -> str:
+    """GeoJSON FeatureCollection text for a DiscreteCurve's vertices."""
+    coordinates = curve.chain[::2].tolist()
     feature = {
         "type": "Feature",
-        "properties": props,
+        "properties": {"name": curve.name, "point_count": len(coordinates), "length_km": curve.length / 1000.0},
         "geometry": {
             "type": "LineString",
             "coordinates": coordinates,
         },
     }
     return json.dumps({"type": "FeatureCollection", "features": [feature]}, indent=2) + "\n"
-
-
-def write_geo_curve(
-    path: str | Path, name: str, points: list[GeoPoint], length_km: float | None = None
-) -> None:
-    write_outputs({Path(path): _geojson_text(name, [[p.lon, p.lat] for p in points], length_km)})
-
-
-def render_geojson_curve(curve) -> str:
-    """GeoJSON FeatureCollection text for a DiscreteCurve's vertices."""
-    return _geojson_text(curve.name, curve.chain[::2].tolist(), curve.length / 1000.0)
 
 
 def write_field_dump(field: ParameterField, directory: str | Path) -> list[Path]:

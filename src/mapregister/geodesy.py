@@ -7,11 +7,13 @@ are in meters, coordinates in degrees.
 
 The planar-chord method exists once, on arrays: `plane_coords` projects
 points into the AEQD planes of their centers and `origin_to_chord` measures
-from a center to a projected edge.  Segments longer than `LONG_SEGMENT_M`
-are sampled by `densify` and measured by `densified_distances`.  The curve
-metrics and `point_to_segment_distance` both use these.  The straight chord
-between `ecef` points (`chords`) bounds a geodesic distance from below; the
-skip tests of the distance passes rest on it.
+from a center to a projected edge.  An edge longer than `LONG_SEGMENT_M`
+is measured as the chain of sub-edges between its `densify` samples, about
+1 km each, since the chord of a long edge in the plane of a point beside it
+falls metres short of the true distance.  The curve metrics and
+`point_to_segment_distance` both use these.  The straight chord between
+`ecef` points (`chords`) bounds a geodesic distance from below; the skip
+test of the distance pass rests on it.
 """
 
 from __future__ import annotations
@@ -24,14 +26,11 @@ import numpy as np
 from ._geodesic import WGS84
 from .errors import OutOfRangeError
 
-#: Segments longer than this are densified before the local projection.
+#: Edges longer than this are measured as the sub-edges between their
+#: `densify` samples.
 LONG_SEGMENT_M = 100_000.0
-#: Step used to densify long segments.
+#: Step used to densify long edges.
 DENSIFY_STEP_M = 1_000.0
-#: Margins of the chord-bound skip tests, far above the roundoff of the
-#: chords, the geodesic lengths and the planar chords.
-PRUNE_RTOL = 1e-9
-PRUNE_ATOL_M = 1e-3
 
 
 def normalize_lon(lon: float) -> float:
@@ -142,47 +141,18 @@ def origin_to_chord(ax, ay, bx, by) -> np.ndarray:
     return np.where(zero, np.hypot(ax, ay), np.hypot(ax + t * dx, ay + t * dy))
 
 
-def densify(lat1: float, lon1: float, lat2: float, lon2: float) -> tuple[np.ndarray, np.ndarray]:
+def densify(lat1: float, lon1: float, lat2: float, lon2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Points every `DENSIFY_STEP_M` along the geodesic from (lat1, lon1) to
-    (lat2, lon2), both ends included: (lat, lon) arrays, longitudes
-    normalized as `GeoPoint` does."""
+    (lat2, lon2): (lat, lon, distance from the start) arrays, longitudes
+    normalized as `GeoPoint` does.  The first and last points are the two
+    ends exactly as given; only the interior points are solved."""
     s12, azi1 = WGS84.inverse_many(lat1, lon1, lat2, lon2)
     dists = DENSIFY_STEP_M * np.arange(int(s12 // DENSIFY_STEP_M) + 1)
     if dists[-1] < s12:
         dists = np.append(dists, s12)
     lat, lon = WGS84.direct_many(lat1, lon1, azi1, dists)
-    return lat, normalize_lon_many(lon)
-
-
-def densified_distances(lat, lon, slat, slon) -> np.ndarray:
-    """Distance from each point (lat, lon) to a segment given by its
-    `densify` samples: the distance to the nearest sample (the first of
-    ties), or less if the chord between that sample's neighbours passes
-    closer in the point's own plane.
-
-    Only samples that could be nearest are solved: the straight (ECEF)
-    chord to a sample is a lower bound on its geodesic distance, so a
-    sample whose chord exceeds the geodesic distance to the chord-nearest
-    sample (with a margin) is not the nearest and is skipped.  No (point,
-    sample) pair is solved twice.
-    """
-    lat, lon = lat[:, None], lon[:, None]
-    chord = chords(ecef(lat[:, 0], lon[:, 0]), ecef(slat, slon))
-    near = chord.argmin(axis=1)[:, None]
-    bound = geodesic_distance_many(lat, lon, slat[near], slon[near])
-    d = np.full(chord.shape, np.inf)
-    np.put_along_axis(d, near, bound, axis=1)
-    rest = chord * (1 - PRUNE_RTOL) - PRUNE_ATOL_M <= bound
-    np.put_along_axis(rest, near, False, axis=1)
-    i, j = np.nonzero(rest)
-    if i.size:
-        d[i, j] = geodesic_distance_many(lat[i, 0], lon[i, 0], slat[j], slon[j])
-    k = d.argmin(axis=1)[:, None]
-    lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, len(slat) - 1)
-    ax, ay = plane_coords(lat, lon, slat[lo], slon[lo])
-    bx, by = plane_coords(lat, lon, slat[hi], slon[hi])
-    best = np.take_along_axis(d, k, axis=1)
-    return np.minimum(best, origin_to_chord(ax, ay, bx, by))[:, 0]
+    lat[[0, -1]], lon[[0, -1]] = (lat1, lat2), (lon1, lon2)
+    return lat, normalize_lon_many(lon), dists
 
 
 def ecef(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
@@ -204,18 +174,16 @@ def chords(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def point_to_segment_distance(p: GeoPoint, s: GeoSegment) -> float:
     """Minimum geodesic distance in meters from p to the segment s.
 
-    The segment endpoints are projected into the azimuthal equidistant plane
-    centered at p and the planar point-to-segment distance is taken; radial
-    distances from the center are exact under this projection, so the error
-    is negligible for the short segments digitized curves produce.  Segments
-    longer than `LONG_SEGMENT_M` are first densified at `DENSIFY_STEP_M`
-    steps and the minimum is refined around the best sample.
+    The segment's two ends, or its `densify` samples when it is longer
+    than `LONG_SEGMENT_M`, are projected into the azimuthal equidistant
+    plane centered at p, and the smallest planar distance to a chord
+    between consecutive points is taken.  Radial distances are exact under
+    this projection, so the error is negligible for chords this short.
     """
     if s.is_degenerate:
         return geodesic_distance(p, s.start)
-    lat, lon = np.array([p.lat]), np.array([p.lon])
+    lat, lon = [s.start.lat, s.end.lat], [s.start.lon, s.end.lon]
     if geodesic_distance(s.start, s.end) > LONG_SEGMENT_M:
-        d = densified_distances(lat, lon, *densify(s.start.lat, s.start.lon, s.end.lat, s.end.lon))
-        return float(d[0])
-    x, y = plane_coords(p.lat, p.lon, [s.start.lat, s.end.lat], [s.start.lon, s.end.lon])
-    return float(origin_to_chord(x[0], y[0], x[1], y[1]))
+        lat, lon, _ = densify(s.start.lat, s.start.lon, s.end.lat, s.end.lon)
+    x, y = plane_coords(p.lat, p.lon, lat, lon)
+    return float(origin_to_chord(x[:-1], y[:-1], x[1:], y[1:]).min())

@@ -12,7 +12,7 @@ to a JSON sidecar.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from decimal import ROUND_HALF_UP, Decimal
 
 from .errors import ConfigError, MapRegisterError
@@ -332,6 +332,15 @@ def render_human(report: MetricsReport) -> str:
     return "\n".join(w)
 
 
+def _hausdorff_object(e: HausdorffEntry) -> dict:
+    # The entry's fields, each combined column after its second directed one.
+    combined = {"dir_max_ba_km": {"max_km": e.max_km}, "dir_mean_ba_km": {"mean_km": e.mean_km}}
+    obj = {}
+    for key, value in asdict(e).items():
+        obj |= {key: value, **combined.get(key, {})}
+    return obj
+
+
 def sidecar(report: MetricsReport) -> dict:
     """Full-precision machine-readable mirror of the report."""
     te = report.transform_errors
@@ -343,39 +352,15 @@ def sidecar(report: MetricsReport) -> dict:
             "max_km": te.max_km,
         },
         "bands_km": report.bands_km,
-        "curves": [
-            {"name": c.name, "point_count": c.point_count, "length_km": c.length_km}
-            for c in report.curves
-        ],
-        "sources": [{"a": s.a, "b": s.b, "distance_km": s.distance_km} for s in report.sources],
-        "hausdorff": [
-            {
-                "a": e.a,
-                "b": e.b,
-                "length_a_km": e.length_a_km,
-                "length_b_km": e.length_b_km,
-                "dir_max_ab_km": e.dir_max_ab_km,
-                "dir_max_ba_km": e.dir_max_ba_km,
-                "max_km": e.max_km,
-                "dir_mean_ab_km": e.dir_mean_ab_km,
-                "dir_mean_ba_km": e.dir_mean_ba_km,
-                "mean_km": e.mean_km,
-            }
-            for e in report.hausdorff
-        ],
+        "curves": [asdict(c) for c in report.curves],
+        "sources": [asdict(s) for s in report.sources],
+        "hausdorff": [_hausdorff_object(e) for e in report.hausdorff],
         "matching": [
             {
-                "a": e.a,
-                "b": e.b,
-                "length_a_km": e.length_a_km,
-                "length_b_km": e.length_b_km,
+                **asdict(e),
                 "bands": [
                     {
-                        "band_km": band.band_km,
-                        "lm_ab_km": band.lm_ab_km,
-                        "pct_ab": band.pct_ab,
-                        "lm_ba_km": band.lm_ba_km,
-                        "pct_ba": band.pct_ba,
+                        **asdict(band),
                         "average_km": band.average_km(),
                         "average_pct": band.average_pct(e.length_a_km, e.length_b_km),
                     }

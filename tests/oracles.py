@@ -12,15 +12,17 @@ allowance the array engine keeps to it (`assert_inverse_close`,
 `assert_direct_close`); `scalar_point_to_segment_distance`, its
 one-geodesic-at-a-time point-to-segment distance with the planar-chord
 helpers it used;
-`scalar_anchor_min_distances`, its one-inverse-per-pair anchor pass, whose
-long-edge fallback is that function; `full_anchor_min_distances`, its array
-anchor pass before the chord-bound skip tests, with its long-edge fallback
-`full_densified_distances`; `coo_laplace_matrix`, its Laplace matrix
+`scalar_anchor_min_distances`, its one-inverse-per-pair anchor pass, which
+measures long edges with that function; `full_anchor_min_distances`, its
+array anchor pass before the chord-bound skip test; `coo_laplace_matrix`,
+its Laplace matrix
 assembled from reflected neighbor indices; `lu_solve_field`, its sparse-LU
 field solve;
 `scalar_write_field_dump`, its value-by-value field dump; and
 `scalar_transform_curve`, its pixel-by-pixel curve transform with
-`scalar_sample_field` and `scalar_apply_affine`.  The test-only
+`scalar_sample_field` and `scalar_apply_affine`.  The ground truth for
+long edges, `stepped_min_distances`, uses the array engine alone and none
+of the package's distance code.  The test-only
 readers of library outputs (`least_squares_objective`, `read_field_dump`)
 live here too.
 """
@@ -208,12 +210,12 @@ def densified_point_to_segment(dist_fn, walk_points, p, a, b, coarse=50.0, fine=
 def scalar_anchor_min_distances(a, b):
     """`curves.anchor_min_distances` with one scalar inverse per anchor and
     chain point, each chain edge handled as a planar chord in the anchor's
-    azimuthal equidistant plane."""
+    azimuthal equidistant plane; an edge longer than `LONG_SEGMENT_M` is
+    measured by `scalar_point_to_segment_distance` instead."""
     from mapregister.geodesy import LONG_SEGMENT_M, GeoPoint, GeoSegment
 
     chain = [GeoPoint(lon, lat) for lon, lat in b.chain.tolist()]
     edge_len = [scalar_distance(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
-    long_edges = [k for k, ln in enumerate(edge_len) if ln > LONG_SEGMENT_M]
     out = []
     for anchor in a.points:
         alat, alon = anchor.lat, anchor.lon
@@ -230,19 +232,10 @@ def scalar_anchor_min_distances(a, b):
             ys.append(r.s12 * math.cos(az))
         best = math.inf
         for k in range(len(chain) - 1):
-            ax, ay, bx, by = xs[k], ys[k], xs[k + 1], ys[k + 1]
-            dx, dy = bx - ax, by - ay
-            dd = dx * dx + dy * dy
-            if dd == 0.0:
-                d = math.hypot(ax, ay)
+            if edge_len[k] > LONG_SEGMENT_M:
+                d = scalar_point_to_segment_distance(anchor, GeoSegment(chain[k], chain[k + 1]))
             else:
-                t = -(ax * dx + ay * dy) / dd
-                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-                d = math.hypot(ax + t * dx, ay + t * dy)
-            if d < best:
-                best = d
-        for k in long_edges:
-            d = scalar_point_to_segment_distance(anchor, GeoSegment(chain[k], chain[k + 1]))
+                d = _origin_to_chord(xs[k], ys[k], xs[k + 1], ys[k + 1])
             if d < best:
                 best = d
         out.append(best)
@@ -250,42 +243,108 @@ def scalar_anchor_min_distances(a, b):
 
 
 def full_anchor_min_distances(a, b):
-    """`curves.anchor_min_distances` without its skip test: every chain
-    point of B projected into every anchor's plane, in array batches of at
-    most 4096 anchor x point pairs."""
+    """`curves.anchor_min_distances` without its skip test: every edge of B
+    longer than `LONG_SEGMENT_M` replaced, edge by edge, by the sub-edges
+    between its `densify` samples, then every chain point projected into
+    every anchor's plane, in array batches of at most 4096 anchor x point
+    pairs."""
     import numpy as np
 
     from mapregister.geodesy import LONG_SEGMENT_M, densify, origin_to_chord, plane_coords
 
+    points = [b.chain[:1]]
+    for k, length in enumerate(b.edge_lengths.tolist()):
+        if length > LONG_SEGMENT_M:
+            lat, lon, _ = densify(b.chain[k, 1], b.chain[k, 0], b.chain[k + 1, 1], b.chain[k + 1, 0])
+            points.append(np.stack([lon[1:-1], lat[1:-1]], axis=1))
+        points.append(b.chain[k + 1 : k + 2])
+    chain = np.concatenate(points)
     alon, alat = a.chain[::2, 0], a.chain[::2, 1]
-    blon, blat = b.chain[:, 0], b.chain[:, 1]
+    blon, blat = chain[:, 0], chain[:, 1]
     step = max(1, 4096 // len(blat))
     out = np.empty(len(alat))
     for i in range(0, len(alat), step):
         batch = slice(i, i + step)
         x, y = plane_coords(alat[batch, None], alon[batch, None], blat, blon)
         out[batch] = origin_to_chord(x[:, :-1], y[:, :-1], x[:, 1:], y[:, 1:]).min(axis=1)
-    for k in np.flatnonzero(b.edge_lengths > LONG_SEGMENT_M):
-        slat, slon = densify(blat[k], blon[k], blat[k + 1], blon[k + 1])
-        out = np.minimum(out, full_densified_distances(alat, alon, slat, slon))
     return out.tolist()
 
 
-def full_densified_distances(lat, lon, slat, slon):
-    """`geodesy.densified_distances` without its skip test: one inverse
-    from every point to every sample."""
+def _ecef(lat, lon):
+    # Earth-centred Cartesian coordinates (n, 3) of geodetic positions.
     import numpy as np
 
-    from mapregister.geodesy import geodesic_distance_many, origin_to_chord, plane_coords
+    phi, lam = np.radians(lat), np.radians(lon)
+    n = WGS84_A / np.sqrt(1 - WGS84_E2 * np.sin(phi) ** 2)
+    r = n * np.cos(phi)
+    return np.stack([r * np.cos(lam), r * np.sin(lam), n * (1 - WGS84_E2) * np.sin(phi)], axis=-1)
 
-    lat, lon = lat[:, None], lon[:, None]
-    d = geodesic_distance_many(lat, lon, slat, slon)
-    k = d.argmin(axis=1)[:, None]
-    lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, len(slat) - 1)
-    ax, ay = plane_coords(lat, lon, slat[lo], slon[lo])
-    bx, by = plane_coords(lat, lon, slat[hi], slon[hi])
-    best = np.take_along_axis(d, k, axis=1)
-    return np.minimum(best, origin_to_chord(ax, ay, bx, by))[:, 0]
+
+def stepped_min_distances(lat, lon, chain_lat, chain_lon, steps=(20.0, 0.2, 0.02, 1e-4)):
+    """Ground truth for the distance in meters from each point (lat, lon)
+    to a chain of geodesic edges, by the array engine alone, with no plane:
+    the smallest geodesic distance to points every steps[0] meters along
+    each edge (both ends included), then every steps[1] meters between the
+    neighbours of each edge's nearest point, and so on.  The finest step
+    bounds the error, also for a point on the chain.
+
+    Distance along an edge changes by at most the distance travelled, so an
+    edge whose nearest coarse point is more than steps[0] / 2 farther than
+    the nearest of all cannot hold the minimum and is not refined; and
+    since the straight ECEF chord never exceeds the geodesic distance,
+    coarse points whose chord exceeds that reach are not solved.  Refining
+    one window per edge assumes the distance along an edge has one minimum,
+    as it has for edges far shorter than a half meridian.
+    """
+    import numpy as np
+
+    lat, lon = np.asarray(lat, dtype=float), np.asarray(lon, dtype=float)
+    chain_lat, chain_lon = np.asarray(chain_lat, dtype=float), np.asarray(chain_lon, dtype=float)
+    coarse = steps[0]
+    s12, azi1 = WGS84.inverse_many(chain_lat[:-1], chain_lon[:-1], chain_lat[1:], chain_lon[1:])
+    along = [np.append(np.arange(0.0, s, coarse), s) for s in s12.tolist()]
+    first = np.cumsum([0] + [len(t) for t in along])
+    edge = np.repeat(np.arange(len(along)), np.diff(first))
+
+    def points(e, t):
+        # Positions t meters along the edges e.
+        return WGS84.direct_many(chain_lat[e], chain_lon[e], azi1[e], t)
+
+    def chord(q):
+        # Straight-line distances from the Cartesian point q to the coarse points.
+        return np.sqrt(((xyz - q) ** 2).sum(axis=1))
+
+    def around(t, m):
+        # The stretch between the neighbours of t[m].
+        return t[max(m - 1, 0)], t[min(m + 1, len(t) - 1)]
+
+    plat, plon = points(edge, np.concatenate(along))
+    xyz, anchors = _ecef(plat, plon), _ecef(lat, lon)
+    near = [int(chord(q).argmin()) for q in anchors]
+    reach = WGS84.inverse_many(lat, lon, plat[near], plon[near])[0] + coarse / 2
+    solve = [np.flatnonzero(chord(q) <= r) for q, r in zip(anchors, reach.tolist())]
+    sizes = [len(j) for j in solve]
+    k, j = np.repeat(np.arange(len(lat)), sizes), np.concatenate(solve)
+    solved = np.split(WGS84.inverse_many(lat[k], lon[k], plat[j], plon[j])[0], np.cumsum(sizes)[:-1])
+    best = np.array([d.min() for d in solved])
+
+    windows = []  # (point, edge, start, end) of the stretches to refine
+    for p, (j, dj) in enumerate(zip(solve, solved)):
+        d = np.full(len(plat), np.inf)
+        d[j] = dj
+        for e, t in enumerate(along):
+            de = d[first[e] : first[e + 1]]
+            if de.min() - coarse / 2 <= best[p]:
+                windows.append((p, e, *around(t, int(de.argmin()))))
+    for step in steps[1:]:
+        ts = [np.append(np.arange(lo, hi, step), hi) for *_, lo, hi in windows]
+        sizes = [len(t) for t in ts]
+        p, e = (np.repeat([w[n] for w in windows], sizes) for n in (0, 1))
+        d = WGS84.inverse_many(lat[p], lon[p], *points(e, np.concatenate(ts)))[0]
+        np.minimum.at(best, p, d)
+        d = np.split(d, np.cumsum(sizes)[:-1])
+        windows = [(w[0], w[1], *around(t, int(x.argmin()))) for w, t, x in zip(windows, ts, d)]
+    return best.tolist()
 
 
 def _plane_coords(center, p):
@@ -317,7 +376,9 @@ def _projected_distance(p, a, b) -> float:
 
 def scalar_point_to_segment_distance(p, s) -> float:
     """`geodesy.point_to_segment_distance` with one scalar geodesic per
-    projected point and per densification sample."""
+    projected point and per densification sample: a segment longer than
+    `LONG_SEGMENT_M` is the smallest planar chord between consecutive
+    samples, which start and end on the segment's own ends."""
     from mapregister.geodesy import DENSIFY_STEP_M, LONG_SEGMENT_M, GeoPoint
 
     if s.is_degenerate:
@@ -328,18 +389,14 @@ def scalar_point_to_segment_distance(p, s) -> float:
 
     line = GeodesicLine(SCALAR_WGS84, s.start.lat, s.start.lon, inv.azi1)
     steps = int(inv.s12 // DENSIFY_STEP_M)
-    dists = [DENSIFY_STEP_M * k for k in range(steps + 1)]
-    if dists[-1] < inv.s12:
-        dists.append(inv.s12)
-    samples = []
-    for d in dists:
-        lat, lon = line.position(d)
-        samples.append(GeoPoint(lon, lat))
-    point_d = [scalar_distance(p, q) for q in samples]
-    k = min(range(len(samples)), key=point_d.__getitem__)
-    lo = samples[max(k - 1, 0)]
-    hi = samples[min(k + 1, len(samples) - 1)]
-    return min(point_d[k], _projected_distance(p, lo, hi))
+    samples = [s.start]
+    for k in range(1, steps + 1):
+        if DENSIFY_STEP_M * k < inv.s12:
+            lat, lon = line.position(DENSIFY_STEP_M * k)
+            samples.append(GeoPoint(lon, lat))
+    samples.append(s.end)
+    xy = [_plane_coords(p, q) for q in samples]
+    return min(_origin_to_chord(*a, *b) for a, b in zip(xy, xy[1:]))
 
 
 def scalar_sample_field(f, x):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
+from pathlib import Path
 
 from mapregister.affine import AffineParams, Correspondence, CorrespondenceSet, PixelPoint, apply_affine
 from mapregister.geodesy import GeoPoint, walk
@@ -151,10 +153,6 @@ def write_experiment(directory, noise_deg: float = 0.0, bands=(10.0, 50.0, 100.0
     Returns (config_path, truth) where truth maps region names to the exact
     transforms that generated the correspondence targets.
     """
-    from pathlib import Path
-
-    from mapregister.formats import write_correspondences, write_geo_curve, write_pixel_curve
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rng = random.Random(1234)
@@ -201,3 +199,40 @@ output_dir: out
     config_path.write_text(config)
     truth = {name: t for name, (t, _) in EXPERIMENT_REGIONS.items()}
     return config_path, truth
+
+
+def write_correspondences(path, sets: list[CorrespondenceSet]) -> None:
+    """Correspondence sets in the file format `formats.read_correspondences`
+    reads, with every number at full round-trip precision."""
+    lines = ["# x1 x2 lon lat label"]
+    for s in sets:
+        lines.append(f"set {s.name}")
+        for c in s.pairs:
+            lines.append(
+                f"{c.source.x1!r} {c.source.x2!r} {c.target.lon!r} {c.target.lat!r}"
+                + (f" {c.label}" if c.label else "")
+            )
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_pixel_curve(path, points: list[PixelPoint]) -> None:
+    """A pixel curve file as `formats.read_pixel_curve` reads it."""
+    Path(path).write_text("".join(f"{p.x1!r} {p.x2!r}\n" for p in points))
+
+
+def write_geo_curve(path, name: str, points: list[GeoPoint], length_km: float | None = None) -> None:
+    """A GeoJSON FeatureCollection of one LineString, laid out as
+    `formats.render_geojson_curve` lays it out; `length_km` is written only
+    when given."""
+    props: dict = {"name": name, "point_count": len(points)}
+    if length_km is not None:
+        props["length_km"] = length_km
+    feature = {
+        "type": "Feature",
+        "properties": props,
+        "geometry": {
+            "type": "LineString",
+            "coordinates": [[p.lon, p.lat] for p in points],
+        },
+    }
+    Path(path).write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}, indent=2) + "\n")

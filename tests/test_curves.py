@@ -4,10 +4,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from mapregister import curves, geodesy
+from mapregister import curves
 from mapregister._geodesic import WGS84
 from mapregister.curves import (
     BandThreshold,
@@ -30,7 +30,6 @@ from mapregister.geodesy import (
     LONG_SEGMENT_M,
     GeoPoint,
     GeoSegment,
-    densified_distances,
     densify,
     geodesic_distance,
     geodesic_midpoint,
@@ -48,9 +47,9 @@ from oracles import (
     assert_direct_close,
     assert_inverse_close,
     full_anchor_min_distances,
-    full_densified_distances,
     scalar_anchor_min_distances,
     scalar_point_to_segment_distance,
+    stepped_min_distances,
 )
 from synth import random_curve
 
@@ -279,8 +278,8 @@ class TestAnchorMinDistances:
         assert_close_to_scalar(anchor_min_distances(a, b), scalar_anchor_min_distances(a, b))
 
     def test_batches_and_long_edges_match_scalar_reference(self, monkeypatch):
-        # More anchors than one batch holds, and a chain edge past
-        # LONG_SEGMENT_M, so the densified fallback runs.
+        # More anchors than one batch holds, and chain edges past
+        # LONG_SEGMENT_M, so the pass runs on their sub-edges.
         rng = random.Random(12)
         a = build_segments(random_curve(rng, "A", n=9, step_m=20_000.0), "A")
         b = build_segments(random_curve(rng, "B", n=2, start=a.points[3], step_m=350_000.0), "B")
@@ -301,75 +300,130 @@ class TestAnchorMinDistances:
         assert anchor_min_distances(a, a) == [0.0] * 10
 
 
-class TestLongEdgeFallback:
+#: Hypothesis phases of the long-edge properties: shrinking a failure
+#: replays their slow examples for minutes, and a smaller seed reads no
+#: better than the failing one, so a failure is reported as found.
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
+
+
+def two_long_edges() -> tuple[DiscreteCurve, DiscreteCurve]:
+    # 200 anchors around a curve whose chain edges are 190 km and 101 km
+    # long: its two first vertices, samples of its first edge, a point
+    # near that edge's end, and points along it and up to 60 km off it.
+    rng = random.Random(7)
+    p0 = GeoPoint(20.0, 45.0)
+    p1 = walk(p0, 80.0, 380_000.0)
+    b = build_segments([p0, p1, walk(p1, 140.0, 202_000.0)], "B")
+    assert [round(x / 1000) for x in b.edge_lengths] == [190, 190, 101, 101]
+    anchors = [walk(p0, 80.0, DENSIFY_STEP_M * k) for k in (0, 1, 57, 190, 380)]
+    while len(anchors) < 200:
+        q = walk(p0, 80.0, rng.uniform(-20_000.0, 400_000.0))
+        anchors.append(walk(q, rng.uniform(0, 360), rng.uniform(0, 60_000.0)))
+    return build_segments(anchors, "A"), b
+
+
+def assert_within_a_millimetre(got, want):
+    assert len(got) == len(want)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-3, max(zip(got, want), key=lambda gw: abs(gw[0] - gw[1]))
+
+
+class TestLongEdges:
+    # Edges longer than LONG_SEGMENT_M are measured as the sub-edges
+    # between their densification samples, about 1 km each.  The ground
+    # truth (`stepped_min_distances`) steps along the edges with the array
+    # engine and shares no code with the pass or the scalar references.
+
     @given(
         st.integers(0, 2**32 - 1),
         st.floats(LONG_SEGMENT_M + 1.0, 400_000.0),
         st.integers(1, 3),
     )
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=8, deadline=None, phases=NO_SHRINK)
     def test_matches_scalar_point_to_segment(self, seed, length_m, per_kind):
         # A curve of two vertices whose two chain edges are each length_m
         # long, and anchors before, beyond and beside its first chain edge,
-        # on that edge's densification samples and on its end (which the
-        # last sample misses by roundoff).
+        # on that edge's densification samples and on its end.
         rng = random.Random(seed)
-        start = GeoPoint(rng.uniform(-180, 180), rng.uniform(-70, 70))
-        b = build_segments([start, walk(start, rng.uniform(0, 360), 2 * length_m)], "B")
-        chain = chain_points(b)
-        edge = GeoSegment(chain[0], chain[1])
-        inv = WGS84.inverse(edge.start.lat, edge.start.lon, edge.end.lat, edge.end.lon)
-        samples = int(inv.s12 // DENSIFY_STEP_M) + 1
-        anchors = []
-        for _ in range(per_kind):
-            anchors += [
-                walk(edge.start, inv.azi1 + 180.0, rng.uniform(1.0, 60_000.0)),
-                walk(edge.start, inv.azi1, inv.s12 + rng.uniform(1.0, 60_000.0)),
-                walk(walk(edge.start, inv.azi1, rng.uniform(0, inv.s12)), rng.uniform(0, 360), rng.uniform(0, 60_000.0)),
-                walk(edge.start, inv.azi1, DENSIFY_STEP_M * rng.randrange(samples)),
-            ]
-        anchors.append(edge.end)
-        lat = np.array([q.lat for q in anchors])
-        lon = np.array([q.lon for q in anchors])
+        b, edge, anchors = long_edge_case(rng, length_m, per_kind, 60_000.0, 60_000.0)
+        got = [point_to_segment_distance(q, edge) for q in anchors]
+        assert_close_to_scalar(got, [scalar_point_to_segment_distance(q, edge) for q in anchors])
+        assert got[3::4] == [0.0] * per_kind  # on a sample
+        assert got[-1] == 0.0  # on the end
 
-        samples_ll = densify(edge.start.lat, edge.start.lon, edge.end.lat, edge.end.lon)
-        got = densified_distances(lat, lon, *samples_ll)
-        assert got.tolist() == full_densified_distances(lat, lon, *samples_ll).tolist()
-        want = [scalar_point_to_segment_distance(q, edge) for q in anchors]
-        assert_close_to_scalar(got.tolist(), want)
-        assert [point_to_segment_distance(q, edge) for q in anchors] == got.tolist()
-        assert got[3::4].tolist() == [0.0] * per_kind  # on a sample
-
-        # The whole pass, its fallback in batches of one or two anchors.
+        # The whole pass, in batches of one or two anchors.
         a = build_segments(anchors, "A")
-        with mock.patch.object(curves, "ANCHOR_BATCH_PAIRS", 2 * samples):
+        with mock.patch.object(curves, "ANCHOR_BATCH_PAIRS", 2 * int(length_m // DENSIFY_STEP_M + 2)):
             assert_close_to_scalar(anchor_min_distances(a, b), scalar_anchor_min_distances(a, b))
 
-    def test_skip_test_spares_most_samples(self):
-        # 200 anchors around a curve whose chain edges are 190 km and
-        # 101 km long: its first vertex, points along its first edge and
-        # points up to 60 km off it.
-        rng = random.Random(7)
-        p0 = GeoPoint(20.0, 45.0)
-        p1 = walk(p0, 80.0, 380_000.0)
-        b = build_segments([p0, p1, walk(p1, 140.0, 202_000.0)], "B")
-        assert [round(x / 1000) for x in b.edge_lengths] == [190, 190, 101, 101]
-        anchors = [walk(p0, 80.0, DENSIFY_STEP_M * k) for k in (0, 1, 57, 190, 380)]
-        while len(anchors) < 200:
-            q = walk(p0, 80.0, rng.uniform(-20_000.0, 400_000.0))
-            anchors.append(walk(q, rng.uniform(0, 360), rng.uniform(0, 60_000.0)))
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(LONG_SEGMENT_M + 1_000.0, 600_000.0),
+        st.integers(1, 2),
+    )
+    @settings(max_examples=10, deadline=None, phases=NO_SHRINK)
+    def test_within_a_millimetre_of_ground_truth(self, seed, length_m, per_kind):
+        rng = random.Random(seed)
+        b, edge, anchors = long_edge_case(rng, length_m, per_kind, 80_000.0, 0.2 * length_m)
+        anchors += [GeoPoint(lon, lat) for lon, lat in b.chain.tolist()]
+        lat, lon = np.array([q.lat for q in anchors]), np.array([q.lon for q in anchors])
+
+        got = [point_to_segment_distance(q, edge) for q in anchors]
+        ends = np.array([edge.start.lat, edge.end.lat]), np.array([edge.start.lon, edge.end.lon])
+        assert_within_a_millimetre(got, stepped_min_distances(lat, lon, *ends))
+        assert got[3 : 4 * per_kind : 4] == [0.0] * per_kind  # on a sample
+        assert got[-4:-1] == [0.0] * 3  # on the end, the start and the end again
+
         a = build_segments(anchors, "A")
-        lat, lon = a.chain[::2, 1], a.chain[::2, 0]
-        for k in range(4):
-            samples_ll = densify(*b.chain[k, ::-1], *b.chain[k + 1, ::-1])
-            with mock.patch.object(geodesy, "geodesic_distance_many", wraps=geodesy.geodesic_distance_many) as solved:
-                got = densified_distances(lat, lon, *samples_ll)
-            pairs = [np.broadcast_arrays(*c.args) for c in solved.call_args_list]
-            pairs = [tuple(x) for args in pairs for x in zip(*(v.ravel().tolist() for v in args))]
-            assert len(pairs) < 0.05 * len(lat) * len(samples_ll[0])
-            assert len(set(pairs)) == len(pairs)  # no (anchor, sample) pair solved twice
-            assert got.tolist() == full_densified_distances(lat, lon, *samples_ll).tolist()
-        assert anchor_min_distances(a, b) == full_anchor_min_distances(a, b)
+        got = anchor_min_distances(a, b)
+        assert_within_a_millimetre(got, stepped_min_distances(lat, lon, b.chain[:, 1], b.chain[:, 0]))
+        assert got[3 : 4 * per_kind : 4] == [0.0] * per_kind
+        assert got[-4:] == [0.0] * 4  # on the chain points
+
+    def test_two_long_edges_within_a_millimetre_of_ground_truth(self):
+        a, b = two_long_edges()
+        want = stepped_min_distances(a.chain[::2, 1], a.chain[::2, 0], b.chain[:, 1], b.chain[:, 0])
+        got = anchor_min_distances(a, b)
+        assert_within_a_millimetre(got, want)
+        assert [got[k] for k in (0, 1, 2, 4)] == [0.0] * 4  # on the vertices and on samples
+
+    def test_skip_test_spares_most_samples(self):
+        # The pass projects few of the anchor x chain-point pairs, the
+        # chain points including the samples of the long edges, and solves
+        # none of them twice.
+        a, b = two_long_edges()
+        points = 1 + sum(len(densify(*b.chain[k, ::-1], *b.chain[k + 1, ::-1])[0]) - 1 for k in range(4))
+        with mock.patch.object(curves, "plane_coords", wraps=curves.plane_coords) as projected:
+            got = anchor_min_distances(a, b)
+        pairs = [np.broadcast_arrays(*c.args) for c in projected.call_args_list]
+        pairs = [tuple(x) for args in pairs for x in zip(*(v.ravel().tolist() for v in args))]
+        assert len(pairs) < 0.05 * len(a.points) * points
+        assert len(set(pairs)) == len(pairs)  # no (anchor, chain point) pair solved twice
+        assert got == full_anchor_min_distances(a, b)
+
+
+def long_edge_case(rng: random.Random, length_m: float, per_kind: int, off_m: float, beyond_m: float):
+    # A curve B of two vertices whose chain edges are each length_m long,
+    # its first chain edge, and anchors around that edge: per kind, one up
+    # to beyond_m before its start, one up to beyond_m past its end, one
+    # up to off_m beside it and one on an interior densification sample
+    # (a walk of length 0 need not end exactly on its start); then the
+    # edge's end.
+    start = GeoPoint(rng.uniform(-180, 180), rng.uniform(-70, 70))
+    b = build_segments([start, walk(start, rng.uniform(0, 360), 2 * length_m)], "B")
+    chain = chain_points(b)
+    edge = GeoSegment(chain[0], chain[1])
+    inv = WGS84.inverse(edge.start.lat, edge.start.lon, edge.end.lat, edge.end.lon)
+    samples = int(inv.s12 // DENSIFY_STEP_M) + 1
+    anchors = []
+    for _ in range(per_kind):
+        anchors += [
+            walk(edge.start, inv.azi1 + 180.0, rng.uniform(1.0, beyond_m)),
+            walk(edge.start, inv.azi1, inv.s12 + rng.uniform(1.0, beyond_m)),
+            walk(walk(edge.start, inv.azi1, rng.uniform(0, inv.s12)), rng.uniform(0, 360), rng.uniform(0, off_m)),
+            walk(edge.start, inv.azi1, DENSIFY_STEP_M * rng.randrange(1, samples - 1)),
+        ]
+    anchors.append(edge.end)
+    return b, edge, anchors
 
 
 class TestDistanceProfile:

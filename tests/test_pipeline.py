@@ -35,10 +35,7 @@ from mapregister.formats import (
     read_correspondences,
     read_geo_curve,
     read_pixel_curve,
-    write_correspondences,
     write_field_dump,
-    write_geo_curve,
-    write_pixel_curve,
 )
 from mapregister.geodesy import GeoPoint
 from mapregister.pipeline import (
@@ -76,7 +73,10 @@ from synth import (
     random_pixels,
     ring_pixels,
     synth_set,
+    write_correspondences,
     write_experiment,
+    write_geo_curve,
+    write_pixel_curve,
 )
 
 
