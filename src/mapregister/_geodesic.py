@@ -6,8 +6,10 @@ third flattening.  The expansions are data, one table per series of the
 paper (A1 and C1, C1', A2 and C2, A3 and C3), read by one Horner routine,
 one routine for the Fourier coefficients and one Clenshaw sum.  The inverse
 problem is solved by Newton iteration on the departure azimuth, seeded with
-the astroid construction for nearly antipodal pairs.  Accuracy on WGS84 is
-far below a millimeter for non-antipodal pairs.
+the astroid construction for nearly antipodal pairs, inside a bracket on
+the azimuth that it bisects where a Newton step would leave it (as in
+GeographicLib); if it has not converged after `_MAXIT` passes it raises
+`ConvergenceError`.  Accuracy on WGS84 is far below a millimeter.
 
 Both problems are solved on arrays, by `Geodesic.inverse_many` for batches
 of point pairs and `Geodesic.direct_many` for batches of lines; every
@@ -15,9 +17,9 @@ special case of the method (meridians, the equator, the astroid start) is a
 masked branch of the batch, and `Geodesic.inverse` and `Geodesic.direct` are
 one-element views of them.  Only the pieces this package needs are
 provided: distance and departure azimuth for the inverse problem, position
-for the direct problem.  If the inverse iteration does not converge
-(possible only within a vanishing neighbourhood of antipodal pairs) the
-over-the-pole meridional path length is returned so the function stays total.
+for the direct problem.  Coincident points are exactly 0.0 apart, a line
+of length 0 ends exactly on its start, and every longitude returned is
+reduced to (-180, 180] by `_ang_normalize_many`, which is exact.
 
 The transcendental steps are NumPy's own (sin, cos, arctan2, hypot, cbrt).
 They differ from the `math` functions of Karney's scalar formulation by an
@@ -37,12 +39,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConvergenceError
+
 _TINY = math.sqrt(math.ldexp(1.0, -1022))
 _TOL0 = 2.220446049250313e-16
 _TOL1 = 200 * _TOL0
 _TOL2 = math.sqrt(_TOL0)
+_TOLB = _TOL0 * _TOL2
 _XTHRESH = 1000 * _TOL2
 _MAXIT = 100
+_NEWTON_PASSES = 20
 
 
 # Angle helpers on arrays.
@@ -88,6 +94,11 @@ def _atan2d_many(y, x):
     ang = np.degrees(np.arctan2(y, np.where(neg, -x, x)))
     q = 2 * swap + neg
     return np.choose(q, (ang, np.where(y >= 0, 180.0, -180.0) - ang, 90.0 - ang, -90.0 + ang))
+
+
+def _eps(k2):
+    # Karney's expansion parameter eps of k^2 = e'^2 cos^2 alp0.
+    return k2 / (2 * (1 + np.sqrt(1 + k2)) + k2)
 
 
 def _norm_many(s, c):
@@ -231,7 +242,7 @@ class Geodesic:
         return s12b, m12a
 
     def inverse(self, lat1: float, lon1: float, lat2: float, lon2: float) -> Inverse:
-        """Shortest geodesic between two points; total for all inputs."""
+        """Shortest geodesic between two points."""
         s12, azi1 = self.inverse_many(lat1, lon1, lat2, lon2)
         return Inverse(float(s12), float(azi1))
 
@@ -241,10 +252,9 @@ class Geodesic:
 
         Each element is put in the canonical arrangement and solved by one
         branch: along a meridian, along the equator, by the short-line
-        formula, or by Newton's method on lambda12 (started from the
-        astroid for nearly antipodal pairs), with the over-the-pole fallback
-        where Newton does not converge.  A branch runs only on the elements
-        that take it.  Distances and azimuths keep to the measured
+        formula, or by bracketed Newton iteration on lambda12 (started from
+        the astroid for nearly antipodal pairs).  A branch runs only on the
+        elements that take it.  Distances and azimuths keep to the measured
         allowance against the scalar reference (see the module docstring).
         """
         args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lat1, lon1, lat2, lon2)))
@@ -303,7 +313,7 @@ class Geodesic:
         salp1[k] = salp2[k] = 1.0
 
         g = np.flatnonzero(~(meridian | equator))
-        s12[g], salp1[g], calp1[g], salp2[g], calp2[g], failed = self._general_many(
+        s12[g], salp1[g], calp1[g], salp2[g], calp2[g] = self._general_many(
             sbet1[g], cbet1[g], sbet2[g], cbet2[g], lam12[g]
         )
 
@@ -312,22 +322,12 @@ class Geodesic:
         salp1 = np.where(swapped, salp2, salp1) * (swapp * lonsign)
         calp1 = np.where(swapped, calp2, calp1) * (swapp * latsign)
         s12 = 0.0 + s12
-        azi1 = _atan2d_many(salp1, calp1)
-
-        # Where Newton's method failed, the length of the path over the
-        # nearest pole: exact for truly antipodal points on an oblate
-        # ellipsoid, a few meters off otherwise.
-        k = g[failed]
-        if k.size:
-            up = self.inverse_many(np.stack([lat1[k], lat2[k]]) * latsign[k], 0.0, 90.0, 0.0)[0]
-            s12[k], azi1[k] = up[0] + up[1], 0.0
-        return s12.reshape(shape), azi1.reshape(shape)
+        return s12.reshape(shape), _atan2d_many(salp1, calp1).reshape(shape)
 
     def _general_many(self, sbet1, cbet1, sbet2, cbet2, lam12):
         # The general case on canonical arrays: short-line, spherical or
-        # astroid start, then Newton's method.  Returns s12, the azimuth
-        # sines and cosines at both ends and a mask of the elements whose
-        # Newton iteration did not converge.
+        # astroid start, then Newton's method.  Returns s12 and the azimuth
+        # sines and cosines at both ends.
         sbet12 = sbet2 * cbet1 - cbet2 * sbet1
         cbet12 = cbet2 * cbet1 + sbet2 * sbet1
         sbet12a = sbet2 * cbet1 + cbet2 * sbet1
@@ -358,19 +358,17 @@ class Geodesic:
             cbet1[k] * somg12[k], sbet12[k] - cbet1[k] * sbet2[k] * somg12[k] * somg12[k] / (1 + comg12[k])
         )
 
-        failed = np.zeros(lam12.size, dtype=bool)
         k = np.flatnonzero(~short)
-        s12[k], salp1[k], calp1[k], salp2[k], calp2[k], failed[k] = self._newton_many(
+        s12[k], salp1[k], calp1[k], salp2[k], calp2[k] = self._newton_many(
             sbet1[k], cbet1[k], sbet2[k], cbet2[k], lam12[k], salp1[k], calp1[k]
         )
-        return s12, salp1, calp1, salp2, calp2, failed
+        return s12, salp1, calp1, salp2, calp2
 
     def _astroid_start(self, sbet1, cbet1, cbet2, lam12, sbet12a):
         # Starting azimuth (salp1, calp1), not normalized, of nearly
         # antipodal pairs: rescale to the astroid coordinate system (x, y)
         # with the antipode at the origin (oblate case).
-        k2 = sbet1 * sbet1 * self.ep2
-        eps = k2 / (2 * (1 + np.sqrt(1 + k2)) + k2)
+        eps = _eps(sbet1 * sbet1 * self.ep2)
         lamscale = self.f * cbet1 * _horner(self._a3, eps) * math.pi
         betscale = lamscale * cbet1
         x = (lam12 - math.pi) / lamscale
@@ -388,23 +386,21 @@ class Geodesic:
         return salp1, calp1
 
     def _newton_many(self, sbet1, cbet1, sbet2, cbet2, lam12, salp1, calp1):
-        # Newton's method on lambda12 for arrays of canonical problems.  Each
-        # pass evaluates only the elements still iterating: lambda12 and the
-        # lengths, whose distance the stopping elements keep and whose
-        # reduced length gives the others' Newton step.  Returns s12 and
-        # the final azimuth sines and cosines, plus a mask of the elements
-        # that did not converge.
+        # Newton's method on lambda12 for arrays of canonical problems,
+        # updating salp1 and calp1 in place.  As in GeographicLib, lambda12
+        # increases with alp1 on (0, pi), so each evaluation narrows a
+        # bracket (sa, ca)-(sb, cb) on alp1; a Newton step is taken in the
+        # first _NEWTON_PASSES passes if it descends (dv > 0) and stays in
+        # (0, pi), else alp1 moves to the bracket's midpoint, and such a
+        # bisection stops once the bracket has closed.  Each pass evaluates
+        # only the elements still iterating; the stopping ones keep the
+        # distance, the others' Newton step uses the reduced length.
         n = lam12.size
-        s12 = np.zeros(n)
-        salp2 = np.zeros(n)
-        calp2 = np.zeros(n)
-        salp1 = salp1.copy()
-        calp1 = calp1.copy()
-        ov = np.zeros(n)
-        trip = np.zeros(n, dtype=bool)
-        failed = np.zeros(n, dtype=bool)
+        s12, salp2, calp2, ov = np.zeros((4, n))
+        trip, bisected = np.zeros((2, n), dtype=bool)
+        bracket = np.array([[_TINY], [1.0], [_TINY], [-1.0]]).repeat(n, axis=1)
         act = np.arange(n)
-        for _ in range(_MAXIT if n else 0):
+        for it in range(_MAXIT if n else 0):
             sb1, cb1, sb2, cb2 = sbet1[act], cbet1[act], sbet2[act], cbet2[act]
             sa1, ca1 = salp1[act], calp1[act]
             nlam12, sa2, ca2, sig12, ssig1, csig1, ssig2, csig2, eps = self._lambda12_many(
@@ -413,9 +409,10 @@ class Geodesic:
             s12b, m12a = self._lengths(eps, sig12, ssig1, csig1, ssig2, csig2, cb1, cb2)
             v = nlam12 - lam12[act]
             stop = ~(np.abs(v) > _TINY) | trip[act]
+            # A Newton stop after a step that made |v| grow iterates on.
+            stop &= bisected[act] | (np.abs(v) <= np.maximum(_TOL1, ov[act]))
             if stop.any():
                 k = act[stop]
-                failed[k] = ~(np.abs(v[stop]) <= np.maximum(_TOL1, ov[k]))
                 s12[k] = s12b[stop] * self.b
                 salp2[k], calp2[k] = sa2[stop], ca2[stop]
                 go = ~stop
@@ -423,6 +420,13 @@ class Geodesic:
                 if not act.size:
                     break
                 sb1, cb1, cb2, sa1, ca1, ca2, v, m12a = (x[go] for x in (sb1, cb1, cb2, sa1, ca1, ca2, v, m12a))
+            sa, ca, sb, cb = bracket[:, act]
+            past = it >= _NEWTON_PASSES
+            up = (v > 0) & (past | (ca1 * sb > cb * sa1))
+            down = (v < 0) & (past | (ca1 * sa < ca * sa1))
+            sa, ca = np.where(down, sa1, sa), np.where(down, ca1, ca)
+            sb, cb = np.where(up, sa1, sb), np.where(up, ca1, cb)
+            bracket[:, act] = sa, ca, sb, cb
             # d(lambda12)/d(alp1), with its limit at a vertex (calp2 == 0).
             vertex = ca2 == 0
             dv = np.where(vertex, -2 * np.sqrt(1 - self.e2 * cb1 * cb1), m12a) / np.where(vertex, sb1, ca2 * cb2)
@@ -430,11 +434,16 @@ class Geodesic:
             sdalp1, cdalp1 = np.sin(dalp1), np.cos(dalp1)
             nsalp1 = sa1 * cdalp1 + ca1 * sdalp1
             ca1 = ca1 * cdalp1 - sa1 * sdalp1
-            salp1[act], calp1[act] = _norm_many(np.maximum(nsalp1, 0.0), ca1)
-            trip[act] = ~((np.abs(v) >= _TOL1) & (v * v >= ov[act] * _TOL0))
+            newton = (dv > 0) & (nsalp1 > 0) & (np.abs(dalp1) < math.pi) & (not past)
+            sa1, ca1 = _norm_many(np.where(newton, nsalp1, (sa + sb) / 2), np.where(newton, ca1, (ca + cb) / 2))
+            closed = (np.abs(sa - sa1) + (ca - ca1) < _TOLB) | (np.abs(sa1 - sb) + (ca1 - cb) < _TOLB)
+            salp1[act], calp1[act] = sa1, ca1
+            trip[act] = np.where(newton, ~((np.abs(v) >= _TOL1) & (v * v >= ov[act] * _TOL0)), closed)
+            bisected[act] = ~newton
             ov[act] = np.abs(v)
-        failed[act] = True
-        return s12, salp1, calp1, salp2, calp2, failed
+        if act.size:
+            raise ConvergenceError(f"geodesic inverse did not converge in {_MAXIT} passes ({act.size} of {n} pairs)")
+        return s12, salp1, calp1, salp2, calp2
 
     def _lambda12_many(self, sbet1, cbet1, sbet2, cbet2, salp1, calp1):
         # lambda12 and the arc quantities of the geodesic leaving point 1 at
@@ -466,8 +475,7 @@ class Geodesic:
         sig12 = np.arctan2(np.maximum(csig1 * ssig2 - ssig1 * csig2, 0.0), csig1 * csig2 + ssig1 * ssig2)
         omg12 = np.arctan2(np.maximum(comg1 * somg2 - somg1 * comg2, 0.0), comg1 * comg2 + somg1 * somg2)
 
-        k2 = calp0 * calp0 * self.ep2
-        eps = k2 / (2 * (1 + np.sqrt(1 + k2)) + k2)
+        eps = _eps(calp0 * calp0 * self.ep2)
         c3a = _series(self._c3, eps, eps)
         b312 = _sin_series(ssig2, csig2, c3a) - _sin_series(ssig1, csig1, c3a)
         h0 = -self.f * _horner(self._a3, eps)
@@ -501,8 +509,7 @@ class Geodesic:
         somg1 = salp0 * sbet1
         csig1 = comg1 = np.where((sbet1 != 0) | (calp1 != 0), cbet1 * calp1, 1.0)
         ssig1, csig1 = _norm_many(sbet1, csig1)
-        k2 = calp0 * calp0 * self.ep2
-        eps = k2 / (2 * (1 + np.sqrt(1 + k2)) + k2)
+        eps = _eps(calp0 * calp0 * self.ep2)
         eps2 = eps * eps
         a1m1 = (_horner(_A1, eps2) / 256 + eps) / (1 - eps)
         b11 = _sin_series(ssig1, csig1, _series(_C1, eps, eps2))
@@ -529,9 +536,11 @@ class Geodesic:
         somg2 = salp0 * ssig2
         omg12 = np.arctan2(somg2 * comg1 - comg2 * somg1, comg2 * comg1 + somg2 * somg1)
         lam12 = omg12 + a3c * (sig12 + (_sin_series(ssig2, csig2, c3a) - b31))
-        lon12 = _ang_normalize_many(np.degrees(lam12))
-        lon2 = _ang_normalize_many(_ang_normalize_many(lon1) + lon12)
-        return _atan2d_many(sbet2, self.f1 * cbet2), lon2
+        lon1 = _ang_normalize_many(lon1)
+        lon2 = _ang_normalize_many(lon1 + _ang_normalize_many(np.degrees(lam12)))
+        # A line of length 0 ends exactly on its start.
+        zero = s12 == 0
+        return np.where(zero, lat1, _atan2d_many(sbet2, self.f1 * cbet2)), np.where(zero, lon1, lon2)
 
 
 #: WGS84 reference ellipsoid (semi-major axis in meters, flattening).

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateConfigurationError, OutOfRangeError
-from .geodesy import GeoPoint, geodesic_distance_many, normalize_lon_many
+from .geodesy import GeoPoint, geodesic_distance_many
 
 _COLLINEAR_RTOL = 1e-12
 
@@ -186,7 +186,7 @@ def errors_km(t: AffineParams, sets: list[CorrespondenceSet]) -> tuple[list[floa
     if not valid.all():
         apply_affine(t, pairs[int(valid.argmin())].source)  # raises for the first invalid image
     target = np.array([(c.target.lon, c.target.lat) for c in pairs])
-    d = geodesic_distance_many(target[:, 1], target[:, 0], images[:, 1], normalize_lon_many(images[:, 0]))
+    d = geodesic_distance_many(target[:, 1], target[:, 0], images[:, 1], images[:, 0])
     r = (d / 1000.0).tolist()
     rms, largest = [], []
     start = 0

@@ -129,7 +129,6 @@ def build_segments(points: list[GeoPoint] | np.ndarray, name: str = "") -> Discr
     lon, lat = chain[::2, 0], chain[::2, 1]
     s12, azi1 = WGS84.inverse_many(lat[:-1], lon[:-1], lat[1:], lon[1:])
     mlat, mlon = WGS84.direct_many(lat[:-1], lon[:-1], azi1, s12 / 2)
-    mlon = normalize_lon_many(mlon)
     chain[1::2, 0], chain[1::2, 1] = mlon, mlat
     edges = geodesic_distance_many(chain[:-1, 1], chain[:-1, 0], chain[1:, 1], chain[1:, 0])
     return _assemble(name, chain, edges)

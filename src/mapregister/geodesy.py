@@ -14,6 +14,9 @@ falls metres short of the true distance.  The curve metrics and
 `point_to_segment_distance` both use these.  The straight chord between
 `ecef` points (`chords`) bounds a geodesic distance from below; the skip
 test of the distance pass rests on it.
+
+Coincident points, zero-length walks and longitudes follow the engine's
+exact rules; `normalize_lon_many` is its exact reduction to (-180, 180].
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._geodesic import WGS84
+from ._geodesic import WGS84, _ang_normalize_many as normalize_lon_many
 from .errors import OutOfRangeError
 
 #: Edges longer than this are measured as the sub-edges between their
@@ -31,20 +34,6 @@ from .errors import OutOfRangeError
 LONG_SEGMENT_M = 100_000.0
 #: Step used to densify long edges.
 DENSIFY_STEP_M = 1_000.0
-
-
-def normalize_lon(lon: float) -> float:
-    """Map a longitude to (-180, 180]."""
-    r = math.fmod(lon + 180.0, 360.0)
-    if r <= 0.0:
-        r += 360.0
-    return r - 180.0
-
-
-def normalize_lon_many(lon) -> np.ndarray:
-    """`normalize_lon` on an array; `np.fmod` is exact, like `math.fmod`."""
-    r = np.fmod(np.asarray(lon) + 180.0, 360.0)
-    return np.where(r <= 0.0, r + 360.0, r) - 180.0
 
 
 @dataclass(frozen=True)
@@ -59,7 +48,7 @@ class GeoPoint:
             raise OutOfRangeError(f"non-finite coordinates ({self.lon}, {self.lat})")
         if not -90.0 <= self.lat <= 90.0:
             raise OutOfRangeError(f"latitude {self.lat} outside [-90, 90]")
-        object.__setattr__(self, "lon", normalize_lon(self.lon))
+        object.__setattr__(self, "lon", float(normalize_lon_many(self.lon)))
 
 
 @dataclass(frozen=True)
@@ -79,22 +68,16 @@ class GeoSegment:
 
 def geodesic_distance(p: GeoPoint, q: GeoPoint) -> float:
     """Length in meters of the shortest geodesic from p to q."""
-    if p.lat == q.lat and p.lon == q.lon:
-        return 0.0
     return WGS84.inverse(p.lat, p.lon, q.lat, q.lon).s12
 
 
 def geodesic_distance_many(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """`geodesic_distance` on broadcast coordinate arrays (meters), with the
-    same exact 0.0 for coincident points."""
-    s12, _ = WGS84.inverse_many(lat1, lon1, lat2, lon2)
-    return np.where((lat1 == lat2) & (lon1 == lon2), 0.0, s12)
+    """`geodesic_distance` on broadcast coordinate arrays (meters)."""
+    return WGS84.inverse_many(lat1, lon1, lat2, lon2)[0]
 
 
 def geodesic_midpoint(p: GeoPoint, q: GeoPoint) -> GeoPoint:
     """The point halfway along the geodesic from p to q."""
-    if p == q:
-        return p
     r = WGS84.inverse(p.lat, p.lon, q.lat, q.lon)
     lat, lon = WGS84.direct(p.lat, p.lon, r.azi1, r.s12 / 2)
     return GeoPoint(lon, lat)
@@ -119,17 +102,12 @@ def plane_coords(lat0, lon0, lat, lon) -> tuple[np.ndarray, np.ndarray]:
     """Azimuthal equidistant (x, y) in meters of the points (lat, lon) in
     the planes centered at (lat0, lon0), for broadcast arrays.
 
-    The radial distance is the true geodesic distance; a point on its
-    center maps to the exact origin without an inverse solution.
+    The radial distance is the true geodesic distance, so a point on its
+    center maps to the exact origin.
     """
-    lat0, lon0, lat, lon = np.broadcast_arrays(lat0, lon0, lat, lon)
-    off = (lat != lat0) | (lon != lon0)
-    s12, azi1 = WGS84.inverse_many(lat0[off], lon0[off], lat[off], lon[off])
+    s12, azi1 = WGS84.inverse_many(lat0, lon0, lat, lon)
     az = np.radians(azi1)
-    x, y = np.zeros((2, *off.shape))
-    x[off] = s12 * np.sin(az)
-    y[off] = s12 * np.cos(az)
-    return x, y
+    return s12 * np.sin(az), s12 * np.cos(az)
 
 
 def origin_to_chord(ax, ay, bx, by) -> np.ndarray:
@@ -143,16 +121,16 @@ def origin_to_chord(ax, ay, bx, by) -> np.ndarray:
 
 def densify(lat1: float, lon1: float, lat2: float, lon2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Points every `DENSIFY_STEP_M` along the geodesic from (lat1, lon1) to
-    (lat2, lon2): (lat, lon, distance from the start) arrays, longitudes
-    normalized as `GeoPoint` does.  The first and last points are the two
-    ends exactly as given; only the interior points are solved."""
+    (lat2, lon2): (lat, lon, distance from the start) arrays.  The first and
+    last points are the two ends exactly as given; only the interior points
+    are solved."""
     s12, azi1 = WGS84.inverse_many(lat1, lon1, lat2, lon2)
     dists = DENSIFY_STEP_M * np.arange(int(s12 // DENSIFY_STEP_M) + 1)
     if dists[-1] < s12:
         dists = np.append(dists, s12)
     lat, lon = WGS84.direct_many(lat1, lon1, azi1, dists)
     lat[[0, -1]], lon[[0, -1]] = (lat1, lat2), (lon1, lon2)
-    return lat, normalize_lon_many(lon), dists
+    return lat, lon, dists
 
 
 def ecef(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
@@ -180,8 +158,6 @@ def point_to_segment_distance(p: GeoPoint, s: GeoSegment) -> float:
     between consecutive points is taken.  Radial distances are exact under
     this projection, so the error is negligible for chords this short.
     """
-    if s.is_degenerate:
-        return geodesic_distance(p, s.start)
     lat, lon = [s.start.lat, s.end.lat], [s.start.lon, s.end.lon]
     if geodesic_distance(s.start, s.end) > LONG_SEGMENT_M:
         lat, lon, _ = densify(s.start.lat, s.start.lon, s.end.lat, s.end.lon)

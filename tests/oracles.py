@@ -36,8 +36,10 @@ import scipy.special
 from mapregister import _geodesic
 from mapregister._geodesic import (
     _A1,
+    _A2,
     _C1,
     _C1P,
+    _C2,
     _TINY,
     _TOL0,
     _TOL1,
@@ -598,9 +600,9 @@ def scalar_write_field_dump(field, directory):
 # functions: the reference for `Geodesic.inverse_many` and
 # `Geodesic.direct_many`, which replaced it.  It shares the series tables
 # (`_A1`, `_C1`, `_C1P` and the ellipsoid's A3 and C3), the helpers that
-# read them (`_horner`, `_series`, `_sin_series`), `Geodesic._lengths` and
-# the constants with the package; `_MAXIT` is its own, so a test can lower
-# it in both engines.
+# read them (`_horner`, `_series`, `_sin_series`) and the constants with the
+# package.  Where its Newton iteration fails it keeps Karney's over-the-pole
+# length, which the package no longer has.
 
 _MAXIT = _geodesic._MAXIT
 
@@ -697,6 +699,23 @@ def _astroid(x: float, y: float) -> float:
 
 class ScalarGeodesic(Geodesic):
     """`Geodesic` whose `inverse` and `direct` solve one geodesic at a time."""
+
+    def _lengths(self, eps, sig12, ssig1, csig1, ssig2, csig2, cbet1, cbet2):
+        # `Geodesic._lengths` with `math.sqrt`, which keeps every value a
+        # Python float: the same bits, without NumPy's scalar overhead.
+        eps2 = eps * eps
+        c1a = _series(_C1, eps, eps2)
+        c2a = _series(_C2, eps, eps2)
+        a1m1 = (_horner(_A1, eps2) / 256 + eps) / (1 - eps)
+        ab1 = (1 + a1m1) * (_sin_series(ssig2, csig2, c1a) - _sin_series(ssig1, csig1, c1a))
+        a2m1 = _horner(_A2, eps2) / 256 * (1 - eps) - eps
+        ab2 = (1 + a2m1) * (_sin_series(ssig2, csig2, c2a) - _sin_series(ssig1, csig1, c2a))
+        j12 = (a1m1 - a2m1) * sig12 + (ab1 - ab2)
+        w1 = math.sqrt(1 - self.e2 * cbet1 * cbet1)
+        w2 = math.sqrt(1 - self.e2 * cbet2 * cbet2)
+        m12a = (w2 * (csig1 * ssig2) - w1 * (ssig1 * csig2)) - self.f1 * csig1 * csig2 * j12
+        s12b = (1 + a1m1) * sig12 + ab1
+        return s12b, m12a
 
     def _inverse_start(self, sbet1, cbet1, sbet2, cbet2, lam12):
         # Starting azimuth for Newton's method; sig12 >= 0 signals that the

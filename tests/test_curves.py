@@ -308,14 +308,16 @@ NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
 
 def two_long_edges() -> tuple[DiscreteCurve, DiscreteCurve]:
     # 200 anchors around a curve whose chain edges are 190 km and 101 km
-    # long: its two first vertices, samples of its first edge, a point
-    # near that edge's end, and points along it and up to 60 km off it.
+    # long: its first vertex, two `densify` samples of its first edge, a
+    # point near that edge's end, its second vertex, and points along it
+    # and up to 60 km off it.
     rng = random.Random(7)
     p0 = GeoPoint(20.0, 45.0)
     p1 = walk(p0, 80.0, 380_000.0)
     b = build_segments([p0, p1, walk(p1, 140.0, 202_000.0)], "B")
     assert [round(x / 1000) for x in b.edge_lengths] == [190, 190, 101, 101]
-    anchors = [walk(p0, 80.0, DENSIFY_STEP_M * k) for k in (0, 1, 57, 190, 380)]
+    lat, lon, _ = densify(p0.lat, p0.lon, *b.chain[1, ::-1])
+    anchors = [p0, GeoPoint(lon[1], lat[1]), GeoPoint(lon[57], lat[57]), walk(p0, 80.0, 190_000.0), p1]
     while len(anchors) < 200:
         q = walk(p0, 80.0, rng.uniform(-20_000.0, 400_000.0))
         anchors.append(walk(q, rng.uniform(0, 360), rng.uniform(0, 60_000.0)))

@@ -3,12 +3,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapregister import _geodesic
 from mapregister._geodesic import WGS84
-from mapregister.errors import OutOfRangeError
+from mapregister.errors import ConvergenceError, OutOfRangeError
 from mapregister.geodesy import (
     GeoPoint,
     GeoSegment,
@@ -20,6 +20,8 @@ from mapregister.geodesy import (
 )
 
 from oracles import (
+    DIRECT_REL,
+    ENGINE_ABS_M,
     SCALAR_WGS84,
     assert_direct_close,
     assert_inverse_close,
@@ -50,6 +52,13 @@ class TestGeoPoint:
     def test_lon_always_in_range(self, lon):
         p = GeoPoint(lon, 0.0)
         assert -180.0 < p.lon <= 180.0
+
+    @given(st.floats(-180.0, 180.0, exclude_min=True))
+    @example(179.99999999999997)
+    @example(13.123456789012345)
+    @example(-0.0)
+    def test_in_range_lon_kept_bit_for_bit(self, lon):
+        assert repr(GeoPoint(lon, 0.0).lon) == repr(lon)
 
 
 class TestGeodesicDistance:
@@ -142,6 +151,24 @@ class TestMidpointAndWalk:
     def test_midpoint_of_identical_points(self):
         p = GeoPoint(5.0, 5.0)
         assert geodesic_midpoint(p, p) == p
+
+    def test_zero_walk_and_midpoint_of_a_point_are_the_point(self):
+        # The engine calls of `walk(p, az, 0.0)` and `geodesic_midpoint(p,
+        # p)` on 20,000 points, then the two wrappers on 200 of them.
+        rng = np.random.default_rng(15)
+        n = 20_000
+        lat = rng.uniform(-90, 90, n)
+        lat[:100] = rng.choice([-90.0, 0.0, 90.0], 100)
+        lon = rng.uniform(-180, 180, n)
+        lat2, lon2 = WGS84.direct_many(lat, lon, rng.uniform(-180, 180, n), 0.0)
+        assert lat2.tolist() == lat.tolist() and lon2.tolist() == lon.tolist()
+        s12, azi1 = WGS84.inverse_many(lat, lon, lat, lon)
+        assert s12.tolist() == [0.0] * n
+        lat2, lon2 = WGS84.direct_many(lat, lon, azi1, s12 / 2)
+        assert lat2.tolist() == lat.tolist() and lon2.tolist() == lon.tolist()
+        for x, y, az in zip(lon[::100].tolist(), lat[::100].tolist(), rng.uniform(-360, 360, n).tolist()):
+            p = GeoPoint(x, y)
+            assert walk(p, az, 0.0) == p and geodesic_midpoint(p, p) == p
 
     def test_walk_round_trip(self):
         p = GeoPoint(15.0, 47.0)
@@ -338,7 +365,7 @@ class TestSeriesPinnedValues:
         (0.0, 10.0, 90.0, 5e6): (0.0, 54.915764205976075),  # along the equator
         (60.0, 0.0, 0.0, 4e6): (84.1614591661161, 180.0),  # over a pole
         (-33.9, 151.2, 50.0, 1.5e7): (50.551561767572665, -87.23479663589018),
-        (10.0, 20.0, 30.0, 0.0): (10.000000000000002, 20.0),
+        (10.0, 20.0, 30.0, 0.0): (10.0, 20.0),  # zero length: the start exactly
         (45.0, 45.0, 120.0, -3e6): (52.2560982204419, 5.213930086046062),
     }
 
@@ -459,26 +486,65 @@ class TestInverseMany:
         assert_inverse_close(s12[0], azi1[0], want)
         assert_inverse_close(s12[1], azi1[1], SCALAR_WGS84.inverse(*general))
 
-    def test_fallback_over_the_pole(self, monkeypatch):
-        # No known input makes Newton's method fail, so both engines get
-        # one iteration: every pair that needs Newton then takes the
-        # over-the-pole length, in a batch with pairs that do not.
-        import oracles
+    @pytest.mark.parametrize("alp1", [1e-6, math.pi - 1e-6], ids=["above 0", "below pi"])
+    def test_bisection_from_either_end(self, monkeypatch, alp1):
+        # Newton started at the ends of (0, pi), on uniform and on nearly
+        # antipodal pairs: where a step would leave (0, pi) or its
+        # derivative is not positive, the bracket is bisected instead.
+        newton = _geodesic.Geodesic._newton_many
 
+        def from_the_end(self, sbet1, cbet1, sbet2, cbet2, lam12, salp1, calp1):
+            start = np.full(lam12.size, math.sin(alp1)), np.full(lam12.size, math.cos(alp1))
+            return newton(self, sbet1, cbet1, sbet2, cbet2, lam12, *start)
+
+        monkeypatch.setattr(_geodesic.Geodesic, "_newton_many", from_the_end)
+        rng = np.random.default_rng(9)
+        lat1, lon1 = rng.uniform(-90, 90, 4000), rng.uniform(-180, 180, 4000)
+        lat2, lon2 = rng.uniform(-90, 90, 4000), rng.uniform(-180, 180, 4000)
+        anti = slice(2000, None)
+        lat2[anti] = np.clip(rng.uniform(-0.5, 0.5, 2000) - lat1[anti], -90, 90)
+        lon2[anti] = lon1[anti] + 180.0 + rng.uniform(-0.5, 0.5, 2000)
+        s12, azi1 = WGS84.inverse_many(lat1, lon1, lat2, lon2)
+        for i, p in enumerate(zip(lat1.tolist(), lon1.tolist(), lat2.tolist(), lon2.tolist())):
+            assert_inverse_close(s12[i], azi1[i], SCALAR_WGS84.inverse(*p))
+
+    def test_no_convergence_raises(self, monkeypatch):
+        # One pass cannot solve a pair that needs Newton's method; the
+        # pairs of the other branches alone still solve.
         monkeypatch.setattr(_geodesic, "_MAXIT", 1)
-        monkeypatch.setattr(oracles, "_MAXIT", 1)
-        newton = [(30.0, 0.0, -29.0, 150.0), (10.0, 5.0, -10.2, -175.3), (-45.0, 170.0, 44.0, -20.0),
-                  (0.0, 0.0, 0.0, 179.8), (60.0, 10.0, 61.0, 100.0)]
-        other = [SPECIAL_PAIRS["meridian"], SPECIAL_PAIRS["equatorial"], (45.0, 10.0, 45.000001, 10.000001)]
-        pairs = newton + other
-        s12, azi1 = WGS84.inverse_many(*np.array(pairs).T)
-        for i, p in enumerate(pairs):
-            want = SCALAR_WGS84.inverse(*p)
-            assert_inverse_close(s12[i], azi1[i], want)
-            if p in newton:
-                assert want == SCALAR_WGS84._antipodal_fallback(p[0], p[2]) and azi1[i] == 0.0
-            else:
-                assert want != SCALAR_WGS84._antipodal_fallback(p[0], p[2])
+        with pytest.raises(ConvergenceError, match="did not converge in 1 passes"):
+            WGS84.inverse_many(*np.array([SPECIAL_PAIRS["meridian"], (30.0, 0.0, -29.0, 150.0)]).T)
+        others = [SPECIAL_PAIRS["meridian"], SPECIAL_PAIRS["equatorial"], (45.0, 10.0, 45.000001, 10.000001)]
+        s12, azi1 = WGS84.inverse_many(*np.array(others).T)
+        for i, p in enumerate(others):
+            assert_inverse_close(s12[i], azi1[i], SCALAR_WGS84.inverse(*p))
+
+    @given(
+        st.lists(
+            st.tuples(
+                _lat,
+                _lon,
+                st.one_of(st.floats(-0.5, 0.5), st.floats(-1e-6, 1e-6)),
+                st.one_of(st.floats(-0.5, 0.5), st.floats(-1e-6, 1e-6)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_nearly_antipodal_round_trip_and_pole_bound(self, offsets):
+        # The direct problem along each solution lands on its far point,
+        # and no solution is longer than the path over a pole.
+        a = np.array(offsets)
+        lat1, lon1 = a[:, 0], a[:, 1]
+        lat2, lon2 = np.clip(a[:, 2] - lat1, -90, 90), lon1 + 180.0 + a[:, 3]
+        s12, azi1 = WGS84.inverse_many(lat1, lon1, lat2, lon2)
+        lat3, lon3 = WGS84.direct_many(lat1, lon1, azi1, s12)
+        miss, _ = WGS84.inverse_many(lat3, lon3, lat2, lon2)
+        assert (miss <= ENGINE_ABS_M + DIRECT_REL * s12).all(), (miss, offsets)
+        pole = np.array([90.0, -90.0])[:, None]
+        over = (WGS84.inverse_many(lat1, 0.0, pole, 0.0)[0] + WGS84.inverse_many(lat2, 0.0, pole, 0.0)[0]).min(axis=0)
+        assert (s12 <= over + ENGINE_ABS_M).all(), (s12 - over, offsets)
 
     def test_short_line_cancellation(self):
         # One ulp of NumPy's arctan2 or hypot, amplified by the cancellation
