@@ -27,7 +27,6 @@ from .curves import (
     build_segments,
     directed_max_hausdorff,
     directed_mean_hausdorff,
-    matching_average,
     matching_length,
     max_hausdorff,
     mean_hausdorff,
@@ -63,11 +62,7 @@ from .field import (
 )
 from .geodesy import (
     GeoPoint,
-    GeoSegment,
     geodesic_distance,
-    geodesic_midpoint,
-    point_to_segment_distance,
-    polyline_length,
     walk,
 )
 from .pipeline import (

@@ -111,8 +111,7 @@ def build_segments(points: list[GeoPoint] | np.ndarray, name: str = "") -> Discr
     duplicate points are dropped first; fewer than two distinct points
     leave nothing to measure.  Midpoints are geodesic midpoints, so the two
     halves of an edge have equal geodesic length.  All edges are solved at
-    once with the array geodesics, which give the same values as
-    `geodesic_midpoint` and `geodesic_distance` edge by edge.
+    once with the array geodesics.
     """
     if not isinstance(points, np.ndarray):
         points = [(p.lon, p.lat) for p in points]
@@ -151,11 +150,16 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
     The segments of B partition its chain edges, so the minimum over
     segments equals the minimum over chain edges.  An edge longer than
     `LONG_SEGMENT_M` is first replaced by the sub-edges between its
-    `densify` samples, as `point_to_segment_distance` does.  Per anchor,
-    chain points of B are projected into the azimuthal equidistant (AEQD)
-    plane at the anchor and each edge is handled as a planar chord.
-    Anchors are processed in batches of at most `ANCHOR_BATCH_PAIRS`
-    anchor x point pairs.
+    `densify` samples.  Per anchor, chain points of B are projected into
+    the azimuthal equidistant (AEQD) plane at the anchor and each edge is
+    handled as a planar chord.  Anchors are processed in batches of at
+    most `ANCHOR_BATCH_PAIRS` anchor x point pairs.
+
+    The planar chord of an edge of length L falls short by up to about
+    2.1e-15 d L^2 m at distance d (measured against `stepped_min_distances`
+    in tests/oracles.py): 0.05, 0.51 and 4.1 mm for 5 km edges at 1, 10 and
+    80 km; 10.2 mm, 97 mm and 0.39 m for 8.1, 25 and 49.5 km edges at up to
+    80 km.
 
     Only edges that could hold an anchor's minimum are projected; the skip
     test is a rigorous lower bound, so the result equals that of projecting
@@ -295,13 +299,6 @@ def matching_length(a: DiscreteCurve, b: DiscreteCurve, band: BandThreshold) -> 
     """Length of A within the band around B: (meters, percent of L_A);
     see `DistanceProfile.within`."""
     return _profile(a, b).within(band.meters)
-
-
-def matching_average(a: DiscreteCurve, b: DiscreteCurve, band: BandThreshold) -> tuple[float, float]:
-    """Two-direction matching average: (meters, percent of combined length)."""
-    lab, _ = matching_length(a, b, band)
-    lba, _ = matching_length(b, a, band)
-    return (lab + lba) / 2.0, 100.0 * ((lab + lba) / (a.length + b.length))
 
 
 def source_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:

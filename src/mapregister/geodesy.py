@@ -1,19 +1,17 @@
 """WGS84 positions and geodesic distance primitives.
 
 All metric quantities in this package reduce to the operations here:
-point-to-point geodesic distance, point-to-segment distance via a local
-azimuthal equidistant (AEQD) projection, and polyline lengths.  Distances
-are in meters, coordinates in degrees.
+point-to-point geodesic distance and the planar chord of an edge in a
+local azimuthal equidistant (AEQD) projection.  Distances are in meters,
+coordinates in degrees.
 
-The planar-chord method exists once, on arrays: `plane_coords` projects
-points into the AEQD planes of their centers and `origin_to_chord` measures
-from a center to a projected edge.  An edge longer than `LONG_SEGMENT_M`
-is measured as the chain of sub-edges between its `densify` samples, about
-1 km each, since the chord of a long edge in the plane of a point beside it
-falls metres short of the true distance.  The curve metrics and
-`point_to_segment_distance` both use these.  The straight chord between
-`ecef` points (`chords`) bounds a geodesic distance from below; the skip
-test of the distance pass rests on it.
+The planar-chord method exists once, on arrays, for the anchor-distance
+pass of the curve metrics: `plane_coords` projects points into the AEQD
+planes of their centers and `origin_to_chord` measures from a center to a
+projected edge.  An edge longer than `LONG_SEGMENT_M` is measured as the
+sub-edges between its `densify` samples, about 1 km each.  The straight
+chord between `ecef` points (`chords`) bounds a geodesic distance from
+below; the skip test of the distance pass rests on it.
 
 Coincident points, zero-length walks and longitudes follow the engine's
 exact rules; `normalize_lon_many` is its exact reduction to (-180, 180].
@@ -51,21 +49,6 @@ class GeoPoint:
         object.__setattr__(self, "lon", float(normalize_lon_many(self.lon)))
 
 
-@dataclass(frozen=True)
-class GeoSegment:
-    """A short geodesic segment between two points.
-
-    Zero-length segments are allowed and reported by `is_degenerate`.
-    """
-
-    start: GeoPoint
-    end: GeoPoint
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.start == self.end
-
-
 def geodesic_distance(p: GeoPoint, q: GeoPoint) -> float:
     """Length in meters of the shortest geodesic from p to q."""
     return WGS84.inverse(p.lat, p.lon, q.lat, q.lon).s12
@@ -76,26 +59,10 @@ def geodesic_distance_many(lat1, lon1, lat2, lon2) -> np.ndarray:
     return WGS84.inverse_many(lat1, lon1, lat2, lon2)[0]
 
 
-def geodesic_midpoint(p: GeoPoint, q: GeoPoint) -> GeoPoint:
-    """The point halfway along the geodesic from p to q."""
-    r = WGS84.inverse(p.lat, p.lon, q.lat, q.lon)
-    lat, lon = WGS84.direct(p.lat, p.lon, r.azi1, r.s12 / 2)
-    return GeoPoint(lon, lat)
-
-
 def walk(p: GeoPoint, azimuth_deg: float, distance_m: float) -> GeoPoint:
     """Destination after travelling distance_m along azimuth_deg from p."""
     lat, lon = WGS84.direct(p.lat, p.lon, azimuth_deg, distance_m)
     return GeoPoint(lon, lat)
-
-
-def polyline_length(points: list[GeoPoint]) -> float:
-    """Sum of geodesic lengths over consecutive point pairs (meters)."""
-    if not points:
-        raise OutOfRangeError("polyline_length needs at least one point")
-    lat = np.array([p.lat for p in points])
-    lon = np.array([p.lon for p in points])
-    return sum(geodesic_distance_many(lat[:-1], lon[:-1], lat[1:], lon[1:]).tolist())
 
 
 def plane_coords(lat0, lon0, lat, lon) -> tuple[np.ndarray, np.ndarray]:
@@ -147,19 +114,3 @@ def chords(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Straight-line distances (n, m) between the `ecef` points p (n, 3)
     and q (m, 3)."""
     return np.sqrt(sum((p[:, None, i] - q[:, i]) ** 2 for i in range(3)))
-
-
-def point_to_segment_distance(p: GeoPoint, s: GeoSegment) -> float:
-    """Minimum geodesic distance in meters from p to the segment s.
-
-    The segment's two ends, or its `densify` samples when it is longer
-    than `LONG_SEGMENT_M`, are projected into the azimuthal equidistant
-    plane centered at p, and the smallest planar distance to a chord
-    between consecutive points is taken.  Radial distances are exact under
-    this projection, so the error is negligible for chords this short.
-    """
-    lat, lon = [s.start.lat, s.end.lat], [s.start.lon, s.end.lon]
-    if geodesic_distance(s.start, s.end) > LONG_SEGMENT_M:
-        lat, lon, _ = densify(s.start.lat, s.start.lon, s.end.lat, s.end.lon)
-    x, y = plane_coords(p.lat, p.lon, lat, lon)
-    return float(origin_to_chord(x[:-1], y[:-1], x[1:], y[1:]).min())

@@ -211,6 +211,10 @@ def load_config(path: str | Path) -> ProjectConfig:
         raise ConfigError(f"{path}: top level must be a mapping")
     base = path.parent
     _check_keys(raw, CONFIG_KEYS, str(path))
+    # Absent or null keeps the default; an empty list is an error, not the default.
+    for key in ("regions", "bands_km"):
+        if raw.get(key) == []:
+            raise ConfigError(f"{path}: '{key}' must not be empty (leave it out for the default)")
 
     dom = _require(raw, "domain", str(path))
     _check_keys(dom, DOMAIN_KEYS, f"{path}: domain")
@@ -266,11 +270,7 @@ def load_config(path: str | Path) -> ProjectConfig:
     if not isinstance(output_dir, str):
         raise ConfigError(f"{path}: output_dir must be a string, got {type(output_dir).__name__}")
 
-    regions = raw.get("regions")
-    if regions is not None:
-        regions = [str(r) for r in _list(raw, "regions", str(path))]
-        if not regions:
-            raise ConfigError(f"{path}: 'regions' must name at least one correspondence set")
+    regions = None if raw.get("regions") is None else [str(r) for r in _list(raw, "regions", str(path))]
 
     return ProjectConfig(
         correspondences=corr,

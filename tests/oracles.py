@@ -10,8 +10,10 @@ with `scalar_distance`; it shares the package's series tables and their
 helpers), which every scalar reference below uses, and the
 allowance the array engine keeps to it (`assert_inverse_close`,
 `assert_direct_close`); `scalar_point_to_segment_distance`, its
-one-geodesic-at-a-time point-to-segment distance with the planar-chord
-helpers it used;
+one-geodesic-at-a-time distance from a point to one edge, with the
+planar-chord helpers it used; `polyline_length`, a polyline's length by
+the scalar engine; `geodesic_midpoint`, its one-point midpoint on the
+array engine, as `build_segments` places it;
 `scalar_anchor_min_distances`, its one-inverse-per-pair anchor pass, which
 measures long edges with that function; `full_anchor_min_distances`, its
 array anchor pass before the chord-bound skip test; `coo_laplace_matrix`,
@@ -214,7 +216,7 @@ def scalar_anchor_min_distances(a, b):
     chain point, each chain edge handled as a planar chord in the anchor's
     azimuthal equidistant plane; an edge longer than `LONG_SEGMENT_M` is
     measured by `scalar_point_to_segment_distance` instead."""
-    from mapregister.geodesy import LONG_SEGMENT_M, GeoPoint, GeoSegment
+    from mapregister.geodesy import LONG_SEGMENT_M, GeoPoint
 
     chain = [GeoPoint(lon, lat) for lon, lat in b.chain.tolist()]
     edge_len = [scalar_distance(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
@@ -235,7 +237,7 @@ def scalar_anchor_min_distances(a, b):
         best = math.inf
         for k in range(len(chain) - 1):
             if edge_len[k] > LONG_SEGMENT_M:
-                d = scalar_point_to_segment_distance(anchor, GeoSegment(chain[k], chain[k + 1]))
+                d = scalar_point_to_segment_distance(anchor, chain[k], chain[k + 1])
             else:
                 d = _origin_to_chord(xs[k], ys[k], xs[k + 1], ys[k + 1])
             if d < best:
@@ -282,13 +284,32 @@ def _ecef(lat, lon):
     return np.stack([r * np.cos(lam), r * np.sin(lam), n * (1 - WGS84_E2) * np.sin(phi)], axis=-1)
 
 
+#: The planar chord of a chain edge of length L, seen from an anchor at
+#: geodesic distance d, falls short of the true distance by at most about
+#: CHORD_SHORTFALL_PER_M2 * d * L**2 meters, roughly 1 / (12 R^2) for the
+#: Earth's radius R.  The worst ratio against `stepped_min_distances` over
+#: 12,000 anchors up to 80 km from 300 random curves of two vertices, with
+#: chain edges of 0.5-8.1 km, was 2.06e-15.
+CHORD_SHORTFALL_PER_M2 = 2.1e-15
+
+
+def _stops(lo, hi, step):
+    # Evenly spaced positions from lo to hi, both included, at most step apart.
+    import numpy as np
+
+    return np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1)
+
+
 def stepped_min_distances(lat, lon, chain_lat, chain_lon, steps=(20.0, 0.2, 0.02, 1e-4)):
     """Ground truth for the distance in meters from each point (lat, lon)
     to a chain of geodesic edges, by the array engine alone, with no plane:
-    the smallest geodesic distance to points every steps[0] meters along
-    each edge (both ends included), then every steps[1] meters between the
-    neighbours of each edge's nearest point, and so on.  The finest step
-    bounds the error, also for a point on the chain.
+    the smallest geodesic distance to evenly spaced points at most steps[0]
+    meters apart along each edge (both ends included), then at most
+    steps[1] apart between the neighbours of each edge's nearest point, and
+    so on.  The finest step bounds the error, also for a point on the chain.
+    The spacing is even because a last point a hair short of the end, once
+    roundoff makes the end the nearest, would leave a window a hair wide
+    (26 mm wrong for an anchor 1 km beside a 5 km edge).
 
     Distance along an edge changes by at most the distance travelled, so an
     edge whose nearest coarse point is more than steps[0] / 2 farther than
@@ -304,7 +325,7 @@ def stepped_min_distances(lat, lon, chain_lat, chain_lon, steps=(20.0, 0.2, 0.02
     chain_lat, chain_lon = np.asarray(chain_lat, dtype=float), np.asarray(chain_lon, dtype=float)
     coarse = steps[0]
     s12, azi1 = WGS84.inverse_many(chain_lat[:-1], chain_lon[:-1], chain_lat[1:], chain_lon[1:])
-    along = [np.append(np.arange(0.0, s, coarse), s) for s in s12.tolist()]
+    along = [_stops(0.0, s, coarse) for s in s12.tolist()]
     first = np.cumsum([0] + [len(t) for t in along])
     edge = np.repeat(np.arange(len(along)), np.diff(first))
 
@@ -339,7 +360,7 @@ def stepped_min_distances(lat, lon, chain_lat, chain_lon, steps=(20.0, 0.2, 0.02
             if de.min() - coarse / 2 <= best[p]:
                 windows.append((p, e, *around(t, int(de.argmin()))))
     for step in steps[1:]:
-        ts = [np.append(np.arange(lo, hi, step), hi) for *_, lo, hi in windows]
+        ts = [_stops(lo, hi, step) for *_, lo, hi in windows]
         sizes = [len(t) for t in ts]
         p, e = (np.repeat([w[n] for w in windows], sizes) for n in (0, 1))
         d = WGS84.inverse_many(lat[p], lon[p], *points(e, np.concatenate(ts)))[0]
@@ -376,29 +397,43 @@ def _projected_distance(p, a, b) -> float:
     return _origin_to_chord(ax, ay, bx, by)
 
 
-def scalar_point_to_segment_distance(p, s) -> float:
-    """`geodesy.point_to_segment_distance` with one scalar geodesic per
-    projected point and per densification sample: a segment longer than
-    `LONG_SEGMENT_M` is the smallest planar chord between consecutive
-    samples, which start and end on the segment's own ends."""
+def scalar_point_to_segment_distance(p, a, b) -> float:
+    """The distance from p to the geodesic edge from a to b, with one scalar
+    geodesic per projected point and per densification sample: an edge
+    longer than `LONG_SEGMENT_M` is the smallest planar chord between
+    consecutive samples, which start and end on a and b."""
     from mapregister.geodesy import DENSIFY_STEP_M, LONG_SEGMENT_M, GeoPoint
 
-    if s.is_degenerate:
-        return scalar_distance(p, s.start)
-    inv = SCALAR_WGS84.inverse(s.start.lat, s.start.lon, s.end.lat, s.end.lon)
+    inv = SCALAR_WGS84.inverse(a.lat, a.lon, b.lat, b.lon)
     if inv.s12 <= LONG_SEGMENT_M:
-        return _projected_distance(p, s.start, s.end)
+        return _projected_distance(p, a, b)
 
-    line = GeodesicLine(SCALAR_WGS84, s.start.lat, s.start.lon, inv.azi1)
+    line = GeodesicLine(SCALAR_WGS84, a.lat, a.lon, inv.azi1)
     steps = int(inv.s12 // DENSIFY_STEP_M)
-    samples = [s.start]
+    samples = [a]
     for k in range(1, steps + 1):
         if DENSIFY_STEP_M * k < inv.s12:
             lat, lon = line.position(DENSIFY_STEP_M * k)
             samples.append(GeoPoint(lon, lat))
-    samples.append(s.end)
+    samples.append(b)
     xy = [_plane_coords(p, q) for q in samples]
-    return min(_origin_to_chord(*a, *b) for a, b in zip(xy, xy[1:]))
+    return min(_origin_to_chord(*u, *v) for u, v in zip(xy, xy[1:]))
+
+
+def polyline_length(points) -> float:
+    """Sum of the scalar geodesic lengths of consecutive points (meters)."""
+    return sum(scalar_distance(p, q) for p, q in zip(points, points[1:]))
+
+
+def geodesic_midpoint(p, q):
+    """The point halfway along the geodesic from p to q, by one inverse and
+    one direct of the array engine, as `build_segments` places an edge's
+    midpoint."""
+    from mapregister.geodesy import GeoPoint
+
+    r = WGS84.inverse(p.lat, p.lon, q.lat, q.lon)
+    lat, lon = WGS84.direct(p.lat, p.lon, r.azi1, r.s12 / 2)
+    return GeoPoint(lon, lat)
 
 
 def scalar_sample_field(f, x):

@@ -17,7 +17,6 @@ from mapregister.curves import (
     build_segments,
     directed_max_hausdorff,
     directed_mean_hausdorff,
-    matching_average,
     matching_length,
     max_hausdorff,
     mean_hausdorff,
@@ -29,26 +28,25 @@ from mapregister.geodesy import (
     DENSIFY_STEP_M,
     LONG_SEGMENT_M,
     GeoPoint,
-    GeoSegment,
     densify,
     geodesic_distance,
-    geodesic_midpoint,
     normalize_lon_many,
-    point_to_segment_distance,
-    polyline_length,
     walk,
 )
+from mapregister.pipeline import compare_pair
 from mapregister.report import MatchingBand
 
 from oracles import (
+    CHORD_SHORTFALL_PER_M2,
     ENGINE_ABS_M,
     INVERSE_REL,
     SCALAR_WGS84,
     assert_direct_close,
     assert_inverse_close,
     full_anchor_min_distances,
+    geodesic_midpoint,
+    polyline_length,
     scalar_anchor_min_distances,
-    scalar_point_to_segment_distance,
     stepped_min_distances,
 )
 from synth import random_curve
@@ -277,6 +275,24 @@ class TestAnchorMinDistances:
         b = build_segments(random_curve(rng, "B", n=n_b, start=start, step_m=step_m), "B")
         assert_close_to_scalar(anchor_min_distances(a, b), scalar_anchor_min_distances(a, b))
 
+    def test_planar_chord_within_stated_bound(self):
+        # Curves of two vertices with chain edges up to 8.1 km, the longest
+        # in any compared curve of the benchmark workloads, and 40 anchors
+        # each up to 80 km off them: every distance falls short of the
+        # ground truth by at most CHORD_SHORTFALL_PER_M2 d L^2 (11 mm at
+        # 80 km from an 8.1 km edge), less the truth's finest step.
+        rng = random.Random(16)
+        for edge_m in [8_100.0] + [rng.uniform(500.0, 8_100.0) for _ in range(11)]:
+            start = GeoPoint(rng.uniform(-180, 180), rng.uniform(-85, 85))
+            az = rng.uniform(0, 360)
+            b = build_segments([start, walk(start, az, 2 * edge_m)], "B")
+            along = [walk(start, az, rng.uniform(-0.25, 1.25) * 2 * edge_m) for _ in range(40)]
+            a = build_segments([walk(q, rng.uniform(0, 360), rng.uniform(0, 80_000.0)) for q in along], "A")
+            got = np.array(anchor_min_distances(a, b))
+            want = np.array(stepped_min_distances(a.chain[::2, 1], a.chain[::2, 0], b.chain[:, 1], b.chain[:, 0]))
+            assert (got <= want + 1e-6).all()
+            assert (want - got <= CHORD_SHORTFALL_PER_M2 * want * b.edge_lengths.max() ** 2 + 1e-4).all()
+
     def test_batches_and_long_edges_match_scalar_reference(self, monkeypatch):
         # More anchors than one batch holds, and chain edges past
         # LONG_SEGMENT_M, so the pass runs on their sub-edges.
@@ -344,18 +360,16 @@ class TestLongEdges:
     def test_matches_scalar_point_to_segment(self, seed, length_m, per_kind):
         # A curve of two vertices whose two chain edges are each length_m
         # long, and anchors before, beyond and beside its first chain edge,
-        # on that edge's densification samples and on its end.
+        # on that edge's densification samples and on its end, in batches
+        # of one or two anchors.
         rng = random.Random(seed)
-        b, edge, anchors = long_edge_case(rng, length_m, per_kind, 60_000.0, 60_000.0)
-        got = [point_to_segment_distance(q, edge) for q in anchors]
-        assert_close_to_scalar(got, [scalar_point_to_segment_distance(q, edge) for q in anchors])
-        assert got[3::4] == [0.0] * per_kind  # on a sample
-        assert got[-1] == 0.0  # on the end
-
-        # The whole pass, in batches of one or two anchors.
+        b, anchors = long_edge_case(rng, length_m, per_kind, 60_000.0, 60_000.0)
         a = build_segments(anchors, "A")
         with mock.patch.object(curves, "ANCHOR_BATCH_PAIRS", 2 * int(length_m // DENSIFY_STEP_M + 2)):
-            assert_close_to_scalar(anchor_min_distances(a, b), scalar_anchor_min_distances(a, b))
+            got = anchor_min_distances(a, b)
+        assert_close_to_scalar(got, scalar_anchor_min_distances(a, b))
+        assert got[3::4] == [0.0] * per_kind  # on a sample
+        assert got[-1] == 0.0  # on the end
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -365,21 +379,14 @@ class TestLongEdges:
     @settings(max_examples=10, deadline=None, phases=NO_SHRINK)
     def test_within_a_millimetre_of_ground_truth(self, seed, length_m, per_kind):
         rng = random.Random(seed)
-        b, edge, anchors = long_edge_case(rng, length_m, per_kind, 80_000.0, 0.2 * length_m)
+        b, anchors = long_edge_case(rng, length_m, per_kind, 80_000.0, 0.2 * length_m)
         anchors += [GeoPoint(lon, lat) for lon, lat in b.chain.tolist()]
         lat, lon = np.array([q.lat for q in anchors]), np.array([q.lon for q in anchors])
-
-        got = [point_to_segment_distance(q, edge) for q in anchors]
-        ends = np.array([edge.start.lat, edge.end.lat]), np.array([edge.start.lon, edge.end.lon])
-        assert_within_a_millimetre(got, stepped_min_distances(lat, lon, *ends))
-        assert got[3 : 4 * per_kind : 4] == [0.0] * per_kind  # on a sample
-        assert got[-4:-1] == [0.0] * 3  # on the end, the start and the end again
-
         a = build_segments(anchors, "A")
         got = anchor_min_distances(a, b)
         assert_within_a_millimetre(got, stepped_min_distances(lat, lon, b.chain[:, 1], b.chain[:, 0]))
-        assert got[3 : 4 * per_kind : 4] == [0.0] * per_kind
-        assert got[-4:] == [0.0] * 4  # on the chain points
+        assert got[3 : 4 * per_kind : 4] == [0.0] * per_kind  # on a sample
+        assert got[-4:] == [0.0] * 4  # on the first edge's end and the chain points
 
     def test_two_long_edges_within_a_millimetre_of_ground_truth(self):
         a, b = two_long_edges()
@@ -405,27 +412,25 @@ class TestLongEdges:
 
 def long_edge_case(rng: random.Random, length_m: float, per_kind: int, off_m: float, beyond_m: float):
     # A curve B of two vertices whose chain edges are each length_m long,
-    # its first chain edge, and anchors around that edge: per kind, one up
-    # to beyond_m before its start, one up to beyond_m past its end, one
-    # up to off_m beside it and one on an interior densification sample
-    # (a walk of length 0 need not end exactly on its start); then the
-    # edge's end.
+    # and anchors around its first chain edge: per kind, one up to beyond_m
+    # before its start, one up to beyond_m past its end, one up to off_m
+    # beside it and one on an interior densification sample (a walk of
+    # length 0 need not end exactly on its start); then the edge's end.
     start = GeoPoint(rng.uniform(-180, 180), rng.uniform(-70, 70))
     b = build_segments([start, walk(start, rng.uniform(0, 360), 2 * length_m)], "B")
-    chain = chain_points(b)
-    edge = GeoSegment(chain[0], chain[1])
-    inv = WGS84.inverse(edge.start.lat, edge.start.lon, edge.end.lat, edge.end.lon)
+    start, end = chain_points(b)[:2]
+    inv = WGS84.inverse(start.lat, start.lon, end.lat, end.lon)
     samples = int(inv.s12 // DENSIFY_STEP_M) + 1
     anchors = []
     for _ in range(per_kind):
         anchors += [
-            walk(edge.start, inv.azi1 + 180.0, rng.uniform(1.0, beyond_m)),
-            walk(edge.start, inv.azi1, inv.s12 + rng.uniform(1.0, beyond_m)),
-            walk(walk(edge.start, inv.azi1, rng.uniform(0, inv.s12)), rng.uniform(0, 360), rng.uniform(0, off_m)),
-            walk(edge.start, inv.azi1, DENSIFY_STEP_M * rng.randrange(1, samples - 1)),
+            walk(start, inv.azi1 + 180.0, rng.uniform(1.0, beyond_m)),
+            walk(start, inv.azi1, inv.s12 + rng.uniform(1.0, beyond_m)),
+            walk(walk(start, inv.azi1, rng.uniform(0, inv.s12)), rng.uniform(0, 360), rng.uniform(0, off_m)),
+            walk(start, inv.azi1, DENSIFY_STEP_M * rng.randrange(1, samples - 1)),
         ]
-    anchors.append(edge.end)
-    return b, edge, anchors
+    anchors.append(end)
+    return b, anchors
 
 
 class TestDistanceProfile:
@@ -540,7 +545,6 @@ class TestMatching:
         for _ in range(100):
             a = build_segments(random_curve(rng, "A", n=5), "A")
             assert matching_length(a, a, band) == (a.length, 100.0)
-            assert matching_average(a, a, band) == (a.length, 100.0)
             km = a.length / 1000.0
             assert MatchingBand(100_000.0, km, 100.0, km, 100.0).average_pct(km, km) == 100.0
 
@@ -561,12 +565,15 @@ class TestMatching:
         assert all(0.0 <= v <= a.length for v in values)
 
     def test_average_formula(self, pair):
+        # The two-direction average of the report row, from the pipeline's
+        # pair metrics.
         a, b = pair
-        band = BandThreshold.from_km(5.0)
-        lab, _ = matching_length(a, b, band)
-        lba, _ = matching_length(b, a, band)
-        avg, pct = matching_average(a, b, band)
-        assert avg == pytest.approx((lab + lba) / 2, rel=1e-12)
+        lab, _ = matching_length(a, b, BandThreshold.from_km(5.0))
+        lba, _ = matching_length(b, a, BandThreshold.from_km(5.0))
+        _, entry = compare_pair(a, b, [5.0])
+        band = entry.bands[0]
+        assert band.average_km() == pytest.approx((lab + lba) / 2 / 1000.0, rel=1e-12)
+        pct = band.average_pct(entry.length_a_km, entry.length_b_km)
         assert pct == pytest.approx(100 * (lab + lba) / (a.length + b.length), rel=1e-12)
 
     def test_one_sided_zero_and_full(self):
@@ -578,8 +585,7 @@ class TestMatching:
         lab, _ = matching_length(a, b, band)
         lba, _ = matching_length(b, b, band)
         assert lab == 0.0
-        avg, _ = matching_average(b, b, band)
-        assert avg == b.length
+        assert lba == b.length
 
     def test_band_threshold_validation(self):
         with pytest.raises(OutOfRangeError):

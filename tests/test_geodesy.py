@@ -8,18 +8,12 @@ from hypothesis import strategies as st
 
 from mapregister import _geodesic
 from mapregister._geodesic import WGS84
-from mapregister.errors import ConvergenceError, OutOfRangeError
-from mapregister.geodesy import (
-    GeoPoint,
-    GeoSegment,
-    geodesic_distance,
-    geodesic_midpoint,
-    point_to_segment_distance,
-    polyline_length,
-    walk,
-)
+from mapregister.curves import anchor_min_distances, build_segments
+from mapregister.errors import ConvergenceError, DegenerateCurveError, OutOfRangeError
+from mapregister.geodesy import GeoPoint, geodesic_distance, walk
 
 from oracles import (
+    CHORD_SHORTFALL_PER_M2,
     DIRECT_REL,
     ENGINE_ABS_M,
     SCALAR_WGS84,
@@ -27,6 +21,7 @@ from oracles import (
     assert_inverse_close,
     densified_point_to_segment,
     equator_arc,
+    geodesic_midpoint,
     quarter_meridian,
     scalar_distance,
     vincenty_distance,
@@ -142,19 +137,17 @@ class TestGeodesicDistance:
 
 class TestMidpointAndWalk:
     def test_midpoint_splits_evenly(self):
+        # An edge's midpoint as `build_segments` places it.
         p, q = GeoPoint(10.0, 45.0), GeoPoint(11.0, 46.0)
-        m = geodesic_midpoint(p, q)
+        m = GeoPoint(*build_segments([p, q]).chain[1].tolist())
         half = geodesic_distance(p, q) / 2
         assert geodesic_distance(p, m) == pytest.approx(half, abs=1e-6)
         assert geodesic_distance(m, q) == pytest.approx(half, abs=1e-6)
 
-    def test_midpoint_of_identical_points(self):
-        p = GeoPoint(5.0, 5.0)
-        assert geodesic_midpoint(p, p) == p
-
     def test_zero_walk_and_midpoint_of_a_point_are_the_point(self):
-        # The engine calls of `walk(p, az, 0.0)` and `geodesic_midpoint(p,
-        # p)` on 20,000 points, then the two wrappers on 200 of them.
+        # The engine calls of `walk(p, az, 0.0)` and of an edge midpoint in
+        # `build_segments` (half an inverse from p to p) on 20,000 points,
+        # then `walk` on 200 of them.
         rng = np.random.default_rng(15)
         n = 20_000
         lat = rng.uniform(-90, 90, n)
@@ -168,7 +161,7 @@ class TestMidpointAndWalk:
         assert lat2.tolist() == lat.tolist() and lon2.tolist() == lon.tolist()
         for x, y, az in zip(lon[::100].tolist(), lat[::100].tolist(), rng.uniform(-360, 360, n).tolist()):
             p = GeoPoint(x, y)
-            assert walk(p, az, 0.0) == p and geodesic_midpoint(p, p) == p
+            assert walk(p, az, 0.0) == p
 
     def test_walk_round_trip(self):
         p = GeoPoint(15.0, 47.0)
@@ -177,38 +170,51 @@ class TestMidpointAndWalk:
 
 
 class TestPolylineLength:
-    def test_single_point(self):
-        assert polyline_length([GeoPoint(3, 4)]) == 0.0
-
+    # A polyline's length as the pipeline measures it: the length of the
+    # curve `build_segments` makes of it.
     def test_single_segment(self):
         p, q = GeoPoint(0, 0), GeoPoint(0.5, 0.5)
-        assert polyline_length([p, q]) == geodesic_distance(p, q)
+        assert build_segments([p, q]).length == pytest.approx(geodesic_distance(p, q), rel=1e-12)
 
     def test_two_equator_degrees(self):
         pts = [GeoPoint(0, 0), GeoPoint(1, 0), GeoPoint(2, 0)]
-        assert polyline_length(pts) == pytest.approx(222638.982, abs=2e-3)
+        assert build_segments(pts).length == pytest.approx(222638.982, abs=2e-3)
 
     def test_empty_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            polyline_length([])
+        with pytest.raises(DegenerateCurveError):
+            build_segments([])
+
+
+def edge_distances(points, a, b) -> list[float]:
+    # Distances from the points to the geodesic edge from a to b as the
+    # pipeline measures them: the anchor pass from the curve through the
+    # points to the curve of the two vertices a and b.
+    return anchor_min_distances(build_segments(points, "A"), build_segments([a, b], "B"))
 
 
 class TestPointToSegment:
+    # The point-to-edge rule of every curve metric, on an edge whose chain
+    # is its two halves.  Single points are measured with the edge's start
+    # as a second anchor.
+
     def test_endpoint_containment(self):
-        s = GeoSegment(GeoPoint(0, 0), GeoPoint(1, 0))
-        assert point_to_segment_distance(s.start, s) == pytest.approx(0.0, abs=1e-9)
+        a, b = GeoPoint(0, 0), GeoPoint(1, 0)
+        assert edge_distances([a, b], a, b) == [0.0, 0.0]
 
     def test_degenerate_segment(self):
-        p = GeoPoint(0.5, 1.0)
-        s = GeoSegment(GeoPoint(0, 0), GeoPoint(0, 0))
-        assert s.is_degenerate
-        assert point_to_segment_distance(p, s) == geodesic_distance(p, s.start)
+        # Vertices an ulp apart: one half of the edge has length 0, a chord
+        # of one point in the plane, which measures to that point.
+        a, b = GeoPoint(10.0, 45.0), GeoPoint(10.0, math.nextafter(45.0, 46.0))
+        assert 0.0 in build_segments([a, b]).edge_lengths.tolist()
+        p = GeoPoint(10.5, 46.0)
+        got = edge_distances([p, a], a, b)[0]
+        assert got == pytest.approx(geodesic_distance(p, a), abs=1e-6)
 
     def test_long_segment_against_densification(self):
         # ~111 km equatorial segment, point one degree north of its middle.
         p = GeoPoint(0.5, 1.0)
         a, b = GeoPoint(0, 0), GeoPoint(1, 0)
-        got = point_to_segment_distance(p, GeoSegment(a, b))
+        got = edge_distances([p, a], a, b)[0]
         ref = densified_point_to_segment(scalar_distance, walk_points, p, a, b)
         assert got == pytest.approx(ref, abs=0.01)
 
@@ -224,11 +230,14 @@ class TestPointToSegment:
     def test_midlatitude_agreement_with_densification(
         self, plat, plon, alat, alon, blat, blon
     ):
+        # Within 1 cm of the densified reference plus the planar chord's
+        # shortfall over half the edge (up to 10 cm on the 104 km edge).
         p = GeoPoint(plon, plat)
         a, b = GeoPoint(alon, alat), GeoPoint(blon, blat)
-        got = point_to_segment_distance(p, GeoSegment(a, b))
+        got = edge_distances([p, a], a, b)[0]
         ref = densified_point_to_segment(scalar_distance, walk_points, p, a, b)
-        assert got == pytest.approx(ref, abs=0.01)
+        half = geodesic_distance(a, b) / 2
+        assert ref - 0.01 - CHORD_SHORTFALL_PER_M2 * ref * half**2 <= got <= ref + 0.01
 
     def test_never_exceeds_endpoint_distances(self):
         rng = random.Random(99)
@@ -237,7 +246,7 @@ class TestPointToSegment:
             p = GeoPoint(lon0, lat0)
             a = GeoPoint(lon0 + rng.uniform(-1, 1), lat0 + rng.uniform(-1, 1))
             b = GeoPoint(lon0 + rng.uniform(-1, 1), lat0 + rng.uniform(-1, 1))
-            d = point_to_segment_distance(p, GeoSegment(a, b))
+            d = edge_distances([p, a], a, b)[0]
             assert d <= min(geodesic_distance(p, a), geodesic_distance(p, b)) + 1e-9
 
     def test_long_segment_minimum_at_endpoint(self):
@@ -245,14 +254,14 @@ class TestPointToSegment:
         # the start vertex itself, and the densified path must find it.
         a, b = GeoPoint(10.0, 45.0), GeoPoint(12.8, 45.0)
         p = walk(a, 270.0, 35_000.0)  # west of the start
-        got = point_to_segment_distance(p, GeoSegment(a, b))
+        got = edge_distances([p, a], a, b)[0]
         assert got == pytest.approx(geodesic_distance(p, a), abs=0.01)
 
     def test_long_segment_interior_minimum(self):
         a, b = GeoPoint(10.0, 45.0), GeoPoint(12.8, 45.0)
         mid = geodesic_midpoint(a, b)
         p = walk(mid, 0.0, 50_000.0)
-        got = point_to_segment_distance(p, GeoSegment(a, b))
+        got = edge_distances([p, a], a, b)[0]
         ref = densified_point_to_segment(scalar_distance, walk_points, p, a, b)
         assert got == pytest.approx(ref, abs=0.01)
 

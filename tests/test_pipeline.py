@@ -730,6 +730,7 @@ class TestStrictConfig:
             ("comparisons", 5),
             ("source_comparisons", True),
             ("bands_km", "10"),
+            ("bands_km", []),  # an empty list, which would otherwise read as the default
         ],
     )
     def test_non_list_value_exits_2_before_any_output(self, tmp_path, capsys, key, value):
@@ -738,6 +739,14 @@ class TestStrictConfig:
         assert cli_main(["run", "--config", str(config_path)]) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "exp" / "out").exists()
+
+    @pytest.mark.parametrize("absent", [True, False], ids=["absent", "null"])
+    def test_absent_or_null_list_keeps_its_default(self, tmp_path, absent):
+        config_path, _ = write_experiment(tmp_path / "exp")
+        keys = ("regions", "source_comparisons", "bands_km")
+        _edit_config(config_path, lambda c: [c.pop(k, None) if absent else c.update({k: None}) for k in keys])
+        config = load_config(config_path)
+        assert (config.regions, config.source_comparisons, config.bands_km) == (None, None, DEFAULT_BANDS_KM)
 
     @pytest.mark.parametrize(
         "edit",
