@@ -38,10 +38,8 @@ from .geodesy import (
     plane_coords,
 )
 
-#: Anchor x chain-point pairs per array batch in `anchor_min_distances`:
-#: enough for one batch (two array inverses) per curve pair of a few
-#: hundred points, few enough to keep the temporaries under about 16 MB
-#: even when nothing is skipped.
+#: Elements per chord batch (anchors x chain points) and per engine call in
+#: `anchor_min_distances`; an engine call of this size peaks at about 14 MB.
 ANCHOR_BATCH_PAIRS = 16384
 #: Margins of the chord-bound skip test, far above the roundoff of the
 #: chords, the geodesic lengths and the planar chords.
@@ -152,8 +150,10 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
     `LONG_SEGMENT_M` is first replaced by the sub-edges between its
     `densify` samples.  Per anchor, chain points of B are projected into
     the azimuthal equidistant (AEQD) plane at the anchor and each edge is
-    handled as a planar chord.  Anchors are processed in batches of at
-    most `ANCHOR_BATCH_PAIRS` anchor x point pairs.
+    handled as a planar chord.  Round 1 solves the geodesic distance s* to
+    each anchor's chord-nearest chain point j*; round 2 runs the skip test
+    below and projects the distinct ends of the kept edges only.  Chord
+    batches and engine calls hold `ANCHOR_BATCH_PAIRS` elements at most.
 
     The planar chord of an edge of length L falls short by up to about
     2.1e-15 d L^2 m at distance d (measured against `stepped_min_distances`
@@ -161,12 +161,10 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
     80 km; 10.2 mm, 97 mm and 0.39 m for 8.1, 25 and 49.5 km edges at up to
     80 km.
 
-    Only edges that could hold an anchor's minimum are projected; the skip
-    test is a rigorous lower bound, so the result equals that of projecting
-    every edge.  Let c_j be the straight (ECEF) chord from the anchor to
-    chain point j, j* the chain point with the smallest chord, s* its
-    geodesic distance and U the smaller planar-chord value of j*'s edges.
-    Edge k (length l_k) is skipped when
+    The skip test is a rigorous lower bound, so the result equals that of
+    projecting every edge.  Let c_j be the straight (ECEF) chord from the
+    anchor to chain point j, and U = s*.  Edge k (length l_k) is skipped
+    when
 
         min(c_k, c_k+1) - kappa_k * l_k / 2 > U    (with a margin),
 
@@ -178,9 +176,9 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
     AEQD map stretches lengths by at most s / m12 <= x / sin x, because
     the Gauss curvature of the ellipsoid is at most 1 / b^2 (Rauch
     comparison with the sphere of radius b); so the planar chord is at most
-    kappa_k l_k long and its value exceeds U.  The argument only needs the
-    edges to be geodesics with known lengths, so it holds for sub-edges as
-    for any other edge.
+    kappa_k l_k long and its value exceeds U, which is at least the value
+    of j*'s edges (never skipped, as c_j* <= s*).  The argument only needs
+    the edges to be geodesics with known lengths, so it holds for sub-edges.
     """
     alon, alat = a.chain[::2, 0], a.chain[::2, 1]
     chain, lengths = _split_long_edges(b.chain, b.edge_lengths)
@@ -188,35 +186,29 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
     m = len(blat)
     ea, eb = ecef(alat, alon), ecef(blat, blon)
     arc = np.concatenate([[0.0], np.cumsum(lengths)])
-    out = np.empty(len(alat))
-    for batch in _batches(len(alat), m):
-        lat0, lon0 = alat[batch, None], alon[batch, None]
-        chord = chords(ea[batch], eb)
 
-        # Plane coordinates of three consecutive chain points around the
-        # chord-nearest one give s* and U.
-        rows = np.arange(len(chord))[:, None]
-        near = chord.argmin(axis=1)[:, None]
-        nb = np.clip(near, 1, m - 2) + [-1, 0, 1]
-        px, py = np.zeros((2, *chord.shape))
-        px[rows, nb], py[rows, nb] = plane_coords(lat0, lon0, blat[nb], blon[nb])
-        e = np.clip(near + [-1, 0], 0, m - 2)
-        upper = origin_to_chord(px[rows, e], py[rows, e], px[rows, e + 1], py[rows, e + 1]).min(axis=1)
-
-        # The skip test, then the endpoints of the surviving edges.
-        reach = np.hypot(px[rows, near], py[rows, near]) + np.maximum(arc[1:] - arc[near], arc[near] - arc[:-1])
+    def kept(ea_rows, u, j, anchor):
+        # The skip test on one chord batch.  Edge k of anchor i is kept as
+        # key i m + k, so its ends are the point keys i m + k and i m + k + 1.
+        chord = chords(ea_rows, eb)
+        reach = u + np.maximum(arc[1:] - arc[j], arc[j] - arc[:-1])
         x = np.minimum((reach * (1 + PRUNE_RTOL) + PRUNE_ATOL_M) / WGS84.b, math.pi / 2)
         half = np.where(x < math.pi / 2, lengths / 2 / np.sinc(x / math.pi), np.inf)  # kappa_k l_k / 2
         lower = np.minimum(chord[:, :-1], chord[:, 1:]) * (1 - PRUNE_RTOL) - half * (1 + PRUNE_RTOL)
-        keep = lower - PRUNE_ATOL_M <= upper[:, None]
-        need = np.zeros(chord.shape, dtype=bool)
-        need[:, :-1] = keep
-        need[:, 1:] |= keep
-        need[rows, nb] = False
-        i, j = np.nonzero(need)
-        px[i, j], py[i, j] = plane_coords(lat0[i, 0], lon0[i, 0], blat[j], blon[j])
-        d = origin_to_chord(px[:, :-1], py[:, :-1], px[:, 1:], py[:, 1:])
-        out[batch] = np.minimum(upper, np.where(keep, d, np.inf).min(axis=1))
+        i, k = np.nonzero(lower - PRUNE_ATOL_M <= u)
+        return anchor[i] * m + k
+
+    # Round 1: the chord-nearest chain point j* of every anchor and U = s*.
+    near = _batched(lambda e: chords(e, eb).argmin(axis=1), m, ea)
+    upper = _batched(geodesic_distance_many, 1, alat, alon, blat[near], blon[near])
+    # Round 2: the kept edges, then the plane coordinates of their ends.
+    keys = _batched(kept, m, ea, upper[:, None], near[:, None], np.arange(len(alat)))
+    ends = np.union1d(keys, keys + 1)
+    anchor, point = np.divmod(ends, m)
+    px, py = _batched(plane_coords, 1, alat[anchor], alon[anchor], blat[point], blon[point])
+    e = np.searchsorted(ends, keys)
+    out = np.full(len(alat), np.inf)
+    np.minimum.at(out, keys // m, origin_to_chord(px[e], py[e], px[e + 1], py[e + 1]))
     return out.tolist()
 
 
@@ -233,11 +225,11 @@ def _split_long_edges(chain: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarra
     return np.concatenate(points + [chain[start:]]), np.concatenate(edges + [lengths[start:]])
 
 
-def _batches(anchors: int, points: int) -> list[slice]:
-    # Anchor slices of at most ANCHOR_BATCH_PAIRS anchor x point pairs (one
-    # anchor at least).
-    step = max(1, ANCHOR_BATCH_PAIRS // points)
-    return [slice(i, i + step) for i in range(0, anchors, step)]
+def _batched(f, per_row: int, *rows: np.ndarray) -> np.ndarray:
+    # f on the rows of equal-length arrays, ANCHOR_BATCH_PAIRS // per_row
+    # rows a call (one at least), joined along the last axis.
+    step = max(1, ANCHOR_BATCH_PAIRS // per_row)
+    return np.concatenate([f(*(v[i : i + step] for v in rows)) for i in range(0, len(rows[0]), step)], axis=-1)
 
 
 class DistanceProfile:

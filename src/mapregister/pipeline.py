@@ -172,12 +172,19 @@ def _check_curve_name(name: str, where: str) -> str:
     return check_table_name(name, where)
 
 
+def _number(value) -> float:
+    # float() of a config value; YAML's true and false would pass as 1 and 0.
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def grid_domain(bounds, where: str) -> GridDomain:
     """The node grid whose corner node centers are the pixel bounds
     (x1_min, x2_min, x1_max, x2_max); it must span whole nodes and at least
     3x3 of them."""
     try:
-        x1_min, x2_min, x1_max, x2_max = (float(v) for v in bounds)
+        x1_min, x2_min, x1_max, x2_max = (_number(v) for v in bounds)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: bounds must be numbers") from exc
     n1 = x1_max - x1_min + 1
@@ -190,7 +197,7 @@ def grid_domain(bounds, where: str) -> GridDomain:
 def check_bands(bands, where: str) -> list[float]:
     """Band widths in km as floats; each must be positive and finite."""
     try:
-        bands = [float(b) for b in bands]
+        bands = [_number(b) for b in bands]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: band widths must be a list of numbers") from exc
     if not all(b > 0 and math.isfinite(b) for b in bands):
@@ -240,13 +247,13 @@ def load_config(path: str | Path) -> ProjectConfig:
     for item in _list(raw, "splits", str(path)):
         _check_keys(item, SPLIT_KEYS, f"{path}: splits entry")
         try:
-            at = GeoPoint(float(item["lon"]), float(item["lat"]))
+            at = GeoPoint(_number(item["lon"]), _number(item["lat"]))
             if not isinstance(item["names"], list) or len(item["names"]) != 2:
                 raise ValueError("names must be a list of two names")
             names = tuple(_check_curve_name(str(n), str(path)) for n in item["names"])
             splits.append(SplitSpec(str(item["curve"]), at, names))
         except (KeyError, TypeError, ValueError, OverflowError, OutOfRangeError) as exc:
-            raise ConfigError(f"{path}: bad split entry {item!r} ({exc})") from exc
+            raise ConfigError(f"{path}: bad splits entry {item!r} ({exc})") from exc
 
     def pair_list(key: str):
         pairs = []

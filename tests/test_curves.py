@@ -252,18 +252,36 @@ class TestAnchorMinDistances:
     def test_pruned_pass_equals_full_pass(self, kind, seed, batch_pairs):
         a_pts, b_pts = pruning_case(kind, random.Random(seed))
         a, b = build_segments(a_pts, "A"), build_segments(b_pts, "B")
-        with mock.patch.object(curves, "ANCHOR_BATCH_PAIRS", batch_pairs):
+        with mock.patch.object(curves, "ANCHOR_BATCH_PAIRS", batch_pairs), \
+                mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse:
             got = anchor_min_distances(a, b), anchor_min_distances(b, a), anchor_min_distances(a, a)
+        assert max(np.broadcast(*c.args).size for c in inverse.call_args_list) <= batch_pairs
         assert got == (full_anchor_min_distances(a, b), full_anchor_min_distances(b, a), [0.0] * len(a.points))
 
     def test_skip_test_spares_most_projections(self):
+        # Every pair the pass sends to the engine counts: s* and the ends of
+        # the kept edges.
         rng = random.Random(5)
         a = build_segments(random_curve(rng, "A", n=40), "A")
         b = build_segments(random_curve(rng, "B", n=40, start=a.points[5]), "B")
-        with mock.patch.object(curves, "plane_coords", wraps=curves.plane_coords) as projected:
+        with mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse:
             got = anchor_min_distances(a, b)
-        pairs = sum(np.broadcast(*c.args).size for c in projected.call_args_list)
+        pairs = sum(np.broadcast(*c.args).size for c in inverse.call_args_list)
         assert pairs < 0.25 * len(a.points) * len(b.chain)
+        assert got == full_anchor_min_distances(a, b)
+
+    def test_engine_calls_do_not_grow_with_chord_batches(self):
+        # 200 anchors against 799 chain points are 10 chord batches at the
+        # default ANCHOR_BATCH_PAIRS, and the pass still makes one engine
+        # call for s* and one for the ends of the kept edges.
+        rng = random.Random(8)
+        a = build_segments(random_curve(rng, "A", n=200, step_m=500.0), "A")
+        b = build_segments(random_curve(rng, "B", n=400, start=a.points[0], step_m=500.0), "B")
+        assert math.ceil(len(a.points) / (curves.ANCHOR_BATCH_PAIRS // len(b.chain))) == 10
+        with mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse, \
+                mock.patch.object(WGS84, "direct_many", wraps=WGS84.direct_many) as direct:
+            got = anchor_min_distances(a, b)
+        assert (inverse.call_count, direct.call_count) == (2, 0)
         assert got == full_anchor_min_distances(a, b)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(2, 12), st.sampled_from([800.0, 5000.0]))

@@ -749,22 +749,30 @@ class TestStrictConfig:
         assert (config.regions, config.source_comparisons, config.bands_km) == (None, None, DEFAULT_BANDS_KM)
 
     @pytest.mark.parametrize(
-        "edit",
+        "key, edit",
         [
-            lambda c: c["splits"][0].update(lat=100.0),
-            lambda c: c["splits"][0].update(lon=10**400),
-            lambda c: c["splits"][0].update(names="ab"),
-            lambda c: c["domain"].update(x1_max=10**400),
-            lambda c: c.update(bands_km=[10**400]),
-            lambda c: c["source_curves"][0].update(file="f" * 300),
+            ("splits", lambda c: c["splits"][0].update(lat=100.0)),
+            ("splits", lambda c: c["splits"][0].update(lon=10**400)),
+            ("splits", lambda c: c["splits"][0].update(names="ab")),
+            ("splits", lambda c: c["splits"][0].update(lon=True)),
+            ("splits", lambda c: c["splits"][0].update(lat=False)),
+            ("domain", lambda c: c["domain"].update(x1_max=10**400)),
+            ("domain", lambda c: c["domain"].update(x1_min=True)),
+            ("bands_km", lambda c: c.update(bands_km=[10**400])),
+            ("bands_km", lambda c: c.update(bands_km=[True, 50, 100])),
+            ("source_curves", lambda c: c["source_curves"][0].update(file="f" * 300)),
         ],
-        ids=["split latitude", "split longitude overflow", "split names string", "domain overflow", "band overflow",
+        ids=["split latitude", "split longitude overflow", "split names string", "split longitude boolean",
+             "split latitude boolean", "domain overflow", "domain boolean", "band overflow", "band boolean",
              "file name too long"],
     )
-    def test_bad_nested_value_exits_2_before_any_output(self, tmp_path, edit):
+    def test_bad_nested_value_exits_2_before_any_output(self, tmp_path, capsys, key, edit):
+        # YAML's true and false are booleans, which float() would read as 1
+        # and 0.
         config_path, _ = write_experiment(tmp_path / "exp")
         _edit_config(config_path, edit)
         assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert key in capsys.readouterr().err.replace(str(config_path), "")
         assert not (tmp_path / "exp" / "out").exists()
 
     def test_undecodable_files_exit_2_before_any_output(self, tmp_path):
