@@ -41,7 +41,7 @@ if TYPE_CHECKING:
 
 #: Absolute tolerance for a node center sitting exactly on a polygon edge.
 _ON_EDGE_TOL = 1e-9
-#: Residual contract for the solved field, relative to max(1, |rhs|_inf).
+#: Residual contract for the solved field, relative to max(1, |values|_inf).
 RESIDUAL_RTOL = 1e-8
 #: Slack allowed on the discrete maximum principle after the solve.
 _MAX_PRINCIPLE_TOL = 1e-9
@@ -241,7 +241,7 @@ def rasterize_envelope(region: DirichletRegion, grid: GridDomain) -> np.ndarray:
 
 @dataclass
 class LaplaceSystem:
-    """Assembled sparse system shared by the six parameters.
+    """Dirichlet data of the Laplace system shared by the six parameters.
 
     `labels` holds, for each Dirichlet node in flat node order, the row of
     `values` (the distinct region values, (R, 6)) that pins it; regions
@@ -249,11 +249,24 @@ class LaplaceSystem:
     """
 
     grid: GridDomain
-    matrix: sp.csr_matrix
-    rhs: np.ndarray  # (node_count, 6)
     dirichlet_mask: np.ndarray  # (n1, n2) bool
     labels: np.ndarray  # (Dirichlet node count,) int
     values: np.ndarray  # (R, 6)
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """Built on each read: identity rows on Dirichlet nodes, the stencil elsewhere."""
+        import scipy.sparse as sp
+
+        dir_flat = self.dirichlet_mask.reshape(-1)
+        return sp.diags(~dir_flat * 1.0) @ _laplacian(self.grid) + sp.diags(dir_flat * 1.0)
+
+    @property
+    def rhs(self) -> np.ndarray:
+        """Built on each read, (node_count, 6): Dirichlet values, 0 elsewhere."""
+        rhs = np.zeros((self.grid.node_count, 6))
+        rhs[self.dirichlet_mask.reshape(-1)] = self.values[self.labels]
+        return rhs
 
     def node_index(self, i: int, j: int) -> int:
         return (i - 1) * self.grid.n2 + (j - 1)
@@ -262,17 +275,12 @@ class LaplaceSystem:
 def assemble_from_masks(
     grid: GridDomain, masks_and_values: list[tuple[np.ndarray, AffineParams]]
 ) -> LaplaceSystem:
-    """Assemble the discrete Laplace system from explicit Dirichlet masks.
-
-    Dirichlet rows are identity rows carrying the region value; free rows
-    use the five-point stencil, the Kronecker sum of one 1-D second
-    difference per grid side, whose end rows fold the reflected neighbor
-    back onto the grid, doubling the opposite coefficient.  Nodes claimed
-    twice with different values raise a conflict.
+    """Collect the Dirichlet data of explicit masks: which nodes are pinned,
+    and by which row of the distinct-value table.  Nodes claimed twice with
+    different values raise a conflict.
     """
     n1, n2 = grid.n1, grid.n2
-    n = grid.node_count
-    labels = np.full(n, -1)  # -1 on free nodes
+    labels = np.full(grid.node_count, -1)  # -1 on free nodes
     table: list[np.ndarray] = []
     rows_of: dict[bytes, int] = {}  # a value's bits -> its row of the table
     for mask, params in masks_and_values:
@@ -293,27 +301,23 @@ def assemble_from_masks(
             )
         labels[flat] = label
     values = np.array(table).reshape(-1, 6)
-
-    import scipy.sparse as sp
-
     dir_flat = labels >= 0
-    laplacian = sp.kronsum(_second_difference(n2), _second_difference(n1), "csr")
-    matrix = sp.diags(~dir_flat * 1.0) @ laplacian + sp.diags(dir_flat * 1.0)
-    dir_labels = labels[dir_flat]
-    rhs = np.zeros((n, 6))
-    rhs[dir_flat] = values[dir_labels]
-    return LaplaceSystem(grid, matrix, rhs, dir_flat.reshape(n1, n2), dir_labels, values)
+    return LaplaceSystem(grid, dir_flat.reshape(n1, n2), labels[dir_flat], values)
 
 
-def _second_difference(n: int) -> sp.dia_matrix:
-    """Negated 1-D second difference on n nodes with zero-Neumann ends: the
+def _laplacian(grid: GridDomain) -> sp.csr_matrix:
+    """The five-point operator on every node: the Kronecker sum of one 1-D
+    second difference per grid side, with zero-Neumann ends where the
     neighbor reflected across an end folds onto the inner one."""
     import scipy.sparse as sp
 
-    lower = np.full(n - 1, -1.0)
-    upper = lower.copy()
-    lower[-1] = upper[0] = -2.0
-    return sp.diags([lower, np.full(n, 2.0), upper], [-1, 0, 1])
+    def second_difference(n):
+        lower = np.full(n - 1, -1.0)
+        upper = lower.copy()
+        lower[-1] = upper[0] = -2.0
+        return sp.diags([lower, np.full(n, 2.0), upper], [-1, 0, 1])
+
+    return sp.kronsum(second_difference(grid.n2), second_difference(grid.n1), "csr")
 
 
 def assemble_system(grid: GridDomain, regions: list[DirichletRegion]) -> LaplaceSystem:
@@ -353,15 +357,17 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
     multigrid V-cycle, runs over all columns; it stops once every column's
     residual max-norm is at most `_PCG_RTOL` of its right-hand side's.
     Dirichlet entries are then restored bit-for-bit and the residual
-    contract re-checked on the assembled matrix.
+    contract re-checked on the free rows; Dirichlet rows hold exactly.
     """
     if not system.dirichlet_mask.any():
         raise SingularSystemError("no Dirichlet nodes: the pure-Neumann system is singular")
 
-    m, rhs, values = system.matrix, system.rhs, system.values
+    values = system.values
     n1, n2 = system.grid.n1, system.grid.n2
     free = ~system.dirichlet_mask.reshape(-1)
-    u = rhs.copy()
+    rows = _laplacian(system.grid)[free]
+    u = np.zeros((system.grid.node_count, 6))
+    u[~free] = values[system.labels]
     iterations = columns = 0
     measures = len(values) <= 6  # R - 1 measures are no more columns than six parameters
     if len(values) == 1:
@@ -370,14 +376,14 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
         # The solved columns on the Dirichlet nodes: indicators of the
         # labels 1..R-1, or the six parameters.
         pinned = (np.eye(len(values))[:, 1:] if measures else values)[system.labels]
-        a, b, shift = _free_system(system, free, pinned)
+        a, b, shift = _free_system(rows, system.grid, free, pinned)
         v, iterations = _pcg(a, b, _VCycle(a, free.reshape(n1, n2)))
         v += shift
         columns = v.shape[1]
         u[free] = values[0] + v @ (values[1:] - values[0]) if measures else v
 
-    scale = np.maximum(1.0, np.abs(rhs).max(axis=0))
-    residuals = np.abs(m @ u - rhs).max(axis=0)
+    scale = np.maximum(1.0, np.abs(values).max(axis=0))
+    residuals = np.abs(rows @ u).max(axis=0, initial=0.0)
     worst = float((residuals / scale).max())
     if worst > RESIDUAL_RTOL:
         raise ConvergenceError(
@@ -393,21 +399,21 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
     )
 
 
-def _free_system(system: LaplaceSystem, free: np.ndarray, pinned: np.ndarray):
+def _free_system(rows: sp.csr_matrix, grid: GridDomain, free: np.ndarray, pinned: np.ndarray):
     """Matrix and right-hand sides of the free nodes, symmetric positive
-    definite, for the Dirichlet values `pinned` (Dirichlet nodes, columns)
-    less their mean; returns (matrix, rhs, mean)."""
+    definite, from the operator's free `rows` and the Dirichlet values
+    `pinned` (Dirichlet nodes, columns) less their mean: (matrix, rhs, mean)."""
     import scipy.sparse as sp
 
     shift = pinned.mean(axis=0)
     # Halving the rows of edge nodes and quartering those of corners makes
     # the reflected-Neumann operator symmetric.
-    side1 = np.ones(system.grid.n1)
+    side1 = np.ones(grid.n1)
     side1[[0, -1]] = 0.5
-    side2 = np.ones(system.grid.n2)
+    side2 = np.ones(grid.n2)
     side2[[0, -1]] = 0.5
     row_scale = np.outer(side1, side2).reshape(-1)[free]
-    rows = sp.diags(row_scale) @ system.matrix[free]
+    rows = sp.diags(row_scale) @ rows
     return rows[:, free], rows[:, ~free] @ (shift - pinned), shift
 
 

@@ -156,9 +156,10 @@ def read_geo_curve(path: str | Path) -> tuple[str, list[GeoPoint]]:
         raise ConfigError(f"{path}: LineString needs a list of at least 2 coordinates")
     pts = []
     for k, pos in enumerate(coords):
-        # RFC 7946 §3.1.1: an altitude after longitude and latitude is ignored.
+        # RFC 7946 §3.1.1: 2 or 3 JSON numbers (no bool or string); an altitude is ignored.
         try:
-            if not isinstance(pos, list) or len(pos) not in (2, 3):
+            numbers = isinstance(pos, list) and all(type(v) in (int, float) for v in pos)
+            if not numbers or len(pos) not in (2, 3):
                 raise ValueError(f"a position is a list of 2 or 3 numbers, got {pos!r:.40}")
             lon, lat, *_ = (float(v) for v in pos)
             pts.append(GeoPoint(lon, lat))

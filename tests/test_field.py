@@ -227,11 +227,17 @@ class TestStencil:
     def test_matches_coo_reference(self, n1, n2, density, seed):
         mask = np.random.default_rng(seed).random((n1, n2)) < density
         pairs = [(mask, scalar_params(1.0))] if mask.any() else []
-        got = assemble_from_masks(GridDomain(PixelPoint(1, 1), n1, n2), pairs).matrix
+        grid = GridDomain(PixelPoint(1, 1), n1, n2)
         ref = coo_laplace_matrix(mask)
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        free = ~mask.reshape(-1)
+        # The `matrix` view, and the free rows `solve_field` builds.
+        for got, want in (
+            (assemble_from_masks(grid, pairs).matrix, ref),
+            (field_module._laplacian(grid)[free], ref[free]),
+        ):
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestSolve:
@@ -476,10 +482,35 @@ class TestMultigridSolve:
         assert assert_matches_lu(system).iterations == 1
 
     def test_all_nodes_dirichlet(self):
+        # R = 1, 3 and 7 distinct values and no free node: no solve, and an
+        # empty set of free rows for the residual.
         n1, n2 = 6, 5
-        system = system_from_masks(n1, n2, [np.ones((n1, n2), dtype=bool)], [[0.25] * 6])
-        f = assert_matches_lu(system)
-        assert f.iterations == 0 and (f.params == 0.25).all()
+        for regions in (1, 3, 7):
+            label = np.arange(n1 * n2).reshape(n1, n2) % regions
+            values = np.random.default_rng(regions).uniform(-2.0, 2.0, size=(regions, 6))
+            system = system_from_masks(n1, n2, [label == k for k in range(regions)], values.tolist())
+            assert len(system.values) == regions
+            f = assert_matches_lu(system)
+            assert (f.params == values[label]).all()
+            assert f.residual == 0.0 and f.iterations == 0 and f.columns == 0
+
+    def test_solve_reads_neither_view(self, monkeypatch):
+        # `matrix` and `rhs` are built on each read, for inspection only: the
+        # solve of a sparse-LU system and of a multigrid one reads neither.
+        systems = [random_system(0, 60, 50), random_system(0, 221, 181)]
+        free = [int((~s.dirichlet_mask).sum()) for s in systems]
+        assert free[0] <= field_module._DIRECT_NODES < free[1]
+        expected = [solve_field(s) for s in systems]
+
+        def unread(system):
+            raise AssertionError("solve_field read an assembled view")
+
+        monkeypatch.setattr(LaplaceSystem, "matrix", property(unread))
+        monkeypatch.setattr(LaplaceSystem, "rhs", property(unread))
+        for system, ref in zip(systems, expected):
+            got = solve_field(system)
+            assert got.params.tobytes() == ref.params.tobytes()
+            assert got.residual.hex() == ref.residual.hex()
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(field_module, "_PCG_MAX_ITER", 1)

@@ -172,8 +172,11 @@ class TestFormats:
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize(
-        "position", [[10.0], [10.0, 45.0, 1.0, 2.0], [10.0, 45.0, "high"], "10 45"],
-        ids=["one number", "four numbers", "non-number altitude", "string"],
+        "position",
+        [[10.0], [10.0, 45.0, 1.0, 2.0], [10.0, 45.0, "high"], "10 45",
+         [True, False], ["10.5", "45"], [10.0, 45.0, "120"]],
+        ids=["one number", "four numbers", "non-number altitude", "string",
+             "booleans", "number strings", "number-string altitude"],
     )
     def test_bad_position_exits_2(self, tmp_path, position):
         base = tmp_path / "exp"
