@@ -10,8 +10,10 @@ region value but the first) when R <= 6, not at all when R = 1, and as the
 six parameter columns when R >= 7.  `solve_field` solves for the free nodes
 only, by conjugate gradients preconditioned with a geometric-multigrid
 V-cycle (Briggs, Henson & McCormick, *A Multigrid Tutorial*, 2nd ed., SIAM
-2000), one block iteration for all right-hand sides; its memory grows
-linearly with the node count.
+2000), one block iteration for all right-hand sides.  The solve holds the
+operator's free rows (for the residual contract), each level's matrix,
+smoother and interpolation, and at most six free-node vectors at a time:
+about 500 to 650 bytes per node with six columns.
 """
 
 from __future__ import annotations
@@ -366,21 +368,24 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
     n1, n2 = system.grid.n1, system.grid.n2
     free = ~system.dirichlet_mask.reshape(-1)
     rows = _laplacian(system.grid)[free]
-    u = np.zeros((system.grid.node_count, 6))
-    u[~free] = values[system.labels]
     iterations = columns = 0
     measures = len(values) <= 6  # R - 1 measures are no more columns than six parameters
-    if len(values) == 1:
-        u[free] = values[0]
-    elif free.any():
+    v = values[0]  # the field on the free nodes
+    if len(values) > 1 and free.any():
         # The solved columns on the Dirichlet nodes: indicators of the
         # labels 1..R-1, or the six parameters.
         pinned = (np.eye(len(values))[:, 1:] if measures else values)[system.labels]
         a, b, shift = _free_system(rows, system.grid, free, pinned)
+        del pinned  # CG does not read it, and scales b in place
         v, iterations = _pcg(a, b, _VCycle(a, free.reshape(n1, n2)))
+        del a, b  # before u is built
         v += shift
         columns = v.shape[1]
-        u[free] = values[0] + v @ (values[1:] - values[0]) if measures else v
+        if measures:
+            v = values[0] + v @ (values[1:] - values[0])
+    u = np.empty((system.grid.node_count, 6))
+    u[~free] = values[system.labels]
+    u[free] = v
 
     scale = np.maximum(1.0, np.abs(values).max(axis=0))
     residuals = np.abs(rows @ u).max(axis=0, initial=0.0)
@@ -458,12 +463,13 @@ class _VCycle:
                 break
             p = sp.kron(_interpolation_1d(free.shape[0]), _interpolation_1d(free.shape[1]), "csr")
             p = p[free.reshape(-1)][:, coarse.reshape(-1)]
-            r = p.T.tocsr()
             weight = _JACOBI_OMEGA / a.diagonal()
-            # A sweep x + weight * (b - a @ x) is smoother @ x + weight * b.
-            smoother = (sp.identity(a.shape[0]) - sp.diags(weight) @ a).tocsr()
-            self.levels.append((a, weight[:, None], smoother, p, r))
-            a = (r @ a @ p).tocsr()
+            # A sweep x + weight * (b - a @ x) is smoother @ x + weight * b;
+            # the copy drops the one slack entry per row the difference keeps.
+            smoother = (sp.identity(a.shape[0]) - sp.diags(weight) @ a).tocsr(copy=True)
+            self.levels.append((a, weight[:, None], smoother, p))
+            # p.T, a CSC view, restricts; the Galerkin product keeps its bits with a CSR copy.
+            a = (p.T.tocsr() @ a @ p).tocsr()
             free = coarse
             limit = _COARSE_NODES
         import scipy.sparse.linalg as spla
@@ -481,22 +487,24 @@ class _VCycle:
     def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.levels):
             return self.coarsest.solve(b)
-        a, weight, smoother, p, r = self.levels[level]
+        a, weight, smoother, p = self.levels[level]
+        # Damped-Jacobi sweeps x <- smoother @ x + wb (from x = 0 the first gives wb).  At
+        # most four fine vectors are live at once: b, wb and two iterates.
         wb = weight * b
-        x = _jacobi(smoother, wb, wb, _JACOBI_SWEEPS - 1)  # the first sweep from x = 0 gives wb
+        x = wb
+        for _ in range(_JACOBI_SWEEPS - 1):
+            x = smoother @ x
+            x += wb
         t = a @ x
         np.subtract(b, t, out=t)
-        t = p @ self(r @ t, level + 1)
+        t = p.T @ t  # the fine residual is released before the coarse cycle
+        t = p @ self(t, level + 1)
         t += x
-        return _jacobi(smoother, wb, t, _JACOBI_SWEEPS)
-
-
-def _jacobi(smoother, wb, x, sweeps):
-    """`sweeps` damped-Jacobi sweeps from x, each smoother @ x + wb."""
-    for _ in range(sweeps):
-        x = smoother @ x
-        x += wb
-    return x
+        del x
+        for _ in range(_JACOBI_SWEEPS):
+            t = smoother @ t
+            t += wb
+        return t
 
 
 def _pcg(a: sp.csr_matrix, b: np.ndarray, precondition) -> tuple[np.ndarray, int]:
@@ -509,14 +517,14 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, precondition) -> tuple[np.ndarray, int
     norm = _column_max_abs(b)
     norm[norm == 0.0] = 1.0
     x = np.zeros_like(b)
-    r = b / norm
+    r = np.divide(b, norm, out=b)  # in place: b is the caller's to give up
     p = np.zeros_like(b)
     rz = np.zeros(b.shape[1])
     iterations = 0
     while True:
         active = _column_max_abs(r) > _PCG_RTOL
         if not active.any():
-            return x * norm, iterations
+            return np.multiply(x, norm, out=x), iterations
         if iterations == _PCG_MAX_ITER:
             raise ConvergenceError(
                 f"multigrid-preconditioned CG did not converge in {_PCG_MAX_ITER} iterations"
@@ -532,6 +540,7 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, precondition) -> tuple[np.ndarray, int
         alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=active & (pq > 0))
         x += np.multiply(p, alpha, out=z)
         r -= np.multiply(q, alpha, out=q)
+        del z, q  # released before the next V-cycle allocates
 
 
 def _column_max_abs(x: np.ndarray) -> np.ndarray:

@@ -173,8 +173,9 @@ def _check_curve_name(name: str, where: str) -> str:
 
 
 def _number(value) -> float:
-    # float() of a config value; YAML's true and false would pass as 1 and 0.
-    if isinstance(value, bool):
+    # float() of a config value, which must be a YAML number: float() would
+    # also take true and false as 1 and 0, and quoted numbers.
+    if type(value) not in (int, float):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
 

@@ -555,6 +555,8 @@ class TestConfig:
             "domain: {x1_min: 1, x2_min: 1, x1_max: 2, x2_max: 2}",
             "domain: {x1_min: 1, x2_min: 1, x1_max: .nan, x2_max: 90}",
             "domain: {x1_min: 1, x2_min: 1, x1_max: 120, x2_max: .inf}",
+            'domain: {x1_min: 1, x2_min: 1, x1_max: "120", x2_max: 90}',
+            'bands_km: ["10", 50, 100]',
             'dump_field: "false"',
             "dump_field: 1",
             "output_dir: {a: 1}",
@@ -759,6 +761,7 @@ class TestStrictConfig:
             ("splits", lambda c: c["splits"][0].update(names="ab")),
             ("splits", lambda c: c["splits"][0].update(lon=True)),
             ("splits", lambda c: c["splits"][0].update(lat=False)),
+            ("splits", lambda c: c["splits"][0].update(lat="49.995")),
             ("domain", lambda c: c["domain"].update(x1_max=10**400)),
             ("domain", lambda c: c["domain"].update(x1_min=True)),
             ("bands_km", lambda c: c.update(bands_km=[10**400])),
@@ -766,12 +769,12 @@ class TestStrictConfig:
             ("source_curves", lambda c: c["source_curves"][0].update(file="f" * 300)),
         ],
         ids=["split latitude", "split longitude overflow", "split names string", "split longitude boolean",
-             "split latitude boolean", "domain overflow", "domain boolean", "band overflow", "band boolean",
-             "file name too long"],
+             "split latitude boolean", "split latitude string", "domain overflow", "domain boolean",
+             "band overflow", "band boolean", "file name too long"],
     )
     def test_bad_nested_value_exits_2_before_any_output(self, tmp_path, capsys, key, edit):
         # YAML's true and false are booleans, which float() would read as 1
-        # and 0.
+        # and 0; float() would also read a quoted number.
         config_path, _ = write_experiment(tmp_path / "exp")
         _edit_config(config_path, edit)
         assert cli_main(["run", "--config", str(config_path)]) == 2
