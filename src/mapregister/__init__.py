@@ -24,6 +24,7 @@ from .curves import (
     DiscreteCurve,
     DistanceProfile,
     anchor_min_distances,
+    anchor_min_distances_many,
     build_segments,
     directed_max_hausdorff,
     directed_mean_hausdorff,

@@ -143,7 +143,7 @@ def _assemble(name: str, chain: np.ndarray, edge_lengths: np.ndarray) -> Discret
 
 def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
     """For every anchor vertex of A, the minimum geodesic distance in meters
-    to B's segments.
+    to B's segments; `anchor_min_distances_many` on one direction.
 
     The segments of B partition its chain edges, so the minimum over
     segments equals the minimum over chain edges.  An edge longer than
@@ -180,6 +180,32 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
     of j*'s edges (never skipped, as c_j* <= s*).  The argument only needs
     the edges to be geodesics with known lengths, so it holds for sub-edges.
     """
+    return anchor_min_distances_many([(a, b)])[0]
+
+
+def anchor_min_distances_many(directions: list[tuple[DiscreteCurve, DiscreteCurve]]) -> list[list[float]]:
+    """`anchor_min_distances(a, b)` for every direction (a, b), bit for bit.
+
+    Each round's geodesics are solved for all directions together: one
+    batched engine pass for the s* of every anchor, one for the plane
+    coordinates of every kept end.  The engine is elementwise, so a
+    distance does not depend on which directions share its call.  An
+    empty list makes no engine call.
+    """
+    if not directions:
+        return []
+    passes = [_anchor_pass(a, b) for a, b in directions]
+    sent = [next(p) for p in passes]  # every direction's round-1 geodesics
+    for solve in (geodesic_distance_many, plane_coords):
+        sent = [p.send(r) for p, r in zip(passes, _solve_joined(solve, sent))]
+    return sent
+
+
+def _anchor_pass(a: DiscreteCurve, b: DiscreteCurve):
+    # One direction of `anchor_min_distances_many`, as a generator: it
+    # yields the (lat0, lon0, lat, lon) geodesics of round 1 and is sent
+    # their distances, yields those of round 2 and is sent their plane
+    # coordinates, and yields the anchor distances.
     alon, alat = a.chain[::2, 0], a.chain[::2, 1]
     chain, lengths = _split_long_edges(b.chain, b.edge_lengths)
     blon, blat = chain[:, 0], chain[:, 1]
@@ -200,16 +226,23 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
 
     # Round 1: the chord-nearest chain point j* of every anchor and U = s*.
     near = _batched(lambda e: chords(e, eb).argmin(axis=1), m, ea)
-    upper = _batched(geodesic_distance_many, 1, alat, alon, blat[near], blon[near])
+    upper = yield alat, alon, blat[near], blon[near]
     # Round 2: the kept edges, then the plane coordinates of their ends.
     keys = _batched(kept, m, ea, upper[:, None], near[:, None], np.arange(len(alat)))
     ends = np.union1d(keys, keys + 1)
     anchor, point = np.divmod(ends, m)
-    px, py = _batched(plane_coords, 1, alat[anchor], alon[anchor], blat[point], blon[point])
+    px, py = yield alat[anchor], alon[anchor], blat[point], blon[point]
     e = np.searchsorted(ends, keys)
     out = np.full(len(alat), np.inf)
     np.minimum.at(out, keys // m, origin_to_chord(px[e], py[e], px[e + 1], py[e + 1]))
-    return out.tolist()
+    yield out.tolist()
+
+
+def _solve_joined(solve, queries: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
+    # `solve` on the concatenated (lat0, lon0, lat, lon) arrays of every
+    # query in batched calls, split back into one result per query.
+    joined = _batched(solve, 1, *(np.concatenate(c) for c in zip(*queries)))
+    return np.split(joined, np.cumsum([len(q[0]) for q in queries])[:-1], axis=-1)
 
 
 def _split_long_edges(chain: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,9 +260,11 @@ def _split_long_edges(chain: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarra
 
 def _batched(f, per_row: int, *rows: np.ndarray) -> np.ndarray:
     # f on the rows of equal-length arrays, ANCHOR_BATCH_PAIRS // per_row
-    # rows a call (one at least), joined along the last axis.
+    # rows a call (one at least), joined along the last axis.  Zero rows
+    # make one call on the empty rows, whose result is empty.
     step = max(1, ANCHOR_BATCH_PAIRS // per_row)
-    return np.concatenate([f(*(v[i : i + step] for v in rows)) for i in range(0, len(rows[0]), step)], axis=-1)
+    starts = range(0, len(rows[0]), step) or [0]
+    return np.concatenate([f(*(v[i : i + step] for v in rows)) for i in starts], axis=-1)
 
 
 class DistanceProfile:

@@ -20,12 +20,21 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .affine import AffineParams, CorrespondenceSet, PixelPoint, affine_images, apply_affine, errors_km, fit_affine
+from .affine import (
+    AffineParams,
+    CorrespondenceSet,
+    PixelPoint,
+    affine_images,
+    apply_affine,
+    cross_errors_km,
+    fit_affine,
+)
 from .curves import (
     BandThreshold,
     DiscreteCurve,
     DistanceProfile,
-    anchor_min_distances,
+    anchor_min_distances,  # unused here; perfbench/tracing.py wraps it under this name
+    anchor_min_distances_many,
     build_segments,
     source_distance,
     split_at_nearest_vertex,
@@ -316,10 +325,8 @@ def fit_with_global(sets: list[CorrespondenceSet]) -> tuple[dict[str, AffinePara
     fits[GLOBAL_NAME] = fit_affine(union)
     eval_sets = list(sets) + [union]
     names = [s.name for s in eval_sets]
-    rows = [errors_km(fits[t], eval_sets) for t in names]
-    mean_m = [rms for rms, _ in rows]
-    max_m = [largest for _, largest in rows]
-    return fits, TransformErrors(list(names), list(names), mean_m, max_m)
+    mean_km, max_km = cross_errors_km([fits[t] for t in names], eval_sets)
+    return fits, TransformErrors(list(names), list(names), mean_km, max_km)
 
 
 def build_field(
@@ -354,9 +361,17 @@ def transform_curve(f: ParameterField, pixels: list[PixelPoint], name: str = "")
 def compare_pair(
     a: DiscreteCurve, b: DiscreteCurve, bands_km: list[float]
 ) -> tuple[HausdorffEntry, MatchingEntry]:
-    """All pair metrics from one distance profile per direction."""
-    p_ab = DistanceProfile(a, anchor_min_distances(a, b))
-    p_ba = DistanceProfile(b, anchor_min_distances(b, a))
+    """All pair metrics from one distance profile per direction; `measure`
+    on one pair."""
+    return _pair_entries(a, b, *anchor_min_distances_many([(a, b), (b, a)]), bands_km)
+
+
+def _pair_entries(
+    a: DiscreteCurve, b: DiscreteCurve, d_ab: list[float], d_ba: list[float], bands_km: list[float]
+) -> tuple[HausdorffEntry, MatchingEntry]:
+    # The Hausdorff and matching rows of a pair from its anchor distances.
+    p_ab = DistanceProfile(a, d_ab)
+    p_ba = DistanceProfile(b, d_ba)
     la_km = a.length / 1000.0
     lb_km = b.length / 1000.0
 
@@ -387,10 +402,12 @@ def measure(
     errors: TransformErrors,
 ) -> MetricsReport:
     """The metric tables: Hausdorff and matching rows for every pair, a
-    source distance for every source pair, a summary row for every curve."""
+    source distance for every source pair, a summary row for every curve.
+    One anchor pass measures both directions of every pair."""
     report = MetricsReport(transform_errors=errors, bands_km=list(bands_km))
-    for a, b in pairs:
-        hd, ml = compare_pair(a, b, bands_km)
+    dists = anchor_min_distances_many([d for a, b in pairs for d in ((a, b), (b, a))])
+    for (a, b), d_ab, d_ba in zip(pairs, dists[0::2], dists[1::2]):
+        hd, ml = _pair_entries(a, b, d_ab, d_ba, bands_km)
         report.hausdorff.append(hd)
         report.matching.append(ml)
     report.sources = [SourceEntry(a.name, b.name, source_distance(a, b)) for a, b in source_pairs]

@@ -334,6 +334,52 @@ class TestAnchorMinDistances:
         assert anchor_min_distances(a, a) == [0.0] * 10
 
 
+class TestAnchorMinDistancesMany:
+    @staticmethod
+    def directions(seed: int, kinds) -> list[tuple[DiscreteCurve, DiscreteCurve]]:
+        rng = random.Random(seed)
+        out = []
+        for kind in kinds:
+            a_pts, b_pts = pruning_case(kind, rng)
+            a, b = build_segments(a_pts, "A"), build_segments(b_pts, "B")
+            out += [(a, b), (b, a)]
+        return out
+
+    def test_equals_one_direction_at_a_time(self):
+        # Every kind of direction, chain edges past LONG_SEGMENT_M among
+        # them, with the shared calls of both rounds cut into chunks.
+        dirs = self.directions(21, ["near", "far", "polar", "antimeridian", "shared", "self", "long"])
+        assert any(b.edge_lengths.max() > LONG_SEGMENT_M for _, b in dirs)
+        want = [anchor_min_distances(a, b) for a, b in dirs]
+        batch = 12
+        assert sum(a.point_count for a, _ in dirs) > 3 * batch
+        with mock.patch.object(curves, "ANCHOR_BATCH_PAIRS", batch), \
+                mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse:
+            got = curves.anchor_min_distances_many(dirs)
+        sizes = [np.broadcast(*c.args).size for c in inverse.call_args_list]
+        assert max(sizes) <= batch and sizes.count(batch) >= 3
+        assert got == want
+
+    def test_two_engine_calls_for_all_directions(self):
+        # Without long edges, one call for every s* and one for every kept end.
+        dirs = self.directions(22, ["near", "polar", "antimeridian", "shared", "self"] * 2)
+        want = [anchor_min_distances(a, b) for a, b in dirs]
+        with mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse:
+            got = curves.anchor_min_distances_many(dirs)
+        assert inverse.call_count == 2
+        assert got == want
+
+    def test_no_directions_make_no_engine_call(self):
+        with mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse:
+            assert curves.anchor_min_distances_many([]) == []
+        assert inverse.call_count == 0
+
+    def test_batched_on_zero_rows_is_empty(self):
+        empty = np.empty(0)
+        assert curves._batched(lambda *v: WGS84.inverse_many(*v)[0], 1, *[empty] * 4).shape == (0,)
+        assert curves._batched(lambda *v: WGS84.inverse_many(*v), 1, *[empty] * 4).shape == (2, 0)
+
+
 #: Hypothesis phases of the long-edge properties: shrinking a failure
 #: replays their slow examples for minutes, and a smaller seed reads no
 #: better than the failing one, so a failure is reported as found.

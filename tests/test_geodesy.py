@@ -480,6 +480,34 @@ class TestInverseMany:
         for i in range(2000):
             assert_inverse_close(s12[i], azi1[i], SCALAR_WGS84.inverse(lat1[i], lon1[i], lat2[i], lon2[i]))
 
+    def test_batch_composition_does_not_change_bits(self):
+        # Each element is solved on its own: one batch, its 37-element
+        # chunks and one call per pair give the same bits.  Batched passes
+        # (the anchor pass over all directions, the cross-evaluation of all
+        # transforms) rely on this to reproduce one-at-a-time results.
+        rng = np.random.default_rng(20)
+        n = 60
+        lat1, lon1 = rng.uniform(-90, 90, 5 * n), rng.uniform(-180, 180, 5 * n)
+        far = (rng.uniform(-90, 90, n), rng.uniform(-180, 180, n))
+        near = (np.clip(lat1[n : 2 * n] + rng.uniform(-1, 1, n), -90, 90), lon1[n : 2 * n] + rng.uniform(-1, 1, n))
+        meridian = (rng.uniform(-90, 90, n), lon1[2 * n : 3 * n] + rng.choice([0.0, 180.0], n))
+        lat1[3 * n : 4 * n] = 0.0
+        equatorial = (np.zeros(n), rng.uniform(-180, 180, n))
+        lat1[4 * n :] = rng.uniform(-60, 60, n)
+        antipodal = (rng.uniform(-0.3, 0.3, n) - lat1[4 * n :], lon1[4 * n :] + 180.0 + rng.uniform(-0.3, 0.3, n))
+        lat2, lon2 = (np.concatenate(c) for c in zip(far, near, meridian, equatorial, antipodal))
+        lat2[::9], lon2[::9] = lat1[::9], lon1[::9]  # coincident
+        pairs = np.concatenate([np.stack([lat1, lon1, lat2, lon2], axis=1), np.array(list(SPECIAL_PAIRS.values()))])
+        pairs = pairs[rng.permutation(len(pairs))]
+
+        def bits(results):
+            # The bits of (s12, azi1) over the joined results of inverse_many calls.
+            return [np.concatenate(v).tobytes() for v in zip(*results)]
+
+        whole = bits([WGS84.inverse_many(*pairs.T)])
+        assert bits(WGS84.inverse_many(*pairs[i : i + 37].T) for i in range(0, len(pairs), 37)) == whole
+        assert bits(WGS84.inverse_many(*p[:, None]) for p in pairs) == whole
+
     @pytest.mark.parametrize("name", list(SPECIAL_PAIRS))
     def test_special_branches_use_scalar_path(self, name):
         # Each special branch keeps to the allowance of the scalar

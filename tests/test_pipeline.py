@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mapregister.field as field_module
-from mapregister.affine import AffineParams, PixelPoint, apply_affine
+from mapregister._geodesic import WGS84
+from mapregister.affine import AffineParams, PixelPoint, affine_images, apply_affine, fit_affine
 from mapregister.cli import main as cli_main
 from mapregister.curves import build_segments
 from mapregister.errors import ConfigError, DegenerateCurveError, MapRegisterError, OutOfDomainError, OutOfRangeError
@@ -37,12 +39,14 @@ from mapregister.formats import (
     read_pixel_curve,
     write_field_dump,
 )
-from mapregister.geodesy import GeoPoint
+from mapregister.geodesy import GeoPoint, geodesic_distance_many
 from mapregister.pipeline import (
     DEFAULT_BANDS_KM,
     GLOBAL_NAME,
+    compare_pair,
     fit_with_global,
     load_config,
+    measure,
     run_experiment,
     stadia_to_km,
     transform_curve,
@@ -70,6 +74,7 @@ from oracles import (
 from synth import (
     EXPERIMENT_REGIONS,
     random_affine,
+    random_curve,
     random_pixels,
     ring_pixels,
     synth_set,
@@ -314,6 +319,96 @@ class TestFitWithGlobal:
         s = synth_set("global", random_affine(rng), random_pixels(rng, 5))
         with pytest.raises(ConfigError):
             fit_with_global([s])
+
+    def test_one_engine_call_equals_one_transform_at_a_time(self):
+        # Twenty regions of eight landmarks, as in the large_grid workload:
+        # 21 transforms on 21 sets of 320 pairs in all, one inverse_many
+        # call, and every row as one array inverse per transform gives it.
+        rng = random.Random(20)
+        sets = [
+            synth_set(f"r{k}", random_affine(rng, 5 + k % 5, 40 + k // 5), random_pixels(rng, 8), rng, noise_deg=0.02)
+            for k in range(20)
+        ]
+        with mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse:
+            fits, table = fit_with_global(sets)
+        assert [np.broadcast(*c.args).size for c in inverse.call_args_list] == [21 * 320]
+        eval_sets = sets + [sets[0].merged_with(sets[1:], GLOBAL_NAME)]
+        pairs = [c for s in eval_sets for c in s.pairs]
+        x = np.array([(c.source.x1, c.source.x2) for c in pairs])
+        lat, lon = np.array([c.target.lat for c in pairs]), np.array([c.target.lon for c in pairs])
+        for k, name in enumerate(table.transform_names):
+            images, _ = affine_images(np.array([fits[name].as_tuple()]), x)
+            r = (geodesic_distance_many(lat, lon, images[:, 1], images[:, 0]) / 1000.0).tolist()
+            rows = [r[i : i + 8] for i in range(0, 320, 8)]
+            rows = rows[:20] + [sum(rows[20:], [])]
+            assert table.mean_km[k] == [math.sqrt(sum(d * d for d in row) / len(row)) for row in rows]
+            assert table.max_km[k] == [max(row) for row in rows]
+
+    def test_invalid_image_raises_the_first_in_transform_then_pair_order(self):
+        # A steep region near row 0 sends the other regions' rows past the
+        # pole; the error is apply_affine's for the first such transform and
+        # pair, as a loop over transforms and pairs meets it.
+        rng = random.Random(12)
+        steep = synth_set("steep", AffineParams(0.01, 0.0, 0.0, 0.5, 5.0, 80.0), random_pixels(rng, 6, 0.0, 10.0))
+        sets = [synth_set("west", random_affine(rng, 5, 40), random_pixels(rng, 6), rng, noise_deg=0.02), steep,
+                synth_set("east", random_affine(rng, 9, 40), random_pixels(rng, 6), rng, noise_deg=0.02)]
+        fits = {s.name: fit_affine(s) for s in sets}
+        union = sets[0].merged_with(sets[1:], GLOBAL_NAME)
+        fits[GLOBAL_NAME] = fit_affine(union)
+        want = None
+        for t in fits.values():
+            for c in union.pairs:
+                try:
+                    apply_affine(t, c.source)
+                except OutOfRangeError as exc:
+                    want = want or str(exc)
+        assert want is not None
+        with pytest.raises(OutOfRangeError) as got:
+            fit_with_global(sets)
+        assert str(got.value) == want
+
+
+class TestMeasure:
+    def test_one_anchor_pass_for_every_pair(self):
+        # Four pairs, both directions each: one engine call for every s* and
+        # one for every kept end, and the rows compare_pair gives one pair at
+        # a time.
+        rng = random.Random(4)
+        start = GeoPoint(10.0, 45.0)
+        cs = [build_segments(random_curve(rng, f"c{k}", n=8 + k, start=start), f"c{k}") for k in range(4)]
+        pairs = [(cs[0], cs[1]), (cs[1], cs[2]), (cs[2], cs[3]), (cs[3], cs[0])]
+        want = [compare_pair(a, b, [1.0, 5.0]) for a, b in pairs]
+        with mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse:
+            report = measure(cs, pairs, [], [1.0, 5.0], TransformErrors([], [], [], []))
+        assert inverse.call_count == 2
+        assert list(zip(report.hausdorff, report.matching)) == want
+
+
+class TestBenchmarkTracer:
+    def test_installs_and_uninstalls_against_the_package(self):
+        # perfbench/tracing.py wraps each name where the package's callers
+        # look it up; a name the package no longer has would make every
+        # traced benchmark run fail.
+        spec = importlib.util.spec_from_file_location("tracing", SAMPLE_DATA.parent / "perfbench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+
+        def current():
+            out = []
+            for module, attr, _ in tracing.WRAPPED:
+                owner, name = tracing._resolve(importlib.import_module(module), attr)
+                out.append(owner.__dict__[name] if isinstance(owner, type) else getattr(owner, name))
+            return out
+
+        before = current()
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            installed = current()
+        finally:
+            tracer.uninstall()
+        assert [f.__wrapped__ for f in installed] == before
+        assert current() == before
 
 
 class TestTransformCurve:
