@@ -28,6 +28,7 @@ from .errors import DegenerateCurveError, OutOfRangeError
 from .geodesy import (
     LONG_SEGMENT_M,
     GeoPoint,
+    chord_bound,
     chords,
     densify,
     ecef,
@@ -148,87 +149,72 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
     The segments of B partition its chain edges, so the minimum over
     segments equals the minimum over chain edges.  An edge longer than
     `LONG_SEGMENT_M` is first replaced by the sub-edges between its
-    `densify` samples.  Per anchor, chain points of B are projected into
-    the azimuthal equidistant (AEQD) plane at the anchor and each edge is
-    handled as a planar chord.  Round 1 solves the geodesic distance s* to
-    each anchor's chord-nearest chain point j*; round 2 runs the skip test
-    below and projects the distinct ends of the kept edges only.  Chord
-    batches and engine calls hold `ANCHOR_BATCH_PAIRS` elements at most.
-
-    The planar chord of an edge of length L falls short by up to about
-    2.1e-15 d L^2 m at distance d (measured against `stepped_min_distances`
-    in tests/oracles.py): 0.05, 0.51 and 4.1 mm for 5 km edges at 1, 10 and
-    80 km; 10.2 mm, 97 mm and 0.39 m for 8.1, 25 and 49.5 km edges at up to
-    80 km.
+    `densify` samples.  The ends of the edges that the skip test below
+    keeps are projected into the azimuthal equidistant (AEQD) plane at the
+    anchor, and each edge is measured as a planar chord, which falls short
+    by up to about 2.1e-15 d L^2 m for length L at distance d (README.md
+    tabulates it).  Chord batches and engine calls hold at most
+    `ANCHOR_BATCH_PAIRS` elements.
 
     The skip test is a rigorous lower bound, so the result equals that of
-    projecting every edge.  Let c_j be the straight (ECEF) chord from the
-    anchor to chain point j, and U = s*.  Edge k (length l_k) is skipped
-    when
+    projecting every edge.  With c_j the straight (ECEF) chord from the
+    anchor to chain point j and g = `geodesy.chord_bound`, the geodesic
+    distance s_j lies in [c_j, g(c_j)].  Edge k (length l_k) is skipped when
 
-        min(c_k, c_k+1) - kappa_k * l_k / 2 > U    (with a margin),
+        min(c_k, c_k+1) - kappa_k * l_k / 2 > U = g(min_j c_j)  (with margins),
 
-    kappa_k = x / sin x,  x = (s* + chain length from j* to the far end of
-    edge k) / b,  b the semi-minor axis, and no skipping when x >= pi / 2.
-    Sketch: every point of the planar chord lies within half its length of
-    an endpoint, whose radius is its geodesic distance s_k >= c_k.  No
-    point of the edge is farther than x b from the anchor, and there the
-    AEQD map stretches lengths by at most s / m12 <= x / sin x, because
-    the Gauss curvature of the ellipsoid is at most 1 / b^2 (Rauch
-    comparison with the sphere of radius b); so the planar chord is at most
-    kappa_k l_k long and its value exceeds U, which is at least the value
-    of j*'s edges (never skipped, as c_j* <= s*).  The argument only needs
-    the edges to be geodesics with known lengths, so it holds for sub-edges.
+    kappa_k = x / sin x,  x = (g(c_k) + g(c_k+1) + l_k) / 2 b,  b the
+    semi-minor axis, and no skipping when x >= pi / 2.  Sketch: by the
+    triangle inequality at its two ends, every point of the edge is within
+    x b of the anchor.  There the AEQD map stretches lengths by at most
+    s / m12 <= x / sin x, as the Gauss curvature of the ellipsoid is at
+    most 1 / b^2 (Rauch comparison with the sphere of radius b).  So the
+    planar chord is at most kappa_k l_k long, each of its points lies
+    within half that of an end of radius s_k >= c_k, and its value exceeds
+    U >= s_j, which bounds the value of the chord-nearest point's edges.
+    The argument holds for any geodesic edges of known length.
     """
     return anchor_min_distances_many([(a, b)])[0]
 
 
 def anchor_min_distances_many(directions: list[tuple[DiscreteCurve, DiscreteCurve]]) -> list[list[float]]:
-    """`anchor_min_distances(a, b)` for every direction (a, b), bit for bit.
-
-    Each round's geodesics are solved for all directions together: one
-    batched engine pass for the s* of every anchor, one for the plane
-    coordinates of every kept end.  The engine is elementwise, so a
-    distance does not depend on which directions share its call.  An
-    empty list makes no engine call.
-    """
+    """`anchor_min_distances(a, b)` for every direction (a, b), bit for bit:
+    the kept ends of all directions share one batched engine pass, whose
+    results do not depend on their neighbours, as the engine is elementwise.
+    An empty list makes no engine call."""
     if not directions:
         return []
     passes = [_anchor_pass(a, b) for a, b in directions]
-    sent = [next(p) for p in passes]  # every direction's round-1 geodesics
-    for solve in (geodesic_distance_many, plane_coords):
-        sent = [p.send(r) for p, r in zip(passes, _solve_joined(solve, sent))]
-    return sent
+    queries = [next(p) for p in passes]  # every direction's kept ends
+    joined = _batched(plane_coords, 1, *(np.concatenate(c) for c in zip(*queries)))
+    split = np.split(joined, np.cumsum([len(q[0]) for q in queries])[:-1], axis=-1)
+    return [p.send(r) for p, r in zip(passes, split)]
 
 
 def _anchor_pass(a: DiscreteCurve, b: DiscreteCurve):
     # One direction of `anchor_min_distances_many`, as a generator: it
-    # yields the (lat0, lon0, lat, lon) geodesics of round 1 and is sent
-    # their distances, yields those of round 2 and is sent their plane
-    # coordinates, and yields the anchor distances.
+    # yields the (lat0, lon0, lat, lon) geodesics of the kept ends, is sent
+    # their plane coordinates and yields the anchor distances.
     alon, alat = a.chain[::2, 0], a.chain[::2, 1]
     chain, lengths = _split_long_edges(b.chain, b.edge_lengths)
     blon, blat = chain[:, 0], chain[:, 1]
     m = len(blat)
-    ea, eb = ecef(alat, alon), ecef(blat, blon)
-    arc = np.concatenate([[0.0], np.cumsum(lengths)])
+    eb = ecef(blat, blon)
 
-    def kept(ea_rows, u, j, anchor):
+    def kept(ea_rows, anchor):
         # The skip test on one chord batch.  Edge k of anchor i is kept as
         # key i m + k, so its ends are the point keys i m + k and i m + k + 1.
         chord = chords(ea_rows, eb)
-        reach = u + np.maximum(arc[1:] - arc[j], arc[j] - arc[:-1])
+        bound = chord_bound(chord)
+        u = bound.min(axis=1, keepdims=True) * (1 + PRUNE_RTOL) + PRUNE_ATOL_M
+        reach = (bound[:, :-1] + bound[:, 1:] + lengths) / 2
         x = np.minimum((reach * (1 + PRUNE_RTOL) + PRUNE_ATOL_M) / WGS84.b, math.pi / 2)
         half = np.where(x < math.pi / 2, lengths / 2 / np.sinc(x / math.pi), np.inf)  # kappa_k l_k / 2
         lower = np.minimum(chord[:, :-1], chord[:, 1:]) * (1 - PRUNE_RTOL) - half * (1 + PRUNE_RTOL)
         i, k = np.nonzero(lower - PRUNE_ATOL_M <= u)
         return anchor[i] * m + k
 
-    # Round 1: the chord-nearest chain point j* of every anchor and U = s*.
-    near = _batched(lambda e: chords(e, eb).argmin(axis=1), m, ea)
-    upper = yield alat, alon, blat[near], blon[near]
-    # Round 2: the kept edges, then the plane coordinates of their ends.
-    keys = _batched(kept, m, ea, upper[:, None], near[:, None], np.arange(len(alat)))
+    keys = _batched(kept, m, ecef(alat, alon), np.arange(len(alat)))
     ends = np.union1d(keys, keys + 1)
     anchor, point = np.divmod(ends, m)
     px, py = yield alat[anchor], alon[anchor], blat[point], blon[point]
@@ -236,13 +222,6 @@ def _anchor_pass(a: DiscreteCurve, b: DiscreteCurve):
     out = np.full(len(alat), np.inf)
     np.minimum.at(out, keys // m, origin_to_chord(px[e], py[e], px[e + 1], py[e + 1]))
     yield out.tolist()
-
-
-def _solve_joined(solve, queries: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
-    # `solve` on the concatenated (lat0, lon0, lat, lon) arrays of every
-    # query in batched calls, split back into one result per query.
-    joined = _batched(solve, 1, *(np.concatenate(c) for c in zip(*queries)))
-    return np.split(joined, np.cumsum([len(q[0]) for q in queries])[:-1], axis=-1)
 
 
 def _split_long_edges(chain: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

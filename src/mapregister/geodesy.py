@@ -10,8 +10,9 @@ pass of the curve metrics: `plane_coords` projects points into the AEQD
 planes of their centers and `origin_to_chord` measures from a center to a
 projected edge.  An edge longer than `LONG_SEGMENT_M` is measured as the
 sub-edges between its `densify` samples, about 1 km each.  The straight
-chord between `ecef` points (`chords`) bounds a geodesic distance from
-below; the skip test of the distance pass rests on it.
+chord c between `ecef` points (`chords`) bounds a geodesic distance from
+below, and `chord_bound` from above as a function of c alone; the skip
+test of the distance pass rests on both.
 
 Coincident points, zero-length walks and longitudes follow the engine's
 exact rules; `normalize_lon_many` is its exact reduction to (-180, 180].
@@ -102,8 +103,7 @@ def densify(lat1: float, lon1: float, lat2: float, lon2: float) -> tuple[np.ndar
 
 def ecef(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     """Earth-centred Cartesian coordinates (m, 3) in meters of geodetic
-    positions; the straight chord between two of them is a lower bound on
-    their geodesic distance."""
+    positions."""
     phi, lam = np.radians(lat), np.radians(lon)
     n = WGS84.a / np.sqrt(1 - WGS84.e2 * np.sin(phi) ** 2)
     r = n * np.cos(phi)
@@ -114,3 +114,23 @@ def chords(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Straight-line distances (n, m) between the `ecef` points p (n, 3)
     and q (m, 3)."""
     return np.sqrt(sum((p[:, None, i] - q[:, i]) ** 2 for i in range(3)))
+
+
+def chord_bound(c: np.ndarray) -> np.ndarray:
+    """An upper bound in meters on the geodesic distance of two points whose
+    `ecef` chord is c: 2 r asin(c / 2 r), r = b^2 / a, below
+    C0 = 2 b - pi (a - r) (about 12,579.4 km), and +inf from C0 up.
+
+    Proof for P, Q with c < C0.  (1) The plane through the centre, P and Q
+    cuts a great ellipse with semi-axes a and b' in [b, a], of curvature at
+    most a / b'^2 <= 1 / r; the geodesic is no longer than its shorter arc
+    L from P to Q.  (2) By Schur's comparison (the bow lemma), a plane
+    convex arc of curvature at most 1 / r and L <= pi r has
+    c >= 2 r sin(L / 2 r), so L <= 2 r asin(c / 2 r).  (3) That arc lies on
+    a half of the ellipse from P to -P, at most pi a long; a point more than
+    pi r along it is within pi (a - r) (about 134 km) of -P, so its chord
+    from P is at least 2 |P| - pi (a - r) >= C0.  So c < C0 gives L <= pi r.
+    """
+    r = WGS84.b**2 / WGS84.a
+    c0 = 2 * WGS84.b - math.pi * (WGS84.a - r)
+    return np.where(c < c0, 2 * r * np.arcsin(np.minimum(c, c0) / (2 * r)), np.inf)

@@ -259,8 +259,8 @@ class TestAnchorMinDistances:
         assert got == (full_anchor_min_distances(a, b), full_anchor_min_distances(b, a), [0.0] * len(a.points))
 
     def test_skip_test_spares_most_projections(self):
-        # Every pair the pass sends to the engine counts: s* and the ends of
-        # the kept edges.
+        # Every pair the pass sends to the engine counts: the ends of the
+        # kept edges.
         rng = random.Random(5)
         a = build_segments(random_curve(rng, "A", n=40), "A")
         b = build_segments(random_curve(rng, "B", n=40, start=a.points[5]), "B")
@@ -270,10 +270,25 @@ class TestAnchorMinDistances:
         assert pairs < 0.25 * len(a.points) * len(b.chain)
         assert got == full_anchor_min_distances(a, b)
 
+    def test_skip_test_keeps_working_on_a_long_chain(self):
+        # A 12,068 km chain of 40 km steps: the reach of an edge comes from
+        # the chords of its ends, not from the chain length between it and
+        # the anchor's nearest point, so edges far along the chain but near
+        # in space are still skipped.
+        rng = random.Random(11)
+        a = build_segments(random_curve(rng, "A", n=300, start=GeoPoint(10.0, 45.0), step_m=40_000.0), "A")
+        b = build_segments(random_curve(rng, "B", n=300, start=GeoPoint(10.1, 45.1), step_m=40_000.0), "B")
+        assert 12_000_000.0 < b.length < 12_100_000.0
+        with mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse:
+            got = anchor_min_distances(a, b)
+        pairs = sum(np.broadcast(*c.args).size for c in inverse.call_args_list)
+        assert pairs < 0.05 * len(a.points) * len(b.chain)
+        assert got == full_anchor_min_distances(a, b)
+
     def test_engine_calls_do_not_grow_with_chord_batches(self):
         # 200 anchors against 799 chain points are 10 chord batches at the
         # default ANCHOR_BATCH_PAIRS, and the pass still makes one engine
-        # call for s* and one for the ends of the kept edges.
+        # call, for the ends of the kept edges.
         rng = random.Random(8)
         a = build_segments(random_curve(rng, "A", n=200, step_m=500.0), "A")
         b = build_segments(random_curve(rng, "B", n=400, start=a.points[0], step_m=500.0), "B")
@@ -281,7 +296,7 @@ class TestAnchorMinDistances:
         with mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse, \
                 mock.patch.object(WGS84, "direct_many", wraps=WGS84.direct_many) as direct:
             got = anchor_min_distances(a, b)
-        assert (inverse.call_count, direct.call_count) == (2, 0)
+        assert (inverse.call_count, direct.call_count) == (1, 0)
         assert got == full_anchor_min_distances(a, b)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(2, 12), st.sampled_from([800.0, 5000.0]))
@@ -347,7 +362,7 @@ class TestAnchorMinDistancesMany:
 
     def test_equals_one_direction_at_a_time(self):
         # Every kind of direction, chain edges past LONG_SEGMENT_M among
-        # them, with the shared calls of both rounds cut into chunks.
+        # them, with the shared engine call cut into chunks.
         dirs = self.directions(21, ["near", "far", "polar", "antimeridian", "shared", "self", "long"])
         assert any(b.edge_lengths.max() > LONG_SEGMENT_M for _, b in dirs)
         want = [anchor_min_distances(a, b) for a, b in dirs]
@@ -360,13 +375,13 @@ class TestAnchorMinDistancesMany:
         assert max(sizes) <= batch and sizes.count(batch) >= 3
         assert got == want
 
-    def test_two_engine_calls_for_all_directions(self):
-        # Without long edges, one call for every s* and one for every kept end.
+    def test_one_engine_call_for_all_directions(self):
+        # Without long edges, one call for every kept end.
         dirs = self.directions(22, ["near", "polar", "antimeridian", "shared", "self"] * 2)
         want = [anchor_min_distances(a, b) for a, b in dirs]
         with mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse:
             got = curves.anchor_min_distances_many(dirs)
-        assert inverse.call_count == 2
+        assert inverse.call_count == 1
         assert got == want
 
     def test_no_directions_make_no_engine_call(self):

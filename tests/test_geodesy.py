@@ -10,7 +10,7 @@ from mapregister import _geodesic
 from mapregister._geodesic import WGS84
 from mapregister.curves import anchor_min_distances, build_segments
 from mapregister.errors import ConvergenceError, DegenerateCurveError, OutOfRangeError
-from mapregister.geodesy import GeoPoint, geodesic_distance, walk
+from mapregister.geodesy import GeoPoint, chord_bound, ecef, geodesic_distance, walk
 
 from oracles import (
     CHORD_SHORTFALL_PER_M2,
@@ -264,6 +264,68 @@ class TestPointToSegment:
         got = edge_distances([p, a], a, b)[0]
         ref = densified_point_to_segment(scalar_distance, walk_points, p, a, b)
         assert got == pytest.approx(ref, abs=0.01)
+
+
+def chord_bound_families(rng: np.random.Generator, n: int):
+    # (name, lat1, lon1, lat2, lon2) for the five families of lines the
+    # chord bound is checked on; short meridional lines at the equator are
+    # where it is tight.
+    def area(k):
+        return np.degrees(np.arcsin(rng.uniform(-1, 1, k))), rng.uniform(-180, 180, k)
+
+    lat1, lon1 = area(n)
+    yield ("global", lat1, lon1, *area(n))
+    lat1, lon1 = rng.uniform(-88, 88, n), rng.uniform(-180, 180, n)
+    yield "short", lat1, lon1, lat1 + rng.uniform(-2, 2, n), lon1 + rng.uniform(-2, 2, n)
+    lat1, lon1 = rng.uniform(-1, 1, n), rng.uniform(-180, 180, n)
+    yield "equator meridional", lat1, lon1, lat1 + rng.uniform(-2, 2, n) * 10 ** rng.uniform(-4, 0, n), lon1
+    lat1, lon1 = rng.uniform(-90, 90, n), rng.uniform(-180, 180, n)
+    yield "meridional", lat1, lon1, rng.uniform(-90, 90, n), lon1 + rng.choice([0.0, 180.0], n)
+    yield "equatorial", np.zeros(n), rng.uniform(-180, 180, n), np.zeros(n), rng.uniform(-180, 180, n)
+
+
+def chord(lat1, lon1, lat2, lon2) -> np.ndarray:
+    return np.linalg.norm(ecef(lat1, lon1) - ecef(lat2, lon2), axis=1)
+
+
+class TestChordBound:
+    # chord_bound(c) bounds from above the geodesic distance of two points
+    # whose ECEF chord is c; the anchor pass's skip test rests on it.
+
+    def test_bounds_the_engine(self):
+        for name, *line in chord_bound_families(np.random.default_rng(21), 20_000):
+            s = WGS84.inverse_many(*line)[0]
+            bound = chord_bound(chord(*line))
+            assert (bound >= s - 1e-8).all(), (name, (bound - s).min())
+            assert np.isfinite(bound).mean() > 0.85, name
+
+    def test_bounds_vincenty(self):
+        # Within Vincenty's stated accuracy of about 0.5 mm: on short
+        # meridional lines at the equator its series fall a few 1e-8 m
+        # above the engine.
+        checked = 0
+        for name, *line in chord_bound_families(np.random.default_rng(22), 200):
+            bound = chord_bound(chord(*line))
+            for k, pair in enumerate(zip(*(v.tolist() for v in line))):
+                try:
+                    s = vincenty_distance(*pair)
+                except VincentyNoConvergence:
+                    continue
+                assert bound[k] >= s - 5e-4, (name, pair)
+                checked += 1
+        assert checked > 900
+
+    def test_infinite_from_the_limit(self):
+        # C0 = 2 b - pi (a - r) with r = b^2 / a, below the 2 r where asin
+        # would leave its domain.
+        r = WGS84.b**2 / WGS84.a
+        c0 = 2 * WGS84.b - math.pi * (WGS84.a - r)
+        assert c0 == pytest.approx(12_579_365.9, abs=0.1) and c0 < 2 * r
+        c = np.array([0.0, 1_000.0, np.nextafter(c0, 0.0), c0, 2 * r, 2 * WGS84.a])
+        got = chord_bound(c)
+        assert got[0] == 0.0 and got[1] == pytest.approx(1_000.0 + 1_000.0**3 / (24 * r * r), abs=1e-9)
+        assert math.isfinite(got[2]) and got[2] < math.pi * r
+        assert np.isinf(got[3:]).all()
 
 
 class TestSeriesHelpersOnArrays:

@@ -370,9 +370,8 @@ class TestFitWithGlobal:
 
 class TestMeasure:
     def test_one_anchor_pass_for_every_pair(self):
-        # Four pairs, both directions each: one engine call for every s* and
-        # one for every kept end, and the rows compare_pair gives one pair at
-        # a time.
+        # Four pairs, both directions each: one engine call for every kept
+        # end, and the rows compare_pair gives one pair at a time.
         rng = random.Random(4)
         start = GeoPoint(10.0, 45.0)
         cs = [build_segments(random_curve(rng, f"c{k}", n=8 + k, start=start), f"c{k}") for k in range(4)]
@@ -380,7 +379,7 @@ class TestMeasure:
         want = [compare_pair(a, b, [1.0, 5.0]) for a, b in pairs]
         with mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse:
             report = measure(cs, pairs, [], [1.0, 5.0], TransformErrors([], [], [], []))
-        assert inverse.call_count == 2
+        assert inverse.call_count == 1
         assert list(zip(report.hausdorff, report.matching)) == want
 
 
@@ -400,7 +399,9 @@ class TestBenchmarkTracer:
                 out.append(owner.__dict__[name] if isinstance(owner, type) else getattr(owner, name))
             return out
 
+        assert tracing.WRAPPED
         before = current()
+        assert all(callable(f) for f in before)
         tracer = tracing.Tracer()
         tracer.install()
         try:
@@ -1285,18 +1286,3 @@ class TestPolygonMode:
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1] and printed[0].startswith("solved 120x90 field")
 
-
-def test_traced_boundaries_resolve():
-    # The benchmark's tracer (perfbench/tracing.py) replaces the functions
-    # it lists at the names their callers look up; each must exist.
-    path = SAMPLE_DATA.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    assert tracing.WRAPPED
-    for module, attr, _ in tracing.WRAPPED:
-        owner = importlib.import_module(module)
-        for part in attr.split("."):
-            assert hasattr(owner, part), f"{module}.{attr}"
-            owner = getattr(owner, part)
-        assert callable(owner), f"{module}.{attr}"
