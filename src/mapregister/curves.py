@@ -39,7 +39,8 @@ from .geodesy import (
     plane_coords,
 )
 
-#: Elements per chord batch (anchors x chain points) and per engine call in
+#: Elements per chord batch (anchors x chain points, one anchor at least),
+#: kept edges pending before a fold and elements per engine call in
 #: `anchor_min_distances`; an engine call of this size peaks at about 14 MB.
 ANCHOR_BATCH_PAIRS = 16384
 #: Margins of the chord-bound skip test, far above the roundoff of the
@@ -153,8 +154,10 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
     keeps are projected into the azimuthal equidistant (AEQD) plane at the
     anchor, and each edge is measured as a planar chord, which falls short
     by up to about 2.1e-15 d L^2 m for length L at distance d (README.md
-    tabulates it).  Chord batches and engine calls hold at most
-    `ANCHOR_BATCH_PAIRS` elements.
+    tabulates it).  Engine calls hold at most N = `ANCHOR_BATCH_PAIRS`
+    elements.  A chord batch holds one anchor row at least, so a fold of
+    fewer than N pending kept edges plus one chord batch holds fewer than
+    N + max(N, m) edges for m split chain points, whatever is kept.
 
     The skip test is a rigorous lower bound, so the result equals that of
     projecting every edge.  With c_j the straight (ECEF) chord from the
@@ -178,50 +181,51 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
 
 
 def anchor_min_distances_many(directions: list[tuple[DiscreteCurve, DiscreteCurve]]) -> list[list[float]]:
-    """`anchor_min_distances(a, b)` for every direction (a, b), bit for bit:
-    the kept ends of all directions share one batched engine pass, whose
-    results do not depend on their neighbours, as the engine is elementwise.
-    An empty list makes no engine call."""
+    """`anchor_min_distances(a, b)` for every direction (a, b), bit for bit,
+    in one pass over the stacked anchors and split chains of all directions
+    (m chain points).  Edge k of the chain at stacked point p, kept for
+    stacked anchor i, is the key i m + p + k; its ends `key` and `key + 1`
+    stay in that chain, so `divmod(end, m)` is (anchor, point).  Whenever
+    `ANCHOR_BATCH_PAIRS` keys are pending, and once at the end, a fold
+    minimizes them into one stacked array: one `union1d` of their ends, one
+    batched `plane_coords` call and one `np.minimum.at`.  The engine is
+    elementwise, so folds change no bit.  No directions make no engine call."""
     if not directions:
         return []
-    passes = [_anchor_pass(a, b) for a, b in directions]
-    queries = [next(p) for p in passes]  # every direction's kept ends
-    joined = _batched(plane_coords, 1, *(np.concatenate(c) for c in zip(*queries)))
-    split = np.split(joined, np.cumsum([len(q[0]) for q in queries])[:-1], axis=-1)
-    return [p.send(r) for p, r in zip(passes, split)]
+    splits = [_split_long_edges(b.chain, b.edge_lengths) for _, b in directions]
+    alon, alat = np.concatenate([a.chain[::2] for a, _ in directions]).T
+    blon, blat = np.concatenate([chain for chain, _ in splits]).T
+    m, ea, eb = len(blat), ecef(alat, alon), ecef(blat, blon)
+    starts = np.cumsum([0] + [a.point_count for a, _ in directions]).tolist()
+    out, pending, count, p = np.full(len(alat), np.inf), [], 0, 0
+    for (chain, lengths), i, end in zip(splits, starts, starts[1:]):
+        step = max(1, ANCHOR_BATCH_PAIRS // len(chain))
+        for s in range(i, end, step):
+            rows, edges = _kept(ea[s : min(s + step, end)], eb[p : p + len(chain)], lengths)
+            pending.append((rows + s) * m + p + edges)
+            count += len(rows)
+            if count >= ANCHOR_BATCH_PAIRS or min(s + step, end) == len(alat):  # full, or the last batch
+                keys, pending, count = np.concatenate(pending), [], 0
+                ends = np.union1d(keys, keys + 1)
+                anchor, point = np.divmod(ends, m)
+                px, py = _batched(plane_coords, 1, alat[anchor], alon[anchor], blat[point], blon[point])
+                e = np.searchsorted(ends, keys)
+                np.minimum.at(out, keys // m, origin_to_chord(px[e], py[e], px[e + 1], py[e + 1]))
+        p += len(chain)
+    return [out[i:end].tolist() for i, end in zip(starts, starts[1:])]
 
 
-def _anchor_pass(a: DiscreteCurve, b: DiscreteCurve):
-    # One direction of `anchor_min_distances_many`, as a generator: it
-    # yields the (lat0, lon0, lat, lon) geodesics of the kept ends, is sent
-    # their plane coordinates and yields the anchor distances.
-    alon, alat = a.chain[::2, 0], a.chain[::2, 1]
-    chain, lengths = _split_long_edges(b.chain, b.edge_lengths)
-    blon, blat = chain[:, 0], chain[:, 1]
-    m = len(blat)
-    eb = ecef(blat, blon)
-
-    def kept(ea_rows, anchor):
-        # The skip test on one chord batch.  Edge k of anchor i is kept as
-        # key i m + k, so its ends are the point keys i m + k and i m + k + 1.
-        chord = chords(ea_rows, eb)
-        bound = chord_bound(chord)
-        u = bound.min(axis=1, keepdims=True) * (1 + PRUNE_RTOL) + PRUNE_ATOL_M
-        reach = (bound[:, :-1] + bound[:, 1:] + lengths) / 2
-        x = np.minimum((reach * (1 + PRUNE_RTOL) + PRUNE_ATOL_M) / WGS84.b, math.pi / 2)
-        half = np.where(x < math.pi / 2, lengths / 2 / np.sinc(x / math.pi), np.inf)  # kappa_k l_k / 2
-        lower = np.minimum(chord[:, :-1], chord[:, 1:]) * (1 - PRUNE_RTOL) - half * (1 + PRUNE_RTOL)
-        i, k = np.nonzero(lower - PRUNE_ATOL_M <= u)
-        return anchor[i] * m + k
-
-    keys = _batched(kept, m, ecef(alat, alon), np.arange(len(alat)))
-    ends = np.union1d(keys, keys + 1)
-    anchor, point = np.divmod(ends, m)
-    px, py = yield alat[anchor], alon[anchor], blat[point], blon[point]
-    e = np.searchsorted(ends, keys)
-    out = np.full(len(alat), np.inf)
-    np.minimum.at(out, keys // m, origin_to_chord(px[e], py[e], px[e + 1], py[e + 1]))
-    yield out.tolist()
+def _kept(ea: np.ndarray, eb: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The skip test argued in `anchor_min_distances`, on one chord batch:
+    # the (rows, edges) that anchors ea keep of chain eb's edges.
+    chord = chords(ea, eb)
+    bound = chord_bound(chord)
+    u = bound.min(axis=1, keepdims=True) * (1 + PRUNE_RTOL) + PRUNE_ATOL_M
+    reach = (bound[:, :-1] + bound[:, 1:] + lengths) / 2
+    x = np.minimum((reach * (1 + PRUNE_RTOL) + PRUNE_ATOL_M) / WGS84.b, math.pi / 2)
+    half = np.where(x < math.pi / 2, lengths / 2 / np.sinc(x / math.pi), np.inf)  # kappa_k l_k / 2
+    lower = np.minimum(chord[:, :-1], chord[:, 1:]) * (1 - PRUNE_RTOL) - half * (1 + PRUNE_RTOL)
+    return np.nonzero(lower - PRUNE_ATOL_M <= u)
 
 
 def _split_long_edges(chain: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -242,6 +242,16 @@ def pruning_case(kind: str, rng: random.Random) -> tuple[list[GeoPoint], list[Ge
     return a, random_curve(rng, "B", n=rng.randint(2, 3), start=start, step_m=rng.uniform(210_000.0, 500_000.0))
 
 
+def far_apart_pair() -> tuple[DiscreteCurve, DiscreteCurve]:
+    # Two 60-vertex curves at 2 km steps, B starting 9,500 km due east of
+    # A: past the reach where the skip test keeps every edge.
+    rng = random.Random(3)
+    start = GeoPoint(10.0, 0.0)
+    a = build_segments(random_curve(rng, "A", n=60, start=start), "A")
+    b = build_segments(random_curve(rng, "B", n=60, start=walk(start, 90.0, 9_500_000.0)), "B")
+    return a, b
+
+
 class TestAnchorMinDistances:
     @given(
         st.sampled_from(["near", "far", "polar", "antimeridian", "shared", "self", "long"]),
@@ -297,6 +307,18 @@ class TestAnchorMinDistances:
                 mock.patch.object(WGS84, "direct_many", wraps=WGS84.direct_many) as direct:
             got = anchor_min_distances(a, b)
         assert (inverse.call_count, direct.call_count) == (1, 0)
+        assert got == full_anchor_min_distances(a, b)
+
+    def test_far_apart_curves_fold_in_bounded_batches(self):
+        # Every edge is kept, and the kept edges are projected in folds of
+        # fewer than ANCHOR_BATCH_PAIRS pending edges plus one chord batch.
+        a, b = far_apart_pair()
+        with mock.patch.object(curves, "ANCHOR_BATCH_PAIRS", 256), \
+                mock.patch.object(curves, "origin_to_chord", wraps=curves.origin_to_chord) as folded:
+            got = anchor_min_distances(a, b)
+        sizes = [np.broadcast(*c.args).size for c in folded.call_args_list]
+        assert sum(sizes) == len(a.points) * (len(b.chain) - 1)
+        assert len(sizes) > 1 and max(sizes) < 2 * 256
         assert got == full_anchor_min_distances(a, b)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(2, 12), st.sampled_from([800.0, 5000.0]))
@@ -383,6 +405,25 @@ class TestAnchorMinDistancesMany:
             got = curves.anchor_min_distances_many(dirs)
         assert inverse.call_count == 1
         assert got == want
+
+    def test_folds_across_directions_change_no_bit(self):
+        # Folds that cut across directions and chord batches, down to one
+        # pending edge, give the default pass's bits; a fold holds fewer
+        # than ANCHOR_BATCH_PAIRS pending edges plus one chord batch.  The
+        # far-apart pair, whose every edge is kept, joins at 64 only: with
+        # 118 kept edges per anchor it folds one anchor row at a time at 1,
+        # 7 and 64 alike, and at 1 it takes about 14,000 one-element engine
+        # calls (43 s).  The "far" kind keeps every edge at 1 and 7.
+        a, b = far_apart_pair()
+        kinds = self.directions(21, ["near", "far", "polar", "antimeridian", "shared", "self", "long"])
+        for batch, dirs in [(1, kinds), (7, kinds), (64, kinds + [(a, b), (b, a)])]:
+            m = max(len(curves._split_long_edges(d.chain, d.edge_lengths)[0]) for _, d in dirs)
+            want = curves.anchor_min_distances_many(dirs)
+            with mock.patch.object(curves, "ANCHOR_BATCH_PAIRS", batch), \
+                    mock.patch.object(curves, "origin_to_chord", wraps=curves.origin_to_chord) as folded:
+                got = curves.anchor_min_distances_many(dirs)
+            assert max(np.broadcast(*c.args).size for c in folded.call_args_list) < batch + max(batch, m)
+            assert got == want
 
     def test_no_directions_make_no_engine_call(self):
         with mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse:
