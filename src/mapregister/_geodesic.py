@@ -15,11 +15,14 @@ Both problems are solved on arrays, by `Geodesic.inverse_many` for batches
 of point pairs and `Geodesic.direct_many` for batches of lines; every
 special case of the method (meridians, the equator, the astroid start) is a
 masked branch of the batch, and `Geodesic.inverse` and `Geodesic.direct` are
-one-element views of them.  Only the pieces this package needs are
-provided: distance and departure azimuth for the inverse problem, position
-for the direct problem.  Coincident points are exactly 0.0 apart, a line
-of length 0 ends exactly on its start, and every longitude returned is
-reduced to (-180, 180] by `_ang_normalize_many`, which is exact.
+one-element views of them.  Both solve their flattened broadcast
+arguments in slices of at most `_SLICE` elements; each element is solved
+on its own, so slicing moves no bit.  Only the pieces this package needs
+are provided: distance and departure azimuth for the inverse problem,
+position for the direct problem.  Coincident points are exactly 0.0
+apart, a line of length 0 ends exactly on its start, and every longitude
+returned is reduced to (-180, 180] by `_ang_normalize_many`, which is
+exact.
 
 The transcendental steps are NumPy's own (sin, cos, arctan2, hypot, cbrt).
 They differ from the `math` functions of Karney's scalar formulation by an
@@ -49,6 +52,9 @@ _TOLB = _TOL0 * _TOL2
 _XTHRESH = 1000 * _TOL2
 _MAXIT = 100
 _NEWTON_PASSES = 20
+#: Elements per solve of `inverse_many` and `direct_many`; at about 900 B
+#: of transients per element, a solve of this size peaks near 14 MB.
+_SLICE = 16384
 
 
 # Angle helpers on arrays.
@@ -199,6 +205,17 @@ def _sin_series(sinx, cosx, c):
     return 2 * sinx * cosx * y0
 
 
+def _sliced(solve, *args):
+    # `solve` on the flattened broadcast arguments in slices of at most
+    # _SLICE elements, joined in the broadcast shape; zero elements make
+    # one empty slice.
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
+    shape, flat = args[0].shape, [v.ravel() for v in args]
+    starts = range(0, flat[0].size, _SLICE) or [0]
+    parts = [solve(*(v[i : i + _SLICE] for v in flat)) for i in starts]
+    return tuple(np.concatenate(r).reshape(shape) for r in zip(*parts))
+
+
 class Inverse(NamedTuple):
     """Result of the inverse problem: distance in meters, departure azimuth
     in degrees."""
@@ -257,10 +274,9 @@ class Geodesic:
         elements that take it.  Distances and azimuths keep to the measured
         allowance against the scalar reference (see the module docstring).
         """
-        args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lat1, lon1, lat2, lon2)))
-        shape = args[0].shape
-        lat1, lon1, lat2, lon2 = (v.ravel() for v in args)
+        return _sliced(self._inverse_slice, lat1, lon1, lat2, lon2)
 
+    def _inverse_slice(self, lat1, lon1, lat2, lon2):
         # Canonical arrangement: point 1 at the higher absolute latitude,
         # southern hemisphere, eastward longitude difference.
         lon12 = _ang_round_many(_ang_normalize_many(_ang_normalize_many(lon2) - _ang_normalize_many(lon1)))
@@ -321,8 +337,7 @@ class Geodesic:
         swapped = swapp < 0
         salp1 = np.where(swapped, salp2, salp1) * (swapp * lonsign)
         calp1 = np.where(swapped, calp2, calp1) * (swapp * latsign)
-        s12 = 0.0 + s12
-        return s12.reshape(shape), _atan2d_many(salp1, calp1).reshape(shape)
+        return 0.0 + s12, _atan2d_many(salp1, calp1)
 
     def _general_many(self, sbet1, cbet1, sbet2, cbet2, lam12):
         # The general case on canonical arrays: short-line, spherical or
@@ -496,9 +511,9 @@ class Geodesic:
         the measured allowance against the scalar reference (see the module
         docstring).
         """
-        args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lat1, lon1, azi1, s12)))
-        lat1, lon1, azi1, s12 = args
+        return _sliced(self._direct_slice, lat1, lon1, azi1, s12)
 
+    def _direct_slice(self, lat1, lon1, azi1, s12):
         # The geodesic line through the start point.
         salp1, calp1 = _sincosd_many(_ang_round_many(_ang_normalize_many(azi1)))
         sbet1, cbet1 = _sincosd_many(_ang_round_many(lat1))

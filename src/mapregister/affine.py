@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import _batched
 from .errors import DegenerateConfigurationError, OutOfRangeError
 from .geodesy import GeoPoint, geodesic_distance_many
 
@@ -188,32 +187,26 @@ def cross_errors_km(
     """RMS and largest geodesic residual in kilometers of every transform
     on each set: one row per transform, one column per set.
 
-    `affine_images` maps and one array inverse measures every pair of every
-    set under every transform, in calls of at most `curves.ANCHOR_BATCH_PAIRS`
-    elements (one transform at least).  The first invalid image, in
-    transform order and then pair order, raises `apply_affine`'s error.
-    The per-set sums and maxima run in pair order, as a loop over the sets
-    would.
+    `affine_images` maps every pair of every set under every transform at
+    once, and one array inverse measures them all.  The first invalid
+    image, in transform order and then pair order, raises `apply_affine`'s
+    error.  The per-set sums and maxima run in pair order, as a loop over
+    the sets would.
     """
     pairs = [c for s in sets for c in s.pairs]
     x = np.array([(c.source.x1, c.source.x2) for c in pairs])
     target = np.array([(c.target.lon, c.target.lat) for c in pairs])
     n = len(pairs)
-
-    def residuals_m(params):
-        # Every pair under each transform of a block, transform-major.
-        images, valid = affine_images(np.repeat(params, n, axis=0), np.tile(x, (len(params), 1)))
-        if not valid.all():
-            i = int(valid.argmin())
-            apply_affine(AffineParams(*params[i // n].tolist()), pairs[i % n].source)  # raises
-        lat, lon = np.tile(target[:, 1], len(params)), np.tile(target[:, 0], len(params))
-        return geodesic_distance_many(lat, lon, images[:, 1], images[:, 0])
-
-    r = (_batched(residuals_m, n, np.array([t.as_tuple() for t in ts])) / 1000.0).tolist()
+    images, valid = affine_images(np.repeat([t.as_tuple() for t in ts], n, axis=0), np.tile(x, (len(ts), 1)))
+    if not valid.all():
+        i = int(valid.argmin())
+        apply_affine(ts[i // n], pairs[i % n].source)  # raises
+    images = images.reshape(len(ts), n, 2)
+    r = (geodesic_distance_many(target[:, 1], target[:, 0], images[..., 1], images[..., 0]) / 1000.0).tolist()
     ends = np.cumsum([len(s.pairs) for s in sets]).tolist()
     rms, largest = [], []
     for k in range(len(ts)):
-        rows = [r[k * n + i : k * n + j] for i, j in zip([0] + ends[:-1], ends)]
+        rows = [r[k][i:j] for i, j in zip([0] + ends[:-1], ends)]
         rms.append([math.sqrt(sum(d * d for d in row) / len(row)) for row in rows])
         largest.append([max(row) for row in rows])
     return rms, largest

@@ -39,9 +39,8 @@ from .geodesy import (
     plane_coords,
 )
 
-#: Elements per chord batch (anchors x chain points, one anchor at least),
-#: kept edges pending before a fold and elements per engine call in
-#: `anchor_min_distances`; an engine call of this size peaks at about 14 MB.
+#: Elements per chord batch (anchors x chain points, one anchor at least)
+#: and kept edges pending before a fold in `anchor_min_distances`.
 ANCHOR_BATCH_PAIRS = 16384
 #: Margins of the chord-bound skip test, far above the roundoff of the
 #: chords, the geodesic lengths and the planar chords.
@@ -154,10 +153,10 @@ def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
     keeps are projected into the azimuthal equidistant (AEQD) plane at the
     anchor, and each edge is measured as a planar chord, which falls short
     by up to about 2.1e-15 d L^2 m for length L at distance d (README.md
-    tabulates it).  Engine calls hold at most N = `ANCHOR_BATCH_PAIRS`
-    elements.  A chord batch holds one anchor row at least, so a fold of
-    fewer than N pending kept edges plus one chord batch holds fewer than
-    N + max(N, m) edges for m split chain points, whatever is kept.
+    tabulates it).  With N = `ANCHOR_BATCH_PAIRS`, a chord batch holds one
+    anchor row at least, so a fold of fewer than N pending kept edges plus
+    one chord batch holds fewer than N + max(N, m) edges for m split chain
+    points, whatever is kept.
 
     The skip test is a rigorous lower bound, so the result equals that of
     projecting every edge.  With c_j the straight (ECEF) chord from the
@@ -188,7 +187,7 @@ def anchor_min_distances_many(directions: list[tuple[DiscreteCurve, DiscreteCurv
     stay in that chain, so `divmod(end, m)` is (anchor, point).  Whenever
     `ANCHOR_BATCH_PAIRS` keys are pending, and once at the end, a fold
     minimizes them into one stacked array: one `union1d` of their ends, one
-    batched `plane_coords` call and one `np.minimum.at`.  The engine is
+    `plane_coords` call and one `np.minimum.at`.  The engine is
     elementwise, so folds change no bit.  No directions make no engine call."""
     if not directions:
         return []
@@ -208,7 +207,7 @@ def anchor_min_distances_many(directions: list[tuple[DiscreteCurve, DiscreteCurv
                 keys, pending, count = np.concatenate(pending), [], 0
                 ends = np.union1d(keys, keys + 1)
                 anchor, point = np.divmod(ends, m)
-                px, py = _batched(plane_coords, 1, alat[anchor], alon[anchor], blat[point], blon[point])
+                px, py = plane_coords(alat[anchor], alon[anchor], blat[point], blon[point])
                 e = np.searchsorted(ends, keys)
                 np.minimum.at(out, keys // m, origin_to_chord(px[e], py[e], px[e + 1], py[e + 1]))
         p += len(chain)
@@ -239,15 +238,6 @@ def _split_long_edges(chain: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarra
         edges += [lengths[start:k], np.diff(dists)]
         start = k + 1
     return np.concatenate(points + [chain[start:]]), np.concatenate(edges + [lengths[start:]])
-
-
-def _batched(f, per_row: int, *rows: np.ndarray) -> np.ndarray:
-    # f on the rows of equal-length arrays, ANCHOR_BATCH_PAIRS // per_row
-    # rows a call (one at least), joined along the last axis.  Zero rows
-    # make one call on the empty rows, whose result is empty.
-    step = max(1, ANCHOR_BATCH_PAIRS // per_row)
-    starts = range(0, len(rows[0]), step) or [0]
-    return np.concatenate([f(*(v[i : i + step] for v in rows)) for i in starts], axis=-1)
 
 
 class DistanceProfile:

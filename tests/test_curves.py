@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from mapregister import curves
+from mapregister import _geodesic, curves
 from mapregister._geodesic import WGS84
 from mapregister.curves import (
     BandThreshold,
@@ -179,6 +180,23 @@ class TestBuildSegments:
             build_segments(pts, "r")
         assert (inverse.call_count, direct.call_count) == (2, 1)
 
+    def test_long_curve_in_bounded_memory(self, monkeypatch):
+        # 100,000 points: the engine solves them in slices, so the
+        # transients stay bounded (one whole solve of every edge peaks near
+        # 180 MiB), and the slices give the bits of one whole slice.
+        pts = np.cumsum(np.random.default_rng(23).normal(0.0, 0.01, (100_000, 2)), axis=0) + (10.0, 45.0)
+        tracemalloc.start()
+        try:
+            c = build_segments(pts, "long")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        monkeypatch.setattr(_geodesic, "_SLICE", 2 * len(pts))
+        whole = build_segments(pts, "long")
+        assert c.chain.tobytes() == whole.chain.tobytes()
+        assert c.edge_lengths.tobytes() == whole.edge_lengths.tobytes() and c.length == whole.length
+
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.sampled_from([0.01, 800.0, 5000.0, 300_000.0]))
     @settings(max_examples=25, deadline=None)
     def test_matches_scalar_reference(self, seed, n, step_m):
@@ -263,7 +281,8 @@ class TestAnchorMinDistances:
         a_pts, b_pts = pruning_case(kind, random.Random(seed))
         a, b = build_segments(a_pts, "A"), build_segments(b_pts, "B")
         with mock.patch.object(curves, "ANCHOR_BATCH_PAIRS", batch_pairs), \
-                mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse:
+                mock.patch.object(_geodesic, "_SLICE", batch_pairs), \
+                mock.patch.object(WGS84, "_inverse_slice", wraps=WGS84._inverse_slice) as inverse:
             got = anchor_min_distances(a, b), anchor_min_distances(b, a), anchor_min_distances(a, a)
         assert max(np.broadcast(*c.args).size for c in inverse.call_args_list) <= batch_pairs
         assert got == (full_anchor_min_distances(a, b), full_anchor_min_distances(b, a), [0.0] * len(a.points))
@@ -349,13 +368,15 @@ class TestAnchorMinDistances:
             assert (want - got <= CHORD_SHORTFALL_PER_M2 * want * b.edge_lengths.max() ** 2 + 1e-4).all()
 
     def test_batches_and_long_edges_match_scalar_reference(self, monkeypatch):
-        # More anchors than one batch holds, and chain edges past
-        # LONG_SEGMENT_M, so the pass runs on their sub-edges.
+        # More anchors than one chord batch holds, engine slices of 12
+        # elements, and chain edges past LONG_SEGMENT_M, so the pass runs on
+        # their sub-edges.
         rng = random.Random(12)
         a = build_segments(random_curve(rng, "A", n=9, step_m=20_000.0), "A")
         b = build_segments(random_curve(rng, "B", n=2, start=a.points[3], step_m=350_000.0), "B")
         assert min(b.edge_lengths) > LONG_SEGMENT_M
         monkeypatch.setattr(curves, "ANCHOR_BATCH_PAIRS", 12)
+        monkeypatch.setattr(_geodesic, "_SLICE", 12)
         got = anchor_min_distances(a, b)
         want = scalar_anchor_min_distances(a, b)
         assert len(got) == 9
@@ -384,14 +405,15 @@ class TestAnchorMinDistancesMany:
 
     def test_equals_one_direction_at_a_time(self):
         # Every kind of direction, chain edges past LONG_SEGMENT_M among
-        # them, with the shared engine call cut into chunks.
+        # them, with the shared engine call cut into slices.
         dirs = self.directions(21, ["near", "far", "polar", "antimeridian", "shared", "self", "long"])
         assert any(b.edge_lengths.max() > LONG_SEGMENT_M for _, b in dirs)
         want = [anchor_min_distances(a, b) for a, b in dirs]
         batch = 12
         assert sum(a.point_count for a, _ in dirs) > 3 * batch
         with mock.patch.object(curves, "ANCHOR_BATCH_PAIRS", batch), \
-                mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse:
+                mock.patch.object(_geodesic, "_SLICE", batch), \
+                mock.patch.object(WGS84, "_inverse_slice", wraps=WGS84._inverse_slice) as inverse:
             got = curves.anchor_min_distances_many(dirs)
         sizes = [np.broadcast(*c.args).size for c in inverse.call_args_list]
         assert max(sizes) <= batch and sizes.count(batch) >= 3
@@ -410,15 +432,13 @@ class TestAnchorMinDistancesMany:
         # Folds that cut across directions and chord batches, down to one
         # pending edge, give the default pass's bits; a fold holds fewer
         # than ANCHOR_BATCH_PAIRS pending edges plus one chord batch.  The
-        # far-apart pair, whose every edge is kept, joins at 64 only: with
-        # 118 kept edges per anchor it folds one anchor row at a time at 1,
-        # 7 and 64 alike, and at 1 it takes about 14,000 one-element engine
-        # calls (43 s).  The "far" kind keeps every edge at 1 and 7.
+        # "far" kind and the far-apart pair keep every edge.
         a, b = far_apart_pair()
-        kinds = self.directions(21, ["near", "far", "polar", "antimeridian", "shared", "self", "long"])
-        for batch, dirs in [(1, kinds), (7, kinds), (64, kinds + [(a, b), (b, a)])]:
-            m = max(len(curves._split_long_edges(d.chain, d.edge_lengths)[0]) for _, d in dirs)
-            want = curves.anchor_min_distances_many(dirs)
+        dirs = self.directions(21, ["near", "far", "polar", "antimeridian", "shared", "self", "long"])
+        dirs += [(a, b), (b, a)]
+        m = max(len(curves._split_long_edges(d.chain, d.edge_lengths)[0]) for _, d in dirs)
+        want = curves.anchor_min_distances_many(dirs)
+        for batch in (1, 7, 64):
             with mock.patch.object(curves, "ANCHOR_BATCH_PAIRS", batch), \
                     mock.patch.object(curves, "origin_to_chord", wraps=curves.origin_to_chord) as folded:
                 got = curves.anchor_min_distances_many(dirs)
@@ -429,11 +449,6 @@ class TestAnchorMinDistancesMany:
         with mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse:
             assert curves.anchor_min_distances_many([]) == []
         assert inverse.call_count == 0
-
-    def test_batched_on_zero_rows_is_empty(self):
-        empty = np.empty(0)
-        assert curves._batched(lambda *v: WGS84.inverse_many(*v)[0], 1, *[empty] * 4).shape == (0,)
-        assert curves._batched(lambda *v: WGS84.inverse_many(*v), 1, *[empty] * 4).shape == (2, 0)
 
 
 #: Hypothesis phases of the long-edge properties: shrinking a failure

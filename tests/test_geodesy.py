@@ -521,6 +521,29 @@ def _pairs(draw):
     return out
 
 
+def assert_slices_keep_bits(solve, rows, monkeypatch):
+    # `solve` (`inverse_many` or `direct_many`) on (n, 4) argument rows in
+    # engine slices of the default size, of 37 elements and of one gives
+    # the bits of one whole slice.  Zero elements and a 2-D broadcast over
+    # several slices keep the broadcast shape; the broadcast gives the bits
+    # of its flattened arguments.
+    def solved(size, *args):
+        monkeypatch.setattr(_geodesic, "_SLICE", size)
+        return solve(*args)
+
+    def bits(results):
+        return [r.tobytes() for r in results]
+
+    for size in (_geodesic._SLICE, 37, 1):
+        assert bits(solved(size, *rows.T)) == bits(solved(len(rows), *rows.T))
+        assert [r.shape for r in solved(size, np.empty((0, 1)), 0.0, np.empty(3), 1.0)] == [(0, 3)] * 2
+        k, m = 3, size // 2 + 1
+        args = rows[:k, 0:1], rows[:k, 1:2], np.resize(rows[:, 2], m), np.resize(rows[:, 3], m)
+        got = solved(size, *args)
+        assert [r.shape for r in got] == [(k, m)] * 2
+        assert bits(got) == bits(solved(k * m, *(np.broadcast_to(v, (k, m)).ravel() for v in args)))
+
+
 class TestInverseMany:
     @given(_pairs())
     @settings(max_examples=40, deadline=None)
@@ -542,11 +565,12 @@ class TestInverseMany:
         for i in range(2000):
             assert_inverse_close(s12[i], azi1[i], SCALAR_WGS84.inverse(lat1[i], lon1[i], lat2[i], lon2[i]))
 
-    def test_batch_composition_does_not_change_bits(self):
-        # Each element is solved on its own: one batch, its 37-element
-        # chunks and one call per pair give the same bits.  Batched passes
-        # (the anchor pass over all directions, the cross-evaluation of all
-        # transforms) rely on this to reproduce one-at-a-time results.
+    def test_batch_composition_does_not_change_bits(self, monkeypatch):
+        # Each element is solved on its own: engine slices of the default
+        # size, of 37 elements and of one give the bits of one whole slice.
+        # Batched passes (the anchor pass over all directions, the
+        # cross-evaluation of all transforms) rely on this to reproduce
+        # one-at-a-time results.
         rng = np.random.default_rng(20)
         n = 60
         lat1, lon1 = rng.uniform(-90, 90, 5 * n), rng.uniform(-180, 180, 5 * n)
@@ -561,14 +585,7 @@ class TestInverseMany:
         lat2[::9], lon2[::9] = lat1[::9], lon1[::9]  # coincident
         pairs = np.concatenate([np.stack([lat1, lon1, lat2, lon2], axis=1), np.array(list(SPECIAL_PAIRS.values()))])
         pairs = pairs[rng.permutation(len(pairs))]
-
-        def bits(results):
-            # The bits of (s12, azi1) over the joined results of inverse_many calls.
-            return [np.concatenate(v).tobytes() for v in zip(*results)]
-
-        whole = bits([WGS84.inverse_many(*pairs.T)])
-        assert bits(WGS84.inverse_many(*pairs[i : i + 37].T) for i in range(0, len(pairs), 37)) == whole
-        assert bits(WGS84.inverse_many(*p[:, None]) for p in pairs) == whole
+        assert_slices_keep_bits(WGS84.inverse_many, pairs, monkeypatch)
 
     @pytest.mark.parametrize("name", list(SPECIAL_PAIRS))
     def test_special_branches_use_scalar_path(self, name):
@@ -675,6 +692,22 @@ DIRECT_CASES = [
 ]
 
 
+def seeded_lines() -> np.ndarray:
+    # 2,000 seeded (lat1, lon1, azi1, s12) rows, with starts on a pole or
+    # the equator, azimuths along meridians and zero lengths among them,
+    # then DIRECT_CASES.
+    rng = np.random.default_rng(11)
+    n = 2000
+    lat1 = rng.uniform(-90, 90, n)
+    lon1 = rng.uniform(-180, 180, n)
+    azi1 = rng.uniform(-180, 180, n)
+    s12 = rng.choice([1.0, 1e3, 1e5, 1e7, 4e7], n) * rng.uniform(0, 1, n)
+    lat1[:100] = rng.choice([-90.0, 0.0, 90.0], 100)
+    azi1[100:200] = rng.choice([-180.0, 0.0, 180.0], 100)
+    s12[200:250] = 0.0
+    return np.concatenate([np.stack([lat1, lon1, azi1, s12], axis=1), np.array(DIRECT_CASES)])
+
+
 class TestDirectMany:
     @given(
         st.lists(
@@ -709,19 +742,14 @@ class TestDirectMany:
             assert_direct_close((la, lo), *line)
 
     def test_seeded_lines_and_special_cases(self):
-        rng = np.random.default_rng(11)
-        n = 2000
-        lat1 = rng.uniform(-90, 90, n)
-        lon1 = rng.uniform(-180, 180, n)
-        azi1 = rng.uniform(-180, 180, n)
-        s12 = rng.choice([1.0, 1e3, 1e5, 1e7, 4e7], n) * rng.uniform(0, 1, n)
-        lat1[:100] = rng.choice([-90.0, 0.0, 90.0], 100)
-        azi1[100:200] = rng.choice([-180.0, 0.0, 180.0], 100)
-        s12[200:250] = 0.0
-        lines = np.concatenate([np.stack([lat1, lon1, azi1, s12], axis=1), np.array(DIRECT_CASES)])
+        lines = seeded_lines()
         lat2, lon2 = WGS84.direct_many(*lines.T)
         for line, la, lo in zip(lines.tolist(), lat2.tolist(), lon2.tolist()):
             assert_direct_close((la, lo), *line)
+
+    def test_batch_composition_does_not_change_bits(self, monkeypatch):
+        # As for `inverse_many`.
+        assert_slices_keep_bits(WGS84.direct_many, seeded_lines(), monkeypatch)
 
     def test_broadcasts(self):
         azi = np.array([[0.0], [45.0], [-180.0]])
