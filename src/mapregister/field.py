@@ -10,10 +10,11 @@ region value but the first) when R <= 6, not at all when R = 1, and as the
 six parameter columns when R >= 7.  `solve_field` solves for the free nodes
 only, by conjugate gradients preconditioned with a geometric-multigrid
 V-cycle (Briggs, Henson & McCormick, *A Multigrid Tutorial*, 2nd ed., SIAM
-2000), one block iteration for all right-hand sides.  The solve holds the
-operator's free rows (for the residual contract), each level's matrix,
-smoother and interpolation, and at most six free-node vectors at a time:
-about 500 to 650 bytes per node with six columns.
+2000), one block iteration for all right-hand sides.  Through CG the solve
+holds each level's matrix, smoother and interpolation and at most five
+free-node vectors at a time; the operator's free rows are released before
+CG and built again after it for the residual contract.  Its peak is about
+400 to 520 bytes per node with six columns.
 """
 
 from __future__ import annotations
@@ -308,18 +309,21 @@ def assemble_from_masks(
 
 
 def _laplacian(grid: GridDomain) -> sp.csr_matrix:
-    """The five-point operator on every node: the Kronecker sum of one 1-D
-    second difference per grid side, with zero-Neumann ends where the
-    neighbor reflected across an end folds onto the inner one."""
+    """The five-point operator on every node, built from its five
+    diagonals: the neighbors one row (offsets -n2, n2) and one column
+    (-1, 1) away.  At a zero-Neumann end the neighbor reflected across it
+    folds onto the inner one (-2), and no row's end neighbors the next row."""
     import scipy.sparse as sp
 
-    def second_difference(n):
-        lower = np.full(n - 1, -1.0)
-        upper = lower.copy()
-        lower[-1] = upper[0] = -2.0
-        return sp.diags([lower, np.full(n, 2.0), upper], [-1, 0, 1])
-
-    return sp.kronsum(second_difference(grid.n2), second_difference(grid.n1), "csr")
+    n, n2 = grid.node_count, grid.n2
+    col = np.arange(n - 1) % n2  # the column of node m; diagonals -1 and 1 couple m and m + 1
+    left = np.where(col == n2 - 2, -2.0, -1.0)  # row m + 1, column m
+    right = np.where(col == 0, -2.0, -1.0)  # row m, column m + 1
+    left[col == n2 - 1] = right[col == n2 - 1] = 0.0
+    up = np.full(n - n2, -1.0)
+    down = up.copy()
+    up[-n2:] = down[:n2] = -2.0
+    return sp.diags([up, left, np.full(n, 4.0), right, down], [-n2, -1, 0, 1, n2], format="csr")
 
 
 def assemble_system(grid: GridDomain, regions: list[DirichletRegion]) -> LaplaceSystem:
@@ -359,7 +363,8 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
     multigrid V-cycle, runs over all columns; it stops once every column's
     residual max-norm is at most `_PCG_RTOL` of its right-hand side's.
     Dirichlet entries are then restored bit-for-bit and the residual
-    contract re-checked on the free rows; Dirichlet rows hold exactly.
+    contract re-checked on the free rows, built again for it; Dirichlet
+    rows hold exactly.
     """
     if not system.dirichlet_mask.any():
         raise SingularSystemError("no Dirichlet nodes: the pure-Neumann system is singular")
@@ -367,7 +372,6 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
     values = system.values
     n1, n2 = system.grid.n1, system.grid.n2
     free = ~system.dirichlet_mask.reshape(-1)
-    rows = _laplacian(system.grid)[free]
     iterations = columns = 0
     measures = len(values) <= 6  # R - 1 measures are no more columns than six parameters
     v = values[0]  # the field on the free nodes
@@ -375,7 +379,7 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
         # The solved columns on the Dirichlet nodes: indicators of the
         # labels 1..R-1, or the six parameters.
         pinned = (np.eye(len(values))[:, 1:] if measures else values)[system.labels]
-        a, b, shift = _free_system(rows, system.grid, free, pinned)
+        a, b, shift = _free_system(system.grid, free, pinned)
         del pinned  # CG does not read it, and scales b in place
         v, iterations = _pcg(a, b, _VCycle(a, free.reshape(n1, n2)))
         del a, b  # before u is built
@@ -387,8 +391,10 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
     u[~free] = values[system.labels]
     u[free] = v
 
+    # The free rows again, built after CG so that they are not held through it.
+    rows = _laplacian(system.grid)[free]
     scale = np.maximum(1.0, np.abs(values).max(axis=0))
-    residuals = np.abs(rows @ u).max(axis=0, initial=0.0)
+    residuals = _column_max_abs(rows @ u)
     worst = float((residuals / scale).max())
     if worst > RESIDUAL_RTOL:
         raise ConvergenceError(
@@ -404,9 +410,9 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
     )
 
 
-def _free_system(rows: sp.csr_matrix, grid: GridDomain, free: np.ndarray, pinned: np.ndarray):
+def _free_system(grid: GridDomain, free: np.ndarray, pinned: np.ndarray):
     """Matrix and right-hand sides of the free nodes, symmetric positive
-    definite, from the operator's free `rows` and the Dirichlet values
+    definite, from the operator's free rows and the Dirichlet values
     `pinned` (Dirichlet nodes, columns) less their mean: (matrix, rhs, mean)."""
     import scipy.sparse as sp
 
@@ -418,7 +424,7 @@ def _free_system(rows: sp.csr_matrix, grid: GridDomain, free: np.ndarray, pinned
     side2 = np.ones(grid.n2)
     side2[[0, -1]] = 0.5
     row_scale = np.outer(side1, side2).reshape(-1)[free]
-    rows = sp.diags(row_scale) @ rows
+    rows = sp.diags(row_scale) @ _laplacian(grid)[free]
     return rows[:, free], rows[:, ~free] @ (shift - pinned), shift
 
 
@@ -488,13 +494,17 @@ class _VCycle:
         if level == len(self.levels):
             return self.coarsest.solve(b)
         a, weight, smoother, p = self.levels[level]
-        # Damped-Jacobi sweeps x <- smoother @ x + wb (from x = 0 the first gives wb).  At
-        # most four fine vectors are live at once: b, wb and two iterates.
+        # Damped-Jacobi sweeps x <- smoother @ x + weight * b (from x = 0 the
+        # first gives weight * b).  Besides b, at most two fine vectors are
+        # live at once: wb lives through the pre-sweeps only, and each
+        # post-sweep recomputes weight * b into the iterate its product has
+        # just made dead, with the same bits.
         wb = weight * b
         x = wb
         for _ in range(_JACOBI_SWEEPS - 1):
             x = smoother @ x
             x += wb
+        del wb
         t = a @ x
         np.subtract(b, t, out=t)
         t = p.T @ t  # the fine residual is released before the coarse cycle
@@ -502,8 +512,9 @@ class _VCycle:
         t += x
         del x
         for _ in range(_JACOBI_SWEEPS):
-            t = smoother @ t
-            t += wb
+            x = smoother @ t
+            x += np.multiply(weight, b, out=t)
+            t = x
         return t
 
 
@@ -544,8 +555,12 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, precondition) -> tuple[np.ndarray, int
 
 
 def _column_max_abs(x: np.ndarray) -> np.ndarray:
-    # Column by column: numpy's axis-0 reduction over six columns is slower.
-    return np.array([np.abs(col).max() for col in x.T])
+    # Rows of 64 nodes are reduced in one contiguous pass, then the rest:
+    # numpy's axis-0 reduction over a few columns, or column by column, is slower.
+    n, k = x.shape
+    whole = n - n % 64
+    head = np.abs(x[:whole]).reshape(-1, 64 * k).max(axis=0, initial=0.0)
+    return np.maximum(head.reshape(64, k).max(axis=0), np.abs(x[whole:]).max(axis=0, initial=0.0))
 
 
 def _check_maximum_principle(grids, values):

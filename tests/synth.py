@@ -1,10 +1,11 @@
-"""Synthetic fixture generators shared by the test modules."""
+"""Synthetic fixture generators, and a memory probe, shared by the test modules."""
 
 from __future__ import annotations
 
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 from mapregister.affine import AffineParams, Correspondence, CorrespondenceSet, PixelPoint, apply_affine
@@ -236,3 +237,14 @@ def write_geo_curve(path, name: str, points: list[GeoPoint], length_km: float | 
         },
     }
     Path(path).write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}, indent=2) + "\n")
+
+
+def traced_peak(fn):
+    """Call `fn()` under tracemalloc: (its result, the peak of the bytes
+    allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -50,7 +49,7 @@ from oracles import (
     scalar_anchor_min_distances,
     stepped_min_distances,
 )
-from synth import random_curve
+from synth import random_curve, traced_peak
 
 
 def curve_along(start: GeoPoint, azimuth: float, steps: list[float], name="c") -> DiscreteCurve:
@@ -185,12 +184,7 @@ class TestBuildSegments:
         # transients stay bounded (one whole solve of every edge peaks near
         # 180 MiB), and the slices give the bits of one whole slice.
         pts = np.cumsum(np.random.default_rng(23).normal(0.0, 0.01, (100_000, 2)), axis=0) + (10.0, 45.0)
-        tracemalloc.start()
-        try:
-            c = build_segments(pts, "long")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        c, peak = traced_peak(lambda: build_segments(pts, "long"))
         assert peak < 64 * 2**20
         monkeypatch.setattr(_geodesic, "_SLICE", 2 * len(pts))
         whole = build_segments(pts, "long")

@@ -1,11 +1,9 @@
-import gc
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mapregister.field as field_module
 from mapregister.affine import AffineParams, PixelPoint
@@ -30,7 +28,8 @@ from mapregister.field import (
     solve_field,
 )
 
-from oracles import coo_laplace_matrix, lu_solve_field
+from oracles import coo_laplace_matrix, kronsum_laplacian, lu_solve_field, three_vector_vcycle
+from synth import traced_peak
 
 
 def scalar_params(v: float) -> AffineParams:
@@ -241,6 +240,22 @@ class TestStencil:
             for name in ("indptr", "indices", "data"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @given(st.integers(3, 300), st.integers(3, 300))
+    @example(3, 3)
+    @example(3, 300)
+    @example(300, 3)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_kronsum_build(self, n1, n2):
+        # The five diagonals give the Kronecker sum's arrays exactly, so
+        # every product with the operator keeps its bits.
+        grid = GridDomain(PixelPoint(1, 1), n1, n2)
+        got, want = field_module._laplacian(grid), kronsum_laplacian(grid)
+        assert type(got) is type(want) and got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.has_sorted_indices == want.has_sorted_indices
 
 
 class TestSolve:
@@ -527,19 +542,52 @@ class TestMultigridSolve:
             assert solve_field(system).params.tobytes() == first.params.tobytes()
 
     def test_solve_peak_memory_per_node(self):
-        # The solve keeps the operator's free rows, one matrix, smoother and
-        # interpolation per level, and at most six free-node vectors of six
-        # columns at once: about 600 bytes per node on this 40k-node grid,
-        # against 907 when it kept every array to the end.
+        # Through CG the solve keeps one matrix, smoother and interpolation
+        # per level and at most five free-node vectors of six columns, and
+        # builds the operator's free rows again after it: about 490 bytes per
+        # node on this 40k-node grid, against 598 when it kept the rows and a
+        # sixth vector through CG, and 907 when it kept every array to the end.
         system = random_system(0, 221, 181)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            solve_field(system)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / system.grid.node_count <= 700
+        _, peak = traced_peak(lambda: solve_field(system))
+        assert peak / system.grid.node_count <= 540
+
+    @pytest.mark.parametrize("seed, n1, n2, deep", [(0, 221, 181, False), (1, 60, 50, True)])
+    def test_vcycle_matches_three_vector_cycle(self, seed, n1, n2, deep):
+        # Recomputing weight * b in each post-sweep instead of keeping it
+        # repeats the same operations: the same bytes for every column count,
+        # through the default hierarchy and through one down to 50 nodes.
+        system = random_system(seed, n1, n2)
+        free = ~system.dirichlet_mask.reshape(-1)
+        a, _, _ = field_module._free_system(system.grid, free, system.values[system.labels])
+        with pytest.MonkeyPatch.context() as m:
+            if deep:
+                m.setattr(field_module, "_DIRECT_NODES", 50)
+                m.setattr(field_module, "_COARSE_NODES", 50)
+            cycle = field_module._VCycle(a, free.reshape(n1, n2))
+        assert len(cycle.levels) >= (4 if deep else 1)
+        rng = np.random.default_rng(seed)
+        for k in (1, 2, 3, 6):
+            b = rng.normal(size=(a.shape[0], k))
+            before = b.tobytes()
+            got = cycle(b)
+            assert b.tobytes() == before
+            assert got.tobytes() == three_vector_vcycle(cycle, b).tobytes()
+
+    @given(arrays(
+        np.float64,
+        st.tuples(st.integers(1, 300), st.sampled_from([1, 2, 3, 6])),
+        elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+    ))
+    @example(np.full((64, 6), -0.0))
+    @example(np.arange(-65.0, 65.0).reshape(65, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_column_max_abs_matches_per_column(self, x):
+        # Rows of 64 nodes and the rest of fewer: the same maxima, bit for bit.
+        want = np.array([np.abs(col).max() for col in x.T])
+        assert field_module._column_max_abs(x).tobytes() == want.tobytes()
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(field_module, "_PCG_MAX_ITER", 1)
