@@ -104,26 +104,6 @@ def apply_affine(t: AffineParams, x: PixelPoint) -> GeoPoint:
     return GeoPoint(lon, lat)
 
 
-def _deduplicated(cset: CorrespondenceSet) -> list[Correspondence]:
-    # Duplicate source pixels would make the normal matrix singular without
-    # adding information; merge them, averaging their targets.  Sorting both
-    # the groups and the group members makes the fit independent of the
-    # input ordering, bit for bit.
-    groups: dict[tuple[float, float], list[Correspondence]] = {}
-    for c in cset.pairs:
-        groups.setdefault((c.source.x1, c.source.x2), []).append(c)
-    merged = []
-    for (x1, x2), members in sorted(groups.items()):
-        if len(members) == 1:
-            merged.append(members[0])
-            continue
-        members = sorted(members, key=lambda c: (c.target.lon, c.target.lat, c.label))
-        lon = sum(c.target.lon for c in members) / len(members)
-        lat = sum(c.target.lat for c in members) / len(members)
-        merged.append(Correspondence(PixelPoint(x1, x2), GeoPoint(lon, lat), members[0].label))
-    return merged
-
-
 def fit_affine(cset: CorrespondenceSet) -> AffineParams:
     """Least-squares affine transform for a correspondence set.
 
@@ -133,14 +113,23 @@ def fit_affine(cset: CorrespondenceSet) -> AffineParams:
     assembly and the translation is un-centered afterwards, which avoids
     cancellation for large pixel offsets and changes nothing mathematically.
     """
-    pairs = _deduplicated(cset)
-    n = len(pairs)
+    rows = np.array([(c.source.x1, c.source.x2, c.target.lon, c.target.lat) for c in cset.pairs]).reshape(-1, 4)
+    # Repeated source pixels would make the normal matrix singular: merge
+    # them at their first listed pixel, summing targets one by one in (lon,
+    # lat) order for the mean, so the input order changes no bit of the fit.
+    _, first, group, counts = np.unique(
+        rows[:, :2], axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    n = len(first)
     if n < 3:
         raise DegenerateConfigurationError(
             f"set '{cset.name}' has {n} distinct source points, need at least 3"
         )
-    xs = np.array([(c.source.x1, c.source.x2) for c in pairs], dtype=float)
-    ys = np.array([(c.target.lon, c.target.lat) for c in pairs], dtype=float)
+    order = np.lexsort((rows[:, 3], rows[:, 2], group))
+    sums = np.zeros((n, 2))
+    np.add.at(sums, group[order], rows[order, 2:])
+    xs = rows[first, :2]
+    ys = sums / counts[:, None]
 
     centroid = xs.mean(axis=0)
     u = xs - centroid

@@ -312,6 +312,9 @@ def select_sets(all_sets: list[CorrespondenceSet], names: list[str] | None) -> l
     missing = [n for n in names if n not in by_name]
     if missing:
         raise ConfigError(f"correspondence sets not found: {', '.join(missing)}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"correspondence sets selected more than once: {', '.join(repeated)}")
     return [by_name[n] for n in names]
 
 

@@ -41,22 +41,18 @@ _KM_Q = Decimal("0.001")
 _PCT_Q = Decimal("0.1")
 
 
+def _half_up(d: Decimal, quantum: Decimal) -> str:
+    return str(d.quantize(quantum, rounding=ROUND_HALF_UP))
+
+
 def km_face(v: float) -> str:
     """Kilometers at table precision (3 decimals, half-up)."""
-    return str(Decimal(repr(float(v))).quantize(_KM_Q, rounding=ROUND_HALF_UP))
+    return _half_up(Decimal(repr(float(v))), _KM_Q)
 
 
 def pct_face(v: float) -> str:
     """Percent at table precision (1 decimal, half-up)."""
-    return str(Decimal(repr(float(v))).quantize(_PCT_Q, rounding=ROUND_HALF_UP))
-
-
-def _q_km(d: Decimal) -> str:
-    return str(d.quantize(_KM_Q, rounding=ROUND_HALF_UP))
-
-
-def _q_pct(d: Decimal) -> str:
-    return str(d.quantize(_PCT_Q, rounding=ROUND_HALF_UP))
+    return _half_up(Decimal(repr(float(v))), _PCT_Q)
 
 
 @dataclass
@@ -140,19 +136,19 @@ class MetricsReport:
 
 
 def combined_max_face(dir_ab_face: str, dir_ba_face: str) -> str:
-    return _q_km(max(Decimal(dir_ab_face), Decimal(dir_ba_face)))
+    return _half_up(max(Decimal(dir_ab_face), Decimal(dir_ba_face)), _KM_Q)
 
 
 def combined_mean_face(dab_face: str, dba_face: str, la_face: str, lb_face: str) -> str:
     la, lb = Decimal(la_face), Decimal(lb_face)
-    return _q_km((la * Decimal(dab_face) + lb * Decimal(dba_face)) / (la + lb))
+    return _half_up((la * Decimal(dab_face) + lb * Decimal(dba_face)) / (la + lb), _KM_Q)
 
 
 def average_row_faces(lm_ab_face: str, lm_ba_face: str, la_face: str, lb_face: str) -> tuple[str, str]:
     """Matching-table average row, value and percent, from printed figures."""
     lab, lba = Decimal(lm_ab_face), Decimal(lm_ba_face)
     la, lb = Decimal(la_face), Decimal(lb_face)
-    return _q_km((lab + lba) / 2), _q_pct(100 * (lab + lba) / (la + lb))
+    return _half_up((lab + lba) / 2, _KM_Q), _half_up(100 * (lab + lba) / (la + lb), _PCT_Q)
 
 
 def _cross_check(face: str, full: float, tol: float, what: str) -> None:

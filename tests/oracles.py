@@ -22,9 +22,11 @@ assembled from reflected neighbor indices; `kronsum_laplacian`, its
 five-point operator as a Kronecker sum; `lu_solve_field`, its sparse-LU
 field solve; `three_vector_vcycle`, its V-cycle that kept weight * b
 through the post-sweeps;
-`scalar_write_field_dump`, its value-by-value field dump; and
+`scalar_write_field_dump`, its value-by-value field dump;
 `scalar_transform_curve`, its pixel-by-pixel curve transform with
-`scalar_sample_field` and `scalar_apply_affine`.  The ground truth for
+`scalar_sample_field` and `scalar_apply_affine`; and
+`dict_fit_affine`, its affine fit that merged repeated source pixels
+in a dict of `Correspondence` lists.  The ground truth for
 long edges, `stepped_min_distances`, uses the array engine alone and none
 of the package's distance code.  The test-only
 readers of library outputs (`least_squares_objective`, `read_field_dump`)
@@ -500,6 +502,70 @@ def scalar_transform_curve(f, pixels, name=""):
         except OutOfRangeError as exc:
             raise OutOfRangeError(f"curve '{name}', point {idx}: {exc}") from exc
     return build_segments(geo, name)
+
+
+def dict_fit_affine(cset):
+    """`affine.fit_affine` merging repeated source pixels object by object:
+    a dict groups the pairs by pixel, keyed by the first listed; groups are
+    taken in pixel order, and each repeated pixel's targets are sorted by
+    (lon, lat, label) and averaged with Python's `sum`.  The normal
+    equations that follow are the package's."""
+    import numpy as np
+
+    from mapregister.affine import AffineParams, Correspondence, PixelPoint
+    from mapregister.errors import DegenerateConfigurationError
+    from mapregister.geodesy import GeoPoint
+
+    groups = {}
+    for c in cset.pairs:
+        groups.setdefault((c.source.x1, c.source.x2), []).append(c)
+    pairs = []
+    for (x1, x2), members in sorted(groups.items()):
+        if len(members) == 1:
+            pairs.append(members[0])
+            continue
+        members = sorted(members, key=lambda c: (c.target.lon, c.target.lat, c.label))
+        lon = sum(c.target.lon for c in members) / len(members)
+        lat = sum(c.target.lat for c in members) / len(members)
+        pairs.append(Correspondence(PixelPoint(x1, x2), GeoPoint(lon, lat), members[0].label))
+    n = len(pairs)
+    if n < 3:
+        raise DegenerateConfigurationError(
+            f"set '{cset.name}' has {n} distinct source points, need at least 3"
+        )
+    xs = np.array([(c.source.x1, c.source.x2) for c in pairs], dtype=float)
+    ys = np.array([(c.target.lon, c.target.lat) for c in pairs], dtype=float)
+
+    centroid = xs.mean(axis=0)
+    u = xs - centroid
+    svals = np.linalg.svd(u, compute_uv=False)
+    if svals[-1] <= 1e-12 * max(svals[0], 1.0):
+        raise DegenerateConfigurationError(f"set '{cset.name}' has collinear source points")
+
+    m = np.empty((3, 3))
+    m[0, 0] = np.dot(u[:, 0], u[:, 0])
+    m[0, 1] = m[1, 0] = np.dot(u[:, 0], u[:, 1])
+    m[1, 1] = np.dot(u[:, 1], u[:, 1])
+    m[0, 2] = m[2, 0] = u[:, 0].sum()
+    m[1, 2] = m[2, 1] = u[:, 1].sum()
+    m[2, 2] = n
+    rhs = np.stack(
+        [
+            (np.dot(ys[:, k], u[:, 0]), np.dot(ys[:, k], u[:, 1]), ys[:, k].sum())
+            for k in (0, 1)
+        ],
+        axis=1,
+    )
+    try:
+        sol = np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateConfigurationError(f"set '{cset.name}': normal matrix singular") from exc
+
+    a1, a2, b1c = sol[:, 0]
+    a3, a4, b2c = sol[:, 1]
+    b1 = b1c - a1 * centroid[0] - a2 * centroid[1]
+    b2 = b2c - a3 * centroid[0] - a4 * centroid[1]
+    return AffineParams(a1, a2, a3, a4, b1, b2)
 
 
 def least_squares_objective(t, cset):

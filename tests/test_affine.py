@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mapregister.affine import (
     AffineParams,
@@ -14,10 +16,10 @@ from mapregister.affine import (
     max_error,
     mean_error,
 )
-from mapregister.errors import DegenerateConfigurationError, OutOfRangeError
+from mapregister.errors import DegenerateConfigurationError, MapRegisterError, OutOfRangeError
 from mapregister.geodesy import GeoPoint, geodesic_distance, walk
 
-from oracles import least_squares_objective
+from oracles import dict_fit_affine, least_squares_objective
 from synth import random_affine, random_pixels, synth_set
 
 
@@ -123,6 +125,58 @@ class TestFitAffine:
             delta = [rng.uniform(-1e-3, 1e-3) for _ in range(6)]
             perturbed = AffineParams(*(b + d for b, d in zip(base, delta)))
             assert least_squares_objective(perturbed, cset) >= f0
+
+
+_COORDS = st.sampled_from([-0.0, 0.0, 1.0, -2.0, 3.5, 250.0, 1e-9])
+_TARGETS = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 2.0**-53, -45.5]), st.floats(-89.0, 89.0))
+
+
+def pairs_set(rows) -> CorrespondenceSet:
+    """A set of (x1, x2, lon, lat) rows, in the order given."""
+    return CorrespondenceSet(
+        "merge", [Correspondence(PixelPoint(x1, x2), GeoPoint(lon, lat)) for x1, x2, lon, lat in rows]
+    )
+
+
+@st.composite
+def repeated_pixel_sets(draw) -> CorrespondenceSet:
+    # Pixels drawn from a few values, ±0.0 among them, so that groups of
+    # equal pixels form; each listed pixel repeats 1, 2 or 8+ times.
+    pixels = draw(st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=6))
+    pairs = []
+    for x1, x2 in pixels:
+        for _ in range(draw(st.sampled_from([1, 1, 2, 8, 11]))):
+            target = GeoPoint(draw(_TARGETS), draw(_TARGETS))
+            pairs.append(Correspondence(PixelPoint(x1, x2), target, draw(st.sampled_from(["", "a", "b"]))))
+    return CorrespondenceSet("merge", draw(st.permutations(pairs)))
+
+
+class TestMergedPixels:
+    """`fit_affine` equals `dict_fit_affine`, the object-by-object merge of
+    repeated source pixels it replaced, bit for bit or by the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_pixel_sets())
+    # singletons whose targets are -0.0
+    @example(pairs_set([(0.0, 0.0, -0.0, -0.0), (1.0, 0.0, -0.0, 1.0), (0.0, 1.0, -0.0, 2.0)]))
+    # ±0.0 sources on one pixel, listed in both orders
+    @example(pairs_set([(0.0, 1.0, -0.0, 1.0), (-0.0, 1.0, 0.0, 2.0), (1.0, -0.0, 1.0, 0.0), (-1.0, -0.0, -1.0, -0.0)]))
+    @example(pairs_set([(-0.0, 1.0, 0.0, 2.0), (0.0, 1.0, -0.0, 1.0), (1.0, -0.0, 1.0, 0.0), (-1.0, 0.0, -1.0, -0.0)]))
+    # eight targets on one pixel, whose sum in pairs differs from the sum in order
+    @example(pairs_set([(0.0, 0.0, 1.0, 0.0)] + [(0.0, 0.0, 2.0**-53, 0.0)] * 7 + [(1.0, 0.0, 2.0, 0.0), (0.0, 1.0, 1.0, 1.0)]))
+    # a set with no pairs, as a 'set' header with no records reads
+    @example(pairs_set([]))
+    # three listed pixels, two distinct once ±0.0 merge
+    @example(pairs_set([(0.0, 0.0, 1.0, 1.0), (-0.0, 0.0, 2.0, 2.0), (1.0, 1.0, 3.0, 3.0)]))
+    def test_equals_dict_merge_bit_for_bit(self, cset):
+        try:
+            want = dict_fit_affine(cset)
+        except MapRegisterError as exc:
+            with pytest.raises(type(exc)) as got:
+                fit_affine(cset)
+            assert str(got.value) == str(exc)
+            return
+        assert [float(v).hex() for v in fit_affine(cset).as_tuple()] == [float(v).hex() for v in want.as_tuple()]
 
 
 def finite_difference_gradient(t: AffineParams, cset, h: float = 1e-5):

@@ -804,6 +804,14 @@ class TestStrictConfig:
         assert cli_main(["run", "--config", str(config_path)]) == 2
         assert not (tmp_path / "exp" / "out").exists()
 
+    def test_repeated_region_exits_2_before_any_output(self, tmp_path, capsys):
+        # A set named twice would fit, and print, the same region twice.
+        config_path = _sample_copy(tmp_path / "exp")
+        _edit_config(config_path, lambda c: c.update(regions=["inland", "inland"]))
+        assert cli_main(["run", "--config", str(config_path)]) == 2
+        assert "selected more than once: inland" in capsys.readouterr().err
+        assert not (tmp_path / "exp" / "out").exists()
+
     def test_csv_unsafe_compare_name_exits_2_before_any_output(self, tmp_path):
         base = tmp_path / "exp"
         write_experiment(base)
@@ -1033,6 +1041,13 @@ class TestCli:
         assert rc == 0
         params = json.loads((out_dir / "transforms.json").read_text())
         assert set(params) == {"coast west", "inland", "coast east", "global"}
+
+    def test_fit_repeated_set_exits_2_before_any_output(self, tmp_path, capsys):
+        corr = SAMPLE_DATA / "correspondences.txt"
+        argv = ["fit", "--correspondences", str(corr), "--sets", "inland", "inland", "--output", str(tmp_path / "fit")]
+        assert cli_main(argv) == 2
+        assert "selected more than once: inland" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
 
     def test_fit_degenerate_exit_code(self, tmp_path):
         corr = tmp_path / "corr.txt"
@@ -1286,3 +1301,15 @@ class TestPolygonMode:
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1] and printed[0].startswith("solved 120x90 field")
 
+
+class TestReadme:
+    def test_library_use_block_runs(self, monkeypatch):
+        # The fenced python block under the README's "Library use" heading,
+        # run from the repository root as its relative paths expect.
+        root = SAMPLE_DATA.parent
+        section = (root / "README.md").read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        monkeypatch.chdir(root)
+        namespace = {}
+        exec(code, namespace)
+        assert namespace["curve"].point_count == 2
