@@ -38,6 +38,7 @@ from mapregister.report import MatchingBand
 
 from oracles import (
     CHORD_SHORTFALL_PER_M2,
+    DIRECT_REL,
     ENGINE_ABS_M,
     INVERSE_REL,
     SCALAR_WGS84,
@@ -63,10 +64,22 @@ def chain_points(c: DiscreteCurve) -> list[GeoPoint]:
     return [GeoPoint(lon, lat) for lon, lat in c.chain.tolist()]
 
 
+def assert_half_edges(c: DiscreteCurve):
+    # Both halves of a vertex edge are s12 / 2 of that edge bit for bit,
+    # and each is within the direct allowance of its re-measured chain edge.
+    chain = chain_points(c)
+    for k, (p, q) in enumerate(zip(chain[::2], chain[2::2])):
+        s12 = geodesic_distance(p, q)
+        assert c.edge_lengths[2 * k] == c.edge_lengths[2 * k + 1] == s12 / 2
+        for a, b in (chain[2 * k : 2 * k + 2], chain[2 * k + 1 : 2 * k + 3]):
+            assert abs(geodesic_distance(a, b) - s12 / 2) <= ENGINE_ABS_M + DIRECT_REL * s12, (k, s12)
+
+
 def assert_matches_scalar_build(pts):
     # Every geodesic the build solves (an inverse per edge, a direct to its
-    # midpoint, an inverse per half edge) is within the engine allowance of
-    # the scalar engine, and the curve is assembled from them exactly.
+    # midpoint) is within the engine allowance of the scalar engine, the
+    # half-edge lengths are the halves of the edges, and the curve is
+    # assembled from them exactly.
     c = build_segments(pts, "r")
     chain = chain_points(c)
     assert c.points == chain[::2] == [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
@@ -74,10 +87,7 @@ def assert_matches_scalar_build(pts):
         s12, azi1 = WGS84.inverse(p.lat, p.lon, q.lat, q.lon)
         assert_inverse_close(s12, azi1, SCALAR_WGS84.inverse(p.lat, p.lon, q.lat, q.lon))
         assert_direct_close((m.lat, m.lon), p.lat, p.lon, azi1, s12 / 2)
-    for p, q, d in zip(chain, chain[1:], c.edge_lengths.tolist()):
-        assert d == geodesic_distance(p, q)
-        pair = (p.lat, p.lon, q.lat, q.lon)
-        assert_inverse_close(*WGS84.inverse(*pair), SCALAR_WGS84.inverse(*pair))
+    assert_half_edges(c)
     left, right = c.edge_lengths[0::2].tolist(), c.edge_lengths[1::2].tolist()
     assert c.segment_lengths.tolist() == left[:1] + [r + l for r, l in zip(right, left[1:])] + right[-1:]
     assert [s.length for s in c.segments] == c.segment_lengths.tolist()
@@ -167,17 +177,15 @@ class TestBuildSegments:
             build_segments([p])
 
     def test_edge_lengths_are_chain_edge_distances(self):
-        c = build_segments(random_curve(random.Random(4), "r", n=9), "r")
-        chain = chain_points(c)
-        assert c.edge_lengths.tolist() == [geodesic_distance(p, q) for p, q in zip(chain, chain[1:])]
+        assert_half_edges(build_segments(random_curve(random.Random(4), "r", n=9), "r"))
 
     def test_one_engine_call_per_step(self):
-        # Edges, their midpoints, then every chain edge's length at once.
+        # Edges, then their midpoints; the halves take the edges' lengths.
         pts = random_curve(random.Random(4), "r", n=9)
         with mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse, \
                 mock.patch.object(WGS84, "direct_many", wraps=WGS84.direct_many) as direct:
             build_segments(pts, "r")
-        assert (inverse.call_count, direct.call_count) == (2, 1)
+        assert (inverse.call_count, direct.call_count) == (1, 1)
 
     def test_long_curve_in_bounded_memory(self, monkeypatch):
         # 100,000 points: the engine solves them in slices, so the

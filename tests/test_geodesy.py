@@ -202,10 +202,12 @@ class TestPointToSegment:
         assert edge_distances([a, b], a, b) == [0.0, 0.0]
 
     def test_degenerate_segment(self):
-        # Vertices an ulp apart: one half of the edge has length 0, a chord
-        # of one point in the plane, which measures to that point.
+        # Vertices an ulp apart: the midpoint lands on the first vertex, so
+        # the first half of the edge is a chord of one point in the plane,
+        # which measures to that point.
         a, b = GeoPoint(10.0, 45.0), GeoPoint(10.0, math.nextafter(45.0, 46.0))
-        assert 0.0 in build_segments([a, b]).edge_lengths.tolist()
+        chain = build_segments([a, b]).chain
+        assert chain[0].tolist() == chain[1].tolist()
         p = GeoPoint(10.5, 46.0)
         got = edge_distances([p, a], a, b)[0]
         assert got == pytest.approx(geodesic_distance(p, a), abs=1e-6)
