@@ -8,8 +8,10 @@ one routine for the Fourier coefficients and one Clenshaw sum.  The inverse
 problem is solved by Newton iteration on the departure azimuth, seeded with
 the astroid construction for nearly antipodal pairs, inside a bracket on
 the azimuth that it bisects where a Newton step would leave it (as in
-GeographicLib); if it has not converged after `_MAXIT` passes it raises
-`ConvergenceError`.  Accuracy on WGS84 is far below a millimeter.
+GeographicLib).  Its state holds only the elements still iterating, each
+written to the result once when it stops; if some have not converged after
+`_MAXIT` passes it raises `ConvergenceError`.  Accuracy on WGS84 is far
+below a millimeter.
 
 Both problems are solved on arrays, by `Geodesic.inverse_many` for batches
 of point pairs and `Geodesic.direct_many` for batches of lines; every
@@ -271,8 +273,9 @@ class Geodesic:
         branch: along a meridian, along the equator, by the short-line
         formula, or by bracketed Newton iteration on lambda12 (started from
         the astroid for nearly antipodal pairs).  A branch runs only on the
-        elements that take it.  Distances and azimuths keep to the measured
-        allowance against the scalar reference (see the module docstring).
+        elements that take it, and a Newton pass only on those still
+        iterating.  Distances and azimuths keep to the measured allowance
+        against the scalar reference (see the module docstring).
         """
         return _sliced(self._inverse_slice, lat1, lon1, lat2, lon2)
 
@@ -401,64 +404,58 @@ class Geodesic:
         return salp1, calp1
 
     def _newton_many(self, sbet1, cbet1, sbet2, cbet2, lam12, salp1, calp1):
-        # Newton's method on lambda12 for arrays of canonical problems,
-        # updating salp1 and calp1 in place.  As in GeographicLib, lambda12
+        # Newton's method on lambda12 for arrays of canonical problems: rows
+        # s12, salp1, calp1, salp2, calp2.  As in GeographicLib, lambda12
         # increases with alp1 on (0, pi), so each evaluation narrows a
         # bracket (sa, ca)-(sb, cb) on alp1; a Newton step is taken in the
         # first _NEWTON_PASSES passes if it descends (dv > 0) and stays in
         # (0, pi), else alp1 moves to the bracket's midpoint, and such a
-        # bisection stops once the bracket has closed.  Each pass evaluates
-        # only the elements still iterating; the stopping ones keep the
-        # distance, the others' Newton step uses the reduced length.
+        # bisection stops once the bracket has closed.  Stopping elements
+        # (at idx) go to the result; the others' step uses the reduced length.
         n = lam12.size
-        s12, salp2, calp2, ov = np.zeros((4, n))
+        out, idx = np.zeros((5, n)), np.arange(n)
+        sa, ca, sb, cb, ov = np.array([[_TINY], [1.0], [_TINY], [-1.0], [0.0]]).repeat(n, axis=1)
         trip, bisected = np.zeros((2, n), dtype=bool)
-        bracket = np.array([[_TINY], [1.0], [_TINY], [-1.0]]).repeat(n, axis=1)
-        act = np.arange(n)
         for it in range(_MAXIT if n else 0):
-            sb1, cb1, sb2, cb2 = sbet1[act], cbet1[act], sbet2[act], cbet2[act]
-            sa1, ca1 = salp1[act], calp1[act]
-            nlam12, sa2, ca2, sig12, ssig1, csig1, ssig2, csig2, eps = self._lambda12_many(
-                sb1, cb1, sb2, cb2, sa1, ca1
+            nlam12, salp2, calp2, sig12, ssig1, csig1, ssig2, csig2, eps = self._lambda12_many(
+                sbet1, cbet1, sbet2, cbet2, salp1, calp1
             )
-            s12b, m12a = self._lengths(eps, sig12, ssig1, csig1, ssig2, csig2, cb1, cb2)
-            v = nlam12 - lam12[act]
-            stop = ~(np.abs(v) > _TINY) | trip[act]
+            s12b, m12a = self._lengths(eps, sig12, ssig1, csig1, ssig2, csig2, cbet1, cbet2)
+            v = nlam12 - lam12
+            stop = ~(np.abs(v) > _TINY) | trip
             # A Newton stop after a step that made |v| grow iterates on.
-            stop &= bisected[act] | (np.abs(v) <= np.maximum(_TOL1, ov[act]))
+            stop &= bisected | (np.abs(v) <= np.maximum(_TOL1, ov))
             if stop.any():
-                k = act[stop]
-                s12[k] = s12b[stop] * self.b
-                salp2[k], calp2[k] = sa2[stop], ca2[stop]
+                out[:, idx[stop]] = s12b[stop] * self.b, salp1[stop], calp1[stop], salp2[stop], calp2[stop]
                 go = ~stop
-                act = act[go]
-                if not act.size:
+                idx, sbet1, cbet1, sbet2, cbet2, lam12, salp1, calp1, calp2, v, m12a = (
+                    x[go] for x in (idx, sbet1, cbet1, sbet2, cbet2, lam12, salp1, calp1, calp2, v, m12a)
+                )
+                sa, ca, sb, cb, ov, trip, bisected = (x[go] for x in (sa, ca, sb, cb, ov, trip, bisected))
+                if not idx.size:
                     break
-                sb1, cb1, cb2, sa1, ca1, ca2, v, m12a = (x[go] for x in (sb1, cb1, cb2, sa1, ca1, ca2, v, m12a))
-            sa, ca, sb, cb = bracket[:, act]
             past = it >= _NEWTON_PASSES
-            up = (v > 0) & (past | (ca1 * sb > cb * sa1))
-            down = (v < 0) & (past | (ca1 * sa < ca * sa1))
-            sa, ca = np.where(down, sa1, sa), np.where(down, ca1, ca)
-            sb, cb = np.where(up, sa1, sb), np.where(up, ca1, cb)
-            bracket[:, act] = sa, ca, sb, cb
+            up = (v > 0) & (past | (calp1 * sb > cb * salp1))
+            down = (v < 0) & (past | (calp1 * sa < ca * salp1))
+            sa, ca = np.where(down, salp1, sa), np.where(down, calp1, ca)
+            sb, cb = np.where(up, salp1, sb), np.where(up, calp1, cb)
             # d(lambda12)/d(alp1), with its limit at a vertex (calp2 == 0).
-            vertex = ca2 == 0
-            dv = np.where(vertex, -2 * np.sqrt(1 - self.e2 * cb1 * cb1), m12a) / np.where(vertex, sb1, ca2 * cb2)
+            vertex = calp2 == 0
+            dv = np.where(vertex, -2 * np.sqrt(1 - self.e2 * cbet1 * cbet1), m12a)
+            dv = dv / np.where(vertex, sbet1, calp2 * cbet2)
             dalp1 = -v / dv
             sdalp1, cdalp1 = np.sin(dalp1), np.cos(dalp1)
-            nsalp1 = sa1 * cdalp1 + ca1 * sdalp1
-            ca1 = ca1 * cdalp1 - sa1 * sdalp1
+            nsalp1 = salp1 * cdalp1 + calp1 * sdalp1
+            ncalp1 = calp1 * cdalp1 - salp1 * sdalp1
             newton = (dv > 0) & (nsalp1 > 0) & (np.abs(dalp1) < math.pi) & (not past)
-            sa1, ca1 = _norm_many(np.where(newton, nsalp1, (sa + sb) / 2), np.where(newton, ca1, (ca + cb) / 2))
-            closed = (np.abs(sa - sa1) + (ca - ca1) < _TOLB) | (np.abs(sa1 - sb) + (ca1 - cb) < _TOLB)
-            salp1[act], calp1[act] = sa1, ca1
-            trip[act] = np.where(newton, ~((np.abs(v) >= _TOL1) & (v * v >= ov[act] * _TOL0)), closed)
-            bisected[act] = ~newton
-            ov[act] = np.abs(v)
-        if act.size:
-            raise ConvergenceError(f"geodesic inverse did not converge in {_MAXIT} passes ({act.size} of {n} pairs)")
-        return s12, salp1, calp1, salp2, calp2
+            salp1, calp1 = _norm_many(np.where(newton, nsalp1, (sa + sb) / 2), np.where(newton, ncalp1, (ca + cb) / 2))
+            closed = (np.abs(sa - salp1) + (ca - calp1) < _TOLB) | (np.abs(salp1 - sb) + (calp1 - cb) < _TOLB)
+            trip = np.where(newton, ~((np.abs(v) >= _TOL1) & (v * v >= ov * _TOL0)), closed)
+            bisected = ~newton
+            ov = np.abs(v)
+        if idx.size:
+            raise ConvergenceError(f"geodesic inverse did not converge in {_MAXIT} passes ({idx.size} of {n} pairs)")
+        return out
 
     def _lambda12_many(self, sbet1, cbet1, sbet2, cbet2, salp1, calp1):
         # lambda12 and the arc quantities of the geodesic leaving point 1 at

@@ -38,7 +38,7 @@ from .pipeline import (
     stadia_to_km,
     transform_curve,
 )
-from .report import MetricsReport, TransformErrors, check_table_name, km_face, render_human
+from .report import MetricsReport, TransformErrors, check_table_name, km_face
 
 
 def _fit(args):
@@ -111,7 +111,7 @@ def cmd_run(args) -> int:
     if args.output:
         config.output_dir = Path(args.output)
     result = run_experiment(config)
-    print(render_human(result.report))
+    print((Path(config.output_dir) / "report.txt").read_text())
     print(f"wrote {len(result.outputs)} files to {config.output_dir}")
     return 0
 

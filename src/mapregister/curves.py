@@ -229,12 +229,17 @@ def _kept(ea: np.ndarray, eb: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarr
 def _split_long_edges(chain: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The chain and its edge lengths with every edge longer than
     # LONG_SEGMENT_M replaced by the sub-edges between its `densify`
-    # samples, which start and end on the edge's own chain points.
+    # samples, which start and end on the edge's own chain points.  One
+    # `densify` call samples them all; a chain without one makes none.
+    long = np.flatnonzero(lengths > LONG_SEGMENT_M)
+    if not long.size:
+        return chain, lengths
+    lat, lon, dists = densify(chain[long, 1], chain[long, 0], chain[long + 1, 1], chain[long + 1, 0])
+    runs = np.split(np.stack([lon, lat, dists], axis=1), np.flatnonzero(dists == 0)[1:])  # one per edge
     points, edges, start = [], [], 0
-    for k in np.flatnonzero(lengths > LONG_SEGMENT_M).tolist():
-        lat, lon, dists = densify(chain[k, 1], chain[k, 0], chain[k + 1, 1], chain[k + 1, 0])
-        points += [chain[start:k], np.stack([lon, lat], axis=1)[:-1]]
-        edges += [lengths[start:k], np.diff(dists)]
+    for k, run in zip(long.tolist(), runs):
+        points += [chain[start:k], run[:-1, :2]]
+        edges += [lengths[start:k], np.diff(run[:, 2])]
         start = k + 1
     return np.concatenate(points + [chain[start:]]), np.concatenate(edges + [lengths[start:]])
 

@@ -87,17 +87,23 @@ def origin_to_chord(ax, ay, bx, by) -> np.ndarray:
     return np.where(zero, np.hypot(ax, ay), np.hypot(ax + t * dx, ay + t * dy))
 
 
-def densify(lat1: float, lon1: float, lat2: float, lon2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Points every `DENSIFY_STEP_M` along the geodesic from (lat1, lon1) to
-    (lat2, lon2): (lat, lon, distance from the start) arrays.  The first and
-    last points are the two ends exactly as given; only the interior points
-    are solved."""
+def densify(lat1, lon1, lat2, lon2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points every `DENSIFY_STEP_M` along the geodesics from (lat1, lon1)
+    to (lat2, lon2) of one edge or K edges (equal-length arrays): (lat, lon,
+    distance from the edge's start), each edge's run in turn, from 0 to its
+    length.  A run's ends are its edge's ends exactly as given; one
+    `inverse_many` and one `direct_many` solve the interior points."""
+    lat1, lon1, lat2, lon2 = np.atleast_1d(lat1, lon1, lat2, lon2)
     s12, azi1 = WGS84.inverse_many(lat1, lon1, lat2, lon2)
-    dists = DENSIFY_STEP_M * np.arange(int(s12 // DENSIFY_STEP_M) + 1)
-    if dists[-1] < s12:
-        dists = np.append(dists, s12)
-    lat, lon = WGS84.direct_many(lat1, lon1, azi1, dists)
-    lat[[0, -1]], lon[[0, -1]] = (lat1, lat2), (lon1, lon2)
+    steps = (s12 // DENSIFY_STEP_M).astype(int)  # whole steps within s12
+    counts = steps + 1 + (DENSIFY_STEP_M * steps < s12)  # and s12 after a shorter step
+    last = np.cumsum(counts) - 1
+    first = last + 1 - counts
+    edge = np.repeat(np.arange(len(counts)), counts)
+    dists = np.minimum(DENSIFY_STEP_M * (np.arange(len(edge)) - first[edge]), s12[edge])  # the step past s12 is s12
+    lat, lon = WGS84.direct_many(lat1[edge], lon1[edge], azi1[edge], dists)
+    lat[first], lon[first] = lat1, lon1
+    lat[last], lon[last] = lat2, lon2
     return lat, lon, dists
 
 

@@ -5,9 +5,9 @@ over the union set, cross-evaluates all of them on all sets, extends the
 regional parameters harmonically over the configured pixel domain, pushes
 every source curve through the resulting field, and measures the outcome
 against the reference curves.  The report and curve files are rendered
-before anything is written, so a failing stage leaves no partial outputs;
-the field dump, if asked for, is written after them.  The CLI subcommands
-call the same stages.
+before anything is written, so a failing stage writes nothing, but a
+failing write leaves the files written before it; the field dump, if asked
+for, is written last.  The CLI subcommands call the same stages.
 """
 
 from __future__ import annotations
@@ -366,35 +366,8 @@ def compare_pair(
 ) -> tuple[HausdorffEntry, MatchingEntry]:
     """All pair metrics from one distance profile per direction; `measure`
     on one pair."""
-    return _pair_entries(a, b, *anchor_min_distances_many([(a, b), (b, a)]), bands_km)
-
-
-def _pair_entries(
-    a: DiscreteCurve, b: DiscreteCurve, d_ab: list[float], d_ba: list[float], bands_km: list[float]
-) -> tuple[HausdorffEntry, MatchingEntry]:
-    # The Hausdorff and matching rows of a pair from its anchor distances.
-    p_ab = DistanceProfile(a, d_ab)
-    p_ba = DistanceProfile(b, d_ba)
-    la_km = a.length / 1000.0
-    lb_km = b.length / 1000.0
-
-    hd = HausdorffEntry(
-        a=a.name,
-        b=b.name,
-        length_a_km=la_km,
-        length_b_km=lb_km,
-        dir_max_ab_km=p_ab.max() / 1000.0,
-        dir_max_ba_km=p_ba.max() / 1000.0,
-        dir_mean_ab_km=p_ab.mean() / 1000.0,
-        dir_mean_ba_km=p_ba.mean() / 1000.0,
-    )
-    bands = []
-    for km in bands_km:
-        t = BandThreshold.from_km(km)
-        lm_ab, pct_ab = p_ab.within(t.meters)
-        lm_ba, pct_ba = p_ba.within(t.meters)
-        bands.append(MatchingBand(km, lm_ab / 1000.0, pct_ab, lm_ba / 1000.0, pct_ba))
-    return hd, MatchingEntry(a.name, b.name, la_km, lb_km, bands)
+    report = measure([], [(a, b)], [], bands_km, TransformErrors([], [], [], []))
+    return report.hausdorff[0], report.matching[0]
 
 
 def measure(
@@ -410,9 +383,27 @@ def measure(
     report = MetricsReport(transform_errors=errors, bands_km=list(bands_km))
     dists = anchor_min_distances_many([d for a, b in pairs for d in ((a, b), (b, a))])
     for (a, b), d_ab, d_ba in zip(pairs, dists[0::2], dists[1::2]):
-        hd, ml = _pair_entries(a, b, d_ab, d_ba, bands_km)
-        report.hausdorff.append(hd)
-        report.matching.append(ml)
+        p_ab, p_ba = DistanceProfile(a, d_ab), DistanceProfile(b, d_ba)
+        la_km, lb_km = a.length / 1000.0, b.length / 1000.0
+        report.hausdorff.append(
+            HausdorffEntry(
+                a=a.name,
+                b=b.name,
+                length_a_km=la_km,
+                length_b_km=lb_km,
+                dir_max_ab_km=p_ab.max() / 1000.0,
+                dir_max_ba_km=p_ba.max() / 1000.0,
+                dir_mean_ab_km=p_ab.mean() / 1000.0,
+                dir_mean_ba_km=p_ba.mean() / 1000.0,
+            )
+        )
+        bands = []
+        for km in bands_km:
+            t = BandThreshold.from_km(km)
+            lm_ab, pct_ab = p_ab.within(t.meters)
+            lm_ba, pct_ba = p_ba.within(t.meters)
+            bands.append(MatchingBand(km, lm_ab / 1000.0, pct_ab, lm_ba / 1000.0, pct_ba))
+        report.matching.append(MatchingEntry(a.name, b.name, la_km, lb_km, bands))
     report.sources = [SourceEntry(a.name, b.name, source_distance(a, b)) for a, b in source_pairs]
     report.curves = [CurveInfo(c.name, c.point_count, c.length / 1000.0) for c in curves]
     return report

@@ -21,7 +21,8 @@ its Laplace matrix
 assembled from reflected neighbor indices; `kronsum_laplacian`, its
 five-point operator as a Kronecker sum; `lu_solve_field`, its sparse-LU
 field solve; `three_vector_vcycle`, its V-cycle that kept weight * b
-through the post-sweeps;
+through the post-sweeps; `indexed_newton_many`, its Newton loop of the
+geodesic inverse that gathered and scattered full-length state each pass;
 `scalar_write_field_dump`, its value-by-value field dump;
 `scalar_transform_curve`, its pixel-by-pixel curve transform with
 `scalar_sample_field` and `scalar_apply_affine`; and
@@ -676,6 +677,70 @@ def three_vector_vcycle(self, b, level=0):
         t = smoother @ t
         t += wb
     return t
+
+
+def indexed_newton_many(self, sbet1, cbet1, sbet2, cbet2, lam12, salp1, calp1):
+    """`_geodesic.Geodesic._newton_many` as it was before its state held
+    only the live elements: each pass gathered the live elements out of
+    full-length state (a 4 x n bracket matrix among it) by an index and
+    scattered them back, and it updated salp1 and calp1 in place.  `self` is
+    a `Geodesic`; it returns s12, salp1, calp1, salp2, calp2."""
+    import numpy as np
+
+    from mapregister._geodesic import _NEWTON_PASSES, _TOLB, _norm_many
+    from mapregister.errors import ConvergenceError
+
+    n = lam12.size
+    s12, salp2, calp2, ov = np.zeros((4, n))
+    trip, bisected = np.zeros((2, n), dtype=bool)
+    bracket = np.array([[_TINY], [1.0], [_TINY], [-1.0]]).repeat(n, axis=1)
+    act = np.arange(n)
+    for it in range(_geodesic._MAXIT if n else 0):
+        sb1, cb1, sb2, cb2 = sbet1[act], cbet1[act], sbet2[act], cbet2[act]
+        sa1, ca1 = salp1[act], calp1[act]
+        nlam12, sa2, ca2, sig12, ssig1, csig1, ssig2, csig2, eps = self._lambda12_many(
+            sb1, cb1, sb2, cb2, sa1, ca1
+        )
+        s12b, m12a = self._lengths(eps, sig12, ssig1, csig1, ssig2, csig2, cb1, cb2)
+        v = nlam12 - lam12[act]
+        stop = ~(np.abs(v) > _TINY) | trip[act]
+        # A Newton stop after a step that made |v| grow iterates on.
+        stop &= bisected[act] | (np.abs(v) <= np.maximum(_TOL1, ov[act]))
+        if stop.any():
+            k = act[stop]
+            s12[k] = s12b[stop] * self.b
+            salp2[k], calp2[k] = sa2[stop], ca2[stop]
+            go = ~stop
+            act = act[go]
+            if not act.size:
+                break
+            sb1, cb1, cb2, sa1, ca1, ca2, v, m12a = (x[go] for x in (sb1, cb1, cb2, sa1, ca1, ca2, v, m12a))
+        sa, ca, sb, cb = bracket[:, act]
+        past = it >= _NEWTON_PASSES
+        up = (v > 0) & (past | (ca1 * sb > cb * sa1))
+        down = (v < 0) & (past | (ca1 * sa < ca * sa1))
+        sa, ca = np.where(down, sa1, sa), np.where(down, ca1, ca)
+        sb, cb = np.where(up, sa1, sb), np.where(up, ca1, cb)
+        bracket[:, act] = sa, ca, sb, cb
+        # d(lambda12)/d(alp1), with its limit at a vertex (calp2 == 0).
+        vertex = ca2 == 0
+        dv = np.where(vertex, -2 * np.sqrt(1 - self.e2 * cb1 * cb1), m12a) / np.where(vertex, sb1, ca2 * cb2)
+        dalp1 = -v / dv
+        sdalp1, cdalp1 = np.sin(dalp1), np.cos(dalp1)
+        nsalp1 = sa1 * cdalp1 + ca1 * sdalp1
+        ca1 = ca1 * cdalp1 - sa1 * sdalp1
+        newton = (dv > 0) & (nsalp1 > 0) & (np.abs(dalp1) < math.pi) & (not past)
+        sa1, ca1 = _norm_many(np.where(newton, nsalp1, (sa + sb) / 2), np.where(newton, ca1, (ca + cb) / 2))
+        closed = (np.abs(sa - sa1) + (ca - ca1) < _TOLB) | (np.abs(sa1 - sb) + (ca1 - cb) < _TOLB)
+        salp1[act], calp1[act] = sa1, ca1
+        trip[act] = np.where(newton, ~((np.abs(v) >= _TOL1) & (v * v >= ov[act] * _TOL0)), closed)
+        bisected[act] = ~newton
+        ov[act] = np.abs(v)
+    if act.size:
+        raise ConvergenceError(
+            f"geodesic inverse did not converge in {_geodesic._MAXIT} passes ({act.size} of {n} pairs)"
+        )
+    return s12, salp1, calp1, salp2, calp2
 
 
 def lu_solve_field(system):

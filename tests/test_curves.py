@@ -546,6 +546,56 @@ class TestLongEdges:
         assert len(set(pairs)) == len(pairs)  # no (anchor, chain point) pair solved twice
         assert got == full_anchor_min_distances(a, b)
 
+    def test_densify_runs_of_k_edges(self):
+        # One call on K edges gives each edge's run in turn, with the bits
+        # of a call on that edge alone: distances 0, DENSIFY_STEP_M, ...
+        # and the edge's length last, the ends exactly as given.  Edges of
+        # 0 m, under a step, and up to 300 km.
+        rng = np.random.default_rng(4)
+        lat1, lon1 = rng.uniform(-70, 70, 12), rng.uniform(-180, 180, 12)
+        lat2, lon2 = lat1 + rng.uniform(-2, 2, 12), lon1 + rng.uniform(-2, 2, 12)
+        lat2[0], lon2[0] = lat1[0], lon1[0]
+        lat2[1], lon2[1] = lat1[1] + 0.005, lon1[1]
+        runs = [densify(*(float(v[k]) for v in (lat1, lon1, lat2, lon2))) for k in range(12)]
+        got = densify(lat1, lon1, lat2, lon2)
+        for want, x in zip(zip(*runs), got):
+            assert x.tobytes() == np.concatenate(want).tobytes()
+        s12 = WGS84.inverse_many(lat1, lon1, lat2, lon2)[0]
+        for k, (lat, lon, dists) in enumerate(runs):
+            assert dists[:-1].tolist() == (DENSIFY_STEP_M * np.arange(len(dists) - 1)).tolist()
+            assert dists[-1] == s12[k] and all(dists[:-1] < s12[k])
+            assert (lat[0], lon[0], lat[-1], lon[-1]) == (lat1[k], lon1[k], lat2[k], lon2[k])
+
+    def test_one_engine_call_of_each_kind_splits_a_chain(self):
+        # One `inverse_many` and one `direct_many` split every long edge of
+        # a chain (190, 190, 75, 75, 125 and 125 km), into the chain and
+        # lengths that `densify` gives edge by edge; a chain without a long
+        # edge makes no engine call.
+        p0 = GeoPoint(20.0, 45.0)
+        p1 = walk(p0, 80.0, 380_000.0)
+        p2 = walk(p1, 140.0, 150_000.0)
+        b = build_segments([p0, p1, p2, walk(p2, 200.0, 250_000.0)], "B")
+        points, edges = [b.chain[:1]], []
+        for k, length in enumerate(b.edge_lengths.tolist()):
+            if length > LONG_SEGMENT_M:
+                lat, lon, dists = densify(*b.chain[k, ::-1], *b.chain[k + 1, ::-1])
+                points.append(np.stack([lon, lat], axis=1)[1:])
+                edges.append(np.diff(dists))
+            else:
+                points.append(b.chain[k + 1 : k + 2])
+                edges.append(b.edge_lengths[k : k + 1])
+        short = build_segments(random_curve(random.Random(3), "C", n=30, step_m=100_000.0))
+        assert short.edge_lengths.max() < LONG_SEGMENT_M < b.edge_lengths.max()
+        for curve, calls in ((b, 1), (short, 0)):
+            with mock.patch.object(WGS84, "inverse_many", wraps=WGS84.inverse_many) as inverse, \
+                    mock.patch.object(WGS84, "direct_many", wraps=WGS84.direct_many) as direct:
+                chain, lengths = curves._split_long_edges(curve.chain, curve.edge_lengths)
+            assert inverse.call_count == direct.call_count == calls
+        assert chain.tobytes() == short.chain.tobytes() and lengths.tobytes() == short.edge_lengths.tobytes()
+        chain, lengths = curves._split_long_edges(b.chain, b.edge_lengths)
+        assert chain.tobytes() == np.concatenate(points).tobytes()
+        assert lengths.tobytes() == np.concatenate(edges).tobytes()
+
 
 def long_edge_case(rng: random.Random, length_m: float, per_kind: int, off_m: float, beyond_m: float):
     # A curve B of two vertices whose chain edges are each length_m long,

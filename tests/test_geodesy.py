@@ -22,6 +22,7 @@ from oracles import (
     densified_point_to_segment,
     equator_arc,
     geodesic_midpoint,
+    indexed_newton_many,
     quarter_meridian,
     scalar_distance,
     vincenty_distance,
@@ -636,6 +637,62 @@ class TestInverseMany:
         s12, azi1 = WGS84.inverse_many(*np.array(others).T)
         for i, p in enumerate(others):
             assert_inverse_close(s12[i], azi1[i], SCALAR_WGS84.inverse(*p))
+
+    def test_matches_indexed_newton_loop_bit_for_bit(self, monkeypatch):
+        # The Newton loop whose state holds only the live elements gives
+        # the bits of `oracles.indexed_newton_many`, which gathered and
+        # scattered full-length state every pass: on random, nearly
+        # antipodal and short pairs and the special pairs, the random ones
+        # also from both ends of (0, pi), and it fails with the same message
+        # when one pass is allowed.
+        rng = np.random.default_rng(27)
+        n, k = 100_000, 20_000
+        lat1, lon1 = rng.uniform(-90, 90, n), rng.uniform(-180, 180, n)
+        lat2, lon2 = rng.uniform(-90, 90, n), rng.uniform(-180, 180, n)
+        anti, short = slice(0, k), slice(k, 2 * k)
+        lat2[anti] = np.clip(rng.uniform(-0.5, 0.5, k) - lat1[anti], -90, 90)
+        lon2[anti] = lon1[anti] + 180.0 + rng.uniform(-0.5, 0.5, k)
+        lat2[short] = np.clip(lat1[short] + rng.uniform(-0.05, 0.05, k), -90, 90)
+        lon2[short] = lon1[short] + rng.uniform(-0.05, 0.05, k)
+        pairs = np.concatenate([np.stack([lat1, lon1, lat2, lon2]), np.array(list(SPECIAL_PAIRS.values())).T], axis=1)
+
+        def solve(newton, alp1, pairs):
+            def started(self, sbet1, cbet1, sbet2, cbet2, lam12, salp1, calp1):
+                if alp1 is not None:
+                    salp1, calp1 = np.full(lam12.size, math.sin(alp1)), np.full(lam12.size, math.cos(alp1))
+                return newton(self, sbet1, cbet1, sbet2, cbet2, lam12, salp1, calp1)
+
+            monkeypatch.setattr(_geodesic.Geodesic, "_newton_many", started)
+            return b"".join(x.tobytes() for x in WGS84.inverse_many(*pairs))
+
+        live = _geodesic.Geodesic._newton_many
+        assert solve(live, None, pairs) == solve(indexed_newton_many, None, pairs)
+        for alp1 in (1e-6, math.pi - 1e-6):
+            assert solve(live, alp1, pairs[:, :n]) == solve(indexed_newton_many, alp1, pairs[:, :n])
+        monkeypatch.setattr(_geodesic, "_MAXIT", 1)
+        messages = []
+        for newton in (live, indexed_newton_many):
+            with pytest.raises(ConvergenceError, match=r"did not converge in 1 passes \(\d+ of \d+ pairs\)") as info:
+                solve(newton, None, pairs)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_newton_leaves_its_arguments_untouched(self, monkeypatch):
+        # No helper of the engine updates an argument in place; the Newton
+        # loop's state is its own.
+        newton = _geodesic.Geodesic._newton_many
+        untouched = []
+
+        def checked(self, *args):
+            before = [a.tobytes() for a in args]
+            out = newton(self, *args)
+            untouched.append([a.tobytes() for a in args] == before)
+            return out
+
+        monkeypatch.setattr(_geodesic.Geodesic, "_newton_many", checked)
+        pairs = [(30.0, 0.0, -29.0, 150.0), SPECIAL_PAIRS["nearly antipodal"], (45.0, 10.0, 44.0, 12.0)]
+        WGS84.inverse_many(*np.array(pairs).T)
+        assert untouched == [True]
 
     @given(
         st.lists(

@@ -1173,6 +1173,15 @@ class TestCli:
         printed = capsys.readouterr().out
         assert printed == (out / "report.txt").read_text() + f"\nwrote metric tables to {out}\n"
 
+    def test_run_report_txt_is_the_printed_report(self, tmp_path, capsys):
+        base = tmp_path / "exp"
+        write_experiment(base)
+        out = tmp_path / "run"
+        assert cli_main(self._argv(base, "run", out)) == 0
+        printed = capsys.readouterr().out
+        written = sum(p.is_file() for p in out.rglob("*"))
+        assert printed == (out / "report.txt").read_text() + f"\nwrote {written} files to {out}\n"
+
     def test_compare_matches_run_on_sample_data(self, tmp_path):
         # `compare` on a reference curve and the transformed curve that `run`
         # wrote reproduces `run`'s rows for that pair.
