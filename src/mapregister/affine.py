@@ -9,7 +9,7 @@ set; fit quality is nevertheless reported geodesically, in kilometers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

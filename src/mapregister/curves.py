@@ -107,8 +107,8 @@ def build_segments(points: list[GeoPoint] | np.ndarray, name: str = "") -> Discr
 
     `points` are `GeoPoint`s or an (n, 2) array of (lon, lat) with valid
     latitudes; longitudes are normalized as `GeoPoint` does.  Consecutive
-    duplicate points are dropped first; fewer than two distinct points
-    leave nothing to measure.  One `inverse_many` solves every edge (s12,
+    duplicate points are dropped first; fewer than two distinct points or
+    a length of 0 leave nothing to measure.  One `inverse_many` solves every edge (s12,
     azimuth) and one `direct_many` walks s12 / 2 to its geodesic midpoint;
     both halves take the length s12 / 2 they were built from.
     """
@@ -134,10 +134,14 @@ def _assemble(name: str, chain: np.ndarray, edge_lengths: np.ndarray) -> Discret
     # A curve from its chain and the chain's edge lengths;
     # `build_segments` and the halves of `split_at_nearest_vertex` both end
     # here.  Interior segment i is the right half of edge i - 1 plus the
-    # left half of edge i.
+    # left half of edge i.  Every metric divides by the length, which is 0
+    # for distinct points that the engine puts 0 m apart.
     left, right = edge_lengths[0::2], edge_lengths[1::2]
     seg = np.concatenate([left[:1], right[:-1] + left[1:], right[-1:]])
-    return DiscreteCurve(name, chain, edge_lengths, seg, sum(seg.tolist()))
+    length = sum(seg.tolist())
+    if not length > 0:
+        raise DegenerateCurveError(f"curve '{name}' has length 0, nothing to measure")
+    return DiscreteCurve(name, chain, edge_lengths, seg, length)
 
 
 def anchor_min_distances(a: DiscreteCurve, b: DiscreteCurve) -> list[float]:
@@ -316,7 +320,7 @@ def split_at_nearest_vertex(
     """Split a curve at the vertex closest to a reference point.
 
     The split vertex belongs to both halves; each half must keep at least
-    two points.  Used to separate upper and lower river courses at a
+    two points and a length above 0.  Used to separate upper and lower river courses at a
     confluence or crossing supplied as configuration.
     """
     lon, lat = curve.chain[::2, 0], curve.chain[::2, 1]

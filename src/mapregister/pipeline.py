@@ -41,7 +41,6 @@ from .curves import (
 )
 from .errors import ConfigError, OutOfDomainError, OutOfRangeError
 from .field import (
-    DirichletRegion,
     GridDomain,
     ParameterField,
     assemble_system,

@@ -5,7 +5,9 @@ rounding half up.  Combined columns (two-direction maxima, length-weighted
 means, average rows) are recomputed *from the printed directed values* in
 decimal arithmetic, so every combined figure in a table is exactly
 reproducible from the directed figures next to it; a cross-check against
-the full-precision formula guards against drift.  Full-precision values go
+the full-precision formula guards against drift.  `report.txt` is laid out
+from the same rows of printed cells as the CSV tables, so each printed
+figure is rounded and self-checked in one place.  Full-precision values go
 to a JSON sidecar.
 """
 
@@ -158,171 +160,124 @@ def _cross_check(face: str, full: float, tol: float, what: str) -> None:
         )
 
 
-def _hausdorff_faces(e: HausdorffEntry) -> dict[str, str]:
-    f = {
-        "dir_max_ab": km_face(e.dir_max_ab_km),
-        "dir_max_ba": km_face(e.dir_max_ba_km),
-        "dir_mean_ab": km_face(e.dir_mean_ab_km),
-        "dir_mean_ba": km_face(e.dir_mean_ba_km),
-        "length_a": km_face(e.length_a_km),
-        "length_b": km_face(e.length_b_km),
-    }
-    f["max"] = combined_max_face(f["dir_max_ab"], f["dir_max_ba"])
-    f["mean"] = combined_mean_face(
-        f["dir_mean_ab"], f["dir_mean_ba"], f["length_a"], f["length_b"]
-    )
-    # Rounded inputs shift the weighted mean by the input quantum plus a
-    # weight perturbation proportional to the directed spread.
-    spread = abs(e.dir_mean_ab_km - e.dir_mean_ba_km)
-    tol = 0.0011 + 0.0011 * spread / (e.length_a_km + e.length_b_km)
-    _cross_check(f["max"], e.max_km, 0.0011, f"max Hausdorff {e.a}/{e.b}")
-    _cross_check(f["mean"], e.mean_km, tol, f"mean Hausdorff {e.a}/{e.b}")
-    return f
+def _table_rows(report: MetricsReport) -> dict[str, list[list[str]]]:
+    # Every table as rows of printed cells, header first, keyed by CSV file
+    # name: the one place where a figure is rounded, a combined figure is
+    # recomputed from the printed ones and cross-checked.
+    te = report.transform_errors
+    tables = {}
+    for kind, matrix in (("mean", te.mean_km), ("max", te.max_km)):
+        # With no sets the header still has its one (empty) set column.
+        tables[f"transform_errors_{kind}.csv"] = [["transform", *(te.set_names or [""])]] + [
+            [name, *map(km_face, row)] for name, row in zip(te.transform_names, matrix)
+        ]
 
+    rows = [["A", "B", "L_A_km", "L_B_km", "dir_max_AB_km", "dir_max_BA_km", "max_km",
+             "dir_mean_AB_km", "dir_mean_BA_km", "mean_km"]]
+    for e in report.hausdorff:
+        la, lb, max_ab, max_ba, mean_ab, mean_ba = map(km_face, (
+            e.length_a_km, e.length_b_km, e.dir_max_ab_km, e.dir_max_ba_km, e.dir_mean_ab_km, e.dir_mean_ba_km
+        ))
+        max_face = combined_max_face(max_ab, max_ba)
+        mean_face = combined_mean_face(mean_ab, mean_ba, la, lb)
+        # Rounded inputs shift the weighted mean by the input quantum plus a
+        # weight perturbation proportional to the directed spread.
+        spread = abs(e.dir_mean_ab_km - e.dir_mean_ba_km)
+        tol = 0.0011 + 0.0011 * spread / (e.length_a_km + e.length_b_km)
+        _cross_check(max_face, e.max_km, 0.0011, f"max Hausdorff {e.a}/{e.b}")
+        _cross_check(mean_face, e.mean_km, tol, f"mean Hausdorff {e.a}/{e.b}")
+        rows.append([e.a, e.b, la, lb, max_ab, max_ba, max_face, mean_ab, mean_ba, mean_face])
+    tables["hausdorff.csv"] = rows
 
-def _matching_faces(e: MatchingEntry, band: MatchingBand) -> dict[str, str]:
-    f = {
-        "lm_ab": km_face(band.lm_ab_km),
-        "pct_ab": pct_face(band.pct_ab),
-        "lm_ba": km_face(band.lm_ba_km),
-        "pct_ba": pct_face(band.pct_ba),
-        "length_a": km_face(e.length_a_km),
-        "length_b": km_face(e.length_b_km),
-    }
-    f["avg"], f["avg_pct"] = average_row_faces(
-        f["lm_ab"], f["lm_ba"], f["length_a"], f["length_b"]
-    )
-    total = e.length_a_km + e.length_b_km
-    _cross_check(f["avg"], band.average_km(), 0.0011, f"matching average {e.a}/{e.b}")
-    _cross_check(
-        f["avg_pct"],
-        band.average_pct(e.length_a_km, e.length_b_km),
-        0.051 + 0.25 / total,
-        f"matching average percent {e.a}/{e.b}",
-    )
-    return f
+    rows = [["A", "L_A_km", "B", "band_km", "matching_km", "percent"]]
+    for e in report.matching:
+        la, lb = km_face(e.length_a_km), km_face(e.length_b_km)
+        total = e.length_a_km + e.length_b_km
+        for band in e.bands:
+            lm_ab, lm_ba, band_face = km_face(band.lm_ab_km), km_face(band.lm_ba_km), km_face(band.band_km)
+            avg, avg_pct = average_row_faces(lm_ab, lm_ba, la, lb)
+            _cross_check(avg, band.average_km(), 0.0011, f"matching average {e.a}/{e.b}")
+            pct = band.average_pct(e.length_a_km, e.length_b_km)
+            _cross_check(avg_pct, pct, 0.051 + 0.25 / total, f"matching average percent {e.a}/{e.b}")
+            rows += [
+                [e.a, la, e.b, band_face, lm_ab, pct_face(band.pct_ab)],
+                [e.b, lb, e.a, band_face, lm_ba, pct_face(band.pct_ba)],
+                ["Average", "", "", band_face, avg, avg_pct],
+            ]
+    tables["matching.csv"] = rows
+
+    tables["sources.csv"] = [["A", "B", "distance_km"]] + [
+        [s.a, s.b, km_face(s.distance_km)] for s in report.sources
+    ]
+    tables["curves.csv"] = [["curve", "points", "length_km"]] + [
+        [c.name, str(c.point_count), km_face(c.length_km)] for c in report.curves
+    ]
+    return tables
 
 
 def render_csv_tables(report: MetricsReport) -> dict[str, str]:
     """Delimiter-separated tables keyed by file name."""
-    out: dict[str, str] = {}
-
-    te = report.transform_errors
-    for kind, matrix in (("mean", te.mean_km), ("max", te.max_km)):
-        lines = ["transform," + ",".join(te.set_names)]
-        for name, row in zip(te.transform_names, matrix):
-            lines.append(name + "," + ",".join(km_face(v) for v in row))
-        out[f"transform_errors_{kind}.csv"] = "\n".join(lines) + "\n"
-
-    lines = [
-        "A,B,L_A_km,L_B_km,dir_max_AB_km,dir_max_BA_km,max_km,dir_mean_AB_km,dir_mean_BA_km,mean_km"
-    ]
-    for e in report.hausdorff:
-        f = _hausdorff_faces(e)
-        lines.append(
-            f"{e.a},{e.b},{f['length_a']},{f['length_b']},{f['dir_max_ab']},"
-            f"{f['dir_max_ba']},{f['max']},{f['dir_mean_ab']},{f['dir_mean_ba']},{f['mean']}"
-        )
-    out["hausdorff.csv"] = "\n".join(lines) + "\n"
-
-    lines = ["A,L_A_km,B,band_km,matching_km,percent"]
-    for e in report.matching:
-        for band in e.bands:
-            f = _matching_faces(e, band)
-            bkm = km_face(band.band_km)
-            lines.append(f"{e.a},{f['length_a']},{e.b},{bkm},{f['lm_ab']},{f['pct_ab']}")
-            lines.append(f"{e.b},{f['length_b']},{e.a},{bkm},{f['lm_ba']},{f['pct_ba']}")
-            lines.append(f"Average,,,{bkm},{f['avg']},{f['avg_pct']}")
-    out["matching.csv"] = "\n".join(lines) + "\n"
-
-    lines = ["A,B,distance_km"]
-    for s in report.sources:
-        lines.append(f"{s.a},{s.b},{km_face(s.distance_km)}")
-    out["sources.csv"] = "\n".join(lines) + "\n"
-
-    lines = ["curve,points,length_km"]
-    for c in report.curves:
-        lines.append(f"{c.name},{c.point_count},{km_face(c.length_km)}")
-    out["curves.csv"] = "\n".join(lines) + "\n"
-
-    return out
+    return {
+        name: "".join(",".join(row) + "\n" for row in rows)
+        for name, rows in _table_rows(report).items()
+    }
 
 
 def render_human(report: MetricsReport) -> str:
-    """Aligned plain-text rendering of every table."""
+    """Aligned plain-text rendering of every table, laid out from the rows
+    of the CSV tables."""
+    tables = _table_rows(report)
     w = []
-    te = report.transform_errors
-    if te.transform_names:
-        name_w = max(len(n) for n in te.transform_names + ["transform"])
-        col_w = max(len(s) for s in te.set_names + ["0000.000"]) + 2
-        for kind, matrix in (("mean", te.mean_km), ("max", te.max_km)):
+    for kind in ("mean", "max"):
+        rows = tables[f"transform_errors_{kind}.csv"]
+        if len(rows) > 1:
+            name_w = max(len(row[0]) for row in rows)
+            col_w = max(len(s) for s in rows[0][1:] + ["0000.000"]) + 2
             w.append(f"Transformation errors, {kind} [km]")
-            w.append(
-                "  " + "transform".ljust(name_w) + "".join(s.rjust(col_w) for s in te.set_names)
-            )
-            for name, row in zip(te.transform_names, matrix):
-                w.append("  " + name.ljust(name_w) + "".join(km_face(v).rjust(col_w) for v in row))
+            w += ["  " + row[0].ljust(name_w) + "".join(c.rjust(col_w) for c in row[1:]) for row in rows]
             w.append("")
 
-    if report.curves:
+    rows = tables["curves.csv"][1:]
+    if rows:
         w.append("Curves")
-        w.append("  " + "name".ljust(12) + "points".rjust(8) + "length [km]".rjust(14))
-        for c in report.curves:
-            w.append("  " + c.name.ljust(12) + str(c.point_count).rjust(8) + km_face(c.length_km).rjust(14))
+        w += [
+            "  " + name.ljust(12) + points.rjust(8) + length.rjust(14)
+            for name, points, length in [["name", "points", "length [km]"]] + rows
+        ]
         w.append("")
 
-    if report.sources:
+    rows = tables["sources.csv"][1:]
+    if rows:
         w.append("Source distances [km]")
-        for s in report.sources:
-            w.append(f"  {s.a} - {s.b}: {km_face(s.distance_km)}")
+        w += [f"  {a} - {b}: {distance}" for a, b, distance in rows]
         w.append("")
 
-    if report.hausdorff:
-        nw = max(
-            [len(e.a) for e in report.hausdorff] + [len(e.b) for e in report.hausdorff] + [1]
-        ) + 2
+    rows = tables["hausdorff.csv"][1:]
+    if rows:
+        nw = max([len(name) for row in rows for name in row[:2]] + [1]) + 2
         w.append("Hausdorff distances [km]   (directed value, then combined)")
-        head = "  " + "A".ljust(nw) + "B".ljust(nw)
-        head += "max HD".rjust(10) + "d_H".rjust(10) + "mean HD".rjust(10) + "mean d_H".rjust(10)
-        w.append(head)
-        for e in report.hausdorff:
-            f = _hausdorff_faces(e)
-            w.append(
-                "  " + e.a.ljust(nw) + e.b.ljust(nw)
-                + f["dir_max_ab"].rjust(10) + f["max"].rjust(10)
-                + f["dir_mean_ab"].rjust(10) + f["mean"].rjust(10)
-            )
-            w.append(
-                "  " + e.b.ljust(nw) + e.a.ljust(nw)
-                + f["dir_max_ba"].rjust(10) + "".rjust(10)
-                + f["dir_mean_ba"].rjust(10) + "".rjust(10)
-            )
+        lines = [["A", "B", "max HD", "d_H", "mean HD", "mean d_H"]]
+        for a, b, _, _, max_ab, max_ba, max_face, mean_ab, mean_ba, mean_face in rows:
+            lines += [[a, b, max_ab, max_face, mean_ab, mean_face], [b, a, max_ba, "", mean_ba, ""]]
+        w += ["  " + a.ljust(nw) + b.ljust(nw) + "".join(c.rjust(10) for c in cells) for a, b, *cells in lines]
         w.append("")
 
-    if report.matching:
-        nw = max(
-            [len(e.a) for e in report.matching] + [len(e.b) for e in report.matching] + [7]
-        ) + 2
+    rows = tables["matching.csv"][1:]
+    if rows:
+        # The band rows pivot into columns: per pair, one line for each of
+        # the A->B, B->A and average rows, one column for each band.
+        nw = max(len(row[k]) for row in rows for k in (0, 2)) + 2
         w.append("Matching lengths [km] (percent of curve length)")
-        bands = [km_face(b) for b in report.bands_km]
-        head = "  " + "A".ljust(nw) + "L_A".rjust(10) + "  " + "B".ljust(nw)
-        for b in bands:
-            head += f"d_t={b}".rjust(22)
-        w.append(head)
+        lines = [["A", "L_A", "B"] + [f"d_t={km_face(b)}" for b in report.bands_km]]
+        rows = iter(rows)
         for e in report.matching:
-            faces = [_matching_faces(e, band) for band in e.bands]
-            row = "  " + e.a.ljust(nw) + faces[0]["length_a"].rjust(10) + "  " + e.b.ljust(nw)
-            for f in faces:
-                row += f"{f['lm_ab']} ({f['pct_ab']}%)".rjust(22)
-            w.append(row)
-            row = "  " + e.b.ljust(nw) + faces[0]["length_b"].rjust(10) + "  " + e.a.ljust(nw)
-            for f in faces:
-                row += f"{f['lm_ba']} ({f['pct_ba']}%)".rjust(22)
-            w.append(row)
-            row = "  " + "Average".ljust(nw) + "".rjust(10) + "  " + "".ljust(nw)
-            for f in faces:
-                row += f"{f['avg']} ({f['avg_pct']}%)".rjust(22)
-            w.append(row)
+            bands = [(next(rows), next(rows), next(rows)) for _ in e.bands]
+            for direction in zip(*bands):
+                lines.append(direction[0][:3] + [f"{row[4]} ({row[5]}%)" for row in direction])
+        w += [
+            "  " + a.ljust(nw) + la.rjust(10) + "  " + b.ljust(nw) + "".join(c.rjust(22) for c in cells)
+            for a, la, b, *cells in lines
+        ]
         w.append("")
 
     return "\n".join(w)

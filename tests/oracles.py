@@ -25,11 +25,13 @@ through the post-sweeps; `indexed_newton_many`, its Newton loop of the
 geodesic inverse that gathered and scattered full-length state each pass;
 `scalar_write_field_dump`, its value-by-value field dump;
 `scalar_transform_curve`, its pixel-by-pixel curve transform with
-`scalar_sample_field` and `scalar_apply_affine`; and
-`dict_fit_affine`, its affine fit that merged repeated source pixels
-in a dict of `Correspondence` lists.  The ground truth for
-long edges, `stepped_min_distances`, uses the array engine alone and none
-of the package's distance code.  The test-only
+`scalar_sample_field` and `scalar_apply_affine`; `dict_fit_affine`, its
+affine fit that merged repeated source pixels in a dict of
+`Correspondence` lists; and `dict_render_csv_tables` and
+`dict_render_human`, its two table renderers, each of which rounded,
+recombined and cross-checked every entry's figures in its own code.  The
+ground truth for long edges, `stepped_min_distances`, uses the array
+engine alone and none of the package's distance code.  The test-only
 readers of library outputs (`least_squares_objective`, `read_field_dump`)
 live here too.
 """
@@ -57,6 +59,18 @@ from mapregister._geodesic import (
     _horner,
     _series,
     _sin_series,
+)
+from mapregister.report import (
+    HausdorffEntry,
+    MatchingBand,
+    MatchingEntry,
+    MetricsReport,
+    _cross_check,
+    average_row_faces,
+    combined_max_face,
+    combined_mean_face,
+    km_face,
+    pct_face,
 )
 
 WGS84_A = 6378137.0
@@ -567,6 +581,178 @@ def dict_fit_affine(cset):
     b1 = b1c - a1 * centroid[0] - a2 * centroid[1]
     b2 = b2c - a3 * centroid[0] - a4 * centroid[1]
     return AffineParams(a1, a2, a3, a4, b1, b2)
+
+
+def _dict_hausdorff_faces(e: HausdorffEntry) -> dict[str, str]:
+    f = {
+        "dir_max_ab": km_face(e.dir_max_ab_km),
+        "dir_max_ba": km_face(e.dir_max_ba_km),
+        "dir_mean_ab": km_face(e.dir_mean_ab_km),
+        "dir_mean_ba": km_face(e.dir_mean_ba_km),
+        "length_a": km_face(e.length_a_km),
+        "length_b": km_face(e.length_b_km),
+    }
+    f["max"] = combined_max_face(f["dir_max_ab"], f["dir_max_ba"])
+    f["mean"] = combined_mean_face(
+        f["dir_mean_ab"], f["dir_mean_ba"], f["length_a"], f["length_b"]
+    )
+    # Rounded inputs shift the weighted mean by the input quantum plus a
+    # weight perturbation proportional to the directed spread.
+    spread = abs(e.dir_mean_ab_km - e.dir_mean_ba_km)
+    tol = 0.0011 + 0.0011 * spread / (e.length_a_km + e.length_b_km)
+    _cross_check(f["max"], e.max_km, 0.0011, f"max Hausdorff {e.a}/{e.b}")
+    _cross_check(f["mean"], e.mean_km, tol, f"mean Hausdorff {e.a}/{e.b}")
+    return f
+
+
+def _dict_matching_faces(e: MatchingEntry, band: MatchingBand) -> dict[str, str]:
+    f = {
+        "lm_ab": km_face(band.lm_ab_km),
+        "pct_ab": pct_face(band.pct_ab),
+        "lm_ba": km_face(band.lm_ba_km),
+        "pct_ba": pct_face(band.pct_ba),
+        "length_a": km_face(e.length_a_km),
+        "length_b": km_face(e.length_b_km),
+    }
+    f["avg"], f["avg_pct"] = average_row_faces(
+        f["lm_ab"], f["lm_ba"], f["length_a"], f["length_b"]
+    )
+    total = e.length_a_km + e.length_b_km
+    _cross_check(f["avg"], band.average_km(), 0.0011, f"matching average {e.a}/{e.b}")
+    _cross_check(
+        f["avg_pct"],
+        band.average_pct(e.length_a_km, e.length_b_km),
+        0.051 + 0.25 / total,
+        f"matching average percent {e.a}/{e.b}",
+    )
+    return f
+
+
+def dict_render_csv_tables(report: MetricsReport) -> dict[str, str]:
+    """`report.render_csv_tables` with each entry's printed figures in a
+    string-keyed dict, rounded and cross-checked per table."""
+    out: dict[str, str] = {}
+
+    te = report.transform_errors
+    for kind, matrix in (("mean", te.mean_km), ("max", te.max_km)):
+        lines = ["transform," + ",".join(te.set_names)]
+        for name, row in zip(te.transform_names, matrix):
+            lines.append(name + "," + ",".join(km_face(v) for v in row))
+        out[f"transform_errors_{kind}.csv"] = "\n".join(lines) + "\n"
+
+    lines = [
+        "A,B,L_A_km,L_B_km,dir_max_AB_km,dir_max_BA_km,max_km,dir_mean_AB_km,dir_mean_BA_km,mean_km"
+    ]
+    for e in report.hausdorff:
+        f = _dict_hausdorff_faces(e)
+        lines.append(
+            f"{e.a},{e.b},{f['length_a']},{f['length_b']},{f['dir_max_ab']},"
+            f"{f['dir_max_ba']},{f['max']},{f['dir_mean_ab']},{f['dir_mean_ba']},{f['mean']}"
+        )
+    out["hausdorff.csv"] = "\n".join(lines) + "\n"
+
+    lines = ["A,L_A_km,B,band_km,matching_km,percent"]
+    for e in report.matching:
+        for band in e.bands:
+            f = _dict_matching_faces(e, band)
+            bkm = km_face(band.band_km)
+            lines.append(f"{e.a},{f['length_a']},{e.b},{bkm},{f['lm_ab']},{f['pct_ab']}")
+            lines.append(f"{e.b},{f['length_b']},{e.a},{bkm},{f['lm_ba']},{f['pct_ba']}")
+            lines.append(f"Average,,,{bkm},{f['avg']},{f['avg_pct']}")
+    out["matching.csv"] = "\n".join(lines) + "\n"
+
+    lines = ["A,B,distance_km"]
+    for s in report.sources:
+        lines.append(f"{s.a},{s.b},{km_face(s.distance_km)}")
+    out["sources.csv"] = "\n".join(lines) + "\n"
+
+    lines = ["curve,points,length_km"]
+    for c in report.curves:
+        lines.append(f"{c.name},{c.point_count},{km_face(c.length_km)}")
+    out["curves.csv"] = "\n".join(lines) + "\n"
+
+    return out
+
+
+def dict_render_human(report: MetricsReport) -> str:
+    """`report.render_human` reading the float entries itself, through the
+    same per-entry dicts as `dict_render_csv_tables`."""
+    w = []
+    te = report.transform_errors
+    if te.transform_names:
+        name_w = max(len(n) for n in te.transform_names + ["transform"])
+        col_w = max(len(s) for s in te.set_names + ["0000.000"]) + 2
+        for kind, matrix in (("mean", te.mean_km), ("max", te.max_km)):
+            w.append(f"Transformation errors, {kind} [km]")
+            w.append(
+                "  " + "transform".ljust(name_w) + "".join(s.rjust(col_w) for s in te.set_names)
+            )
+            for name, row in zip(te.transform_names, matrix):
+                w.append("  " + name.ljust(name_w) + "".join(km_face(v).rjust(col_w) for v in row))
+            w.append("")
+
+    if report.curves:
+        w.append("Curves")
+        w.append("  " + "name".ljust(12) + "points".rjust(8) + "length [km]".rjust(14))
+        for c in report.curves:
+            w.append("  " + c.name.ljust(12) + str(c.point_count).rjust(8) + km_face(c.length_km).rjust(14))
+        w.append("")
+
+    if report.sources:
+        w.append("Source distances [km]")
+        for s in report.sources:
+            w.append(f"  {s.a} - {s.b}: {km_face(s.distance_km)}")
+        w.append("")
+
+    if report.hausdorff:
+        nw = max(
+            [len(e.a) for e in report.hausdorff] + [len(e.b) for e in report.hausdorff] + [1]
+        ) + 2
+        w.append("Hausdorff distances [km]   (directed value, then combined)")
+        head = "  " + "A".ljust(nw) + "B".ljust(nw)
+        head += "max HD".rjust(10) + "d_H".rjust(10) + "mean HD".rjust(10) + "mean d_H".rjust(10)
+        w.append(head)
+        for e in report.hausdorff:
+            f = _dict_hausdorff_faces(e)
+            w.append(
+                "  " + e.a.ljust(nw) + e.b.ljust(nw)
+                + f["dir_max_ab"].rjust(10) + f["max"].rjust(10)
+                + f["dir_mean_ab"].rjust(10) + f["mean"].rjust(10)
+            )
+            w.append(
+                "  " + e.b.ljust(nw) + e.a.ljust(nw)
+                + f["dir_max_ba"].rjust(10) + "".rjust(10)
+                + f["dir_mean_ba"].rjust(10) + "".rjust(10)
+            )
+        w.append("")
+
+    if report.matching:
+        nw = max(
+            [len(e.a) for e in report.matching] + [len(e.b) for e in report.matching] + [7]
+        ) + 2
+        w.append("Matching lengths [km] (percent of curve length)")
+        bands = [km_face(b) for b in report.bands_km]
+        head = "  " + "A".ljust(nw) + "L_A".rjust(10) + "  " + "B".ljust(nw)
+        for b in bands:
+            head += f"d_t={b}".rjust(22)
+        w.append(head)
+        for e in report.matching:
+            faces = [_dict_matching_faces(e, band) for band in e.bands]
+            row = "  " + e.a.ljust(nw) + faces[0]["length_a"].rjust(10) + "  " + e.b.ljust(nw)
+            for f in faces:
+                row += f"{f['lm_ab']} ({f['pct_ab']}%)".rjust(22)
+            w.append(row)
+            row = "  " + e.b.ljust(nw) + faces[0]["length_b"].rjust(10) + "  " + e.a.ljust(nw)
+            for f in faces:
+                row += f"{f['lm_ba']} ({f['pct_ba']}%)".rjust(22)
+            w.append(row)
+            row = "  " + "Average".ljust(nw) + "".rjust(10) + "  " + "".ljust(nw)
+            for f in faces:
+                row += f"{f['avg']} ({f['avg_pct']}%)".rjust(22)
+            w.append(row)
+        w.append("")
+
+    return "\n".join(w)
 
 
 def least_squares_objective(t, cset):

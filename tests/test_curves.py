@@ -818,6 +818,13 @@ class TestSplit:
         upper, lower = split_at_nearest_vertex(build_segments(pts, "D"), GeoPoint(0.1, 45.0))
         assert upper.points == pts[:2] and lower.points == pts[1:]
 
+    def test_half_of_length_zero_rejected(self):
+        # 0 and 1e-19 degrees are distinct points that the engine puts 0 m
+        # apart, so the second half has length 0 and no metric is defined.
+        c = build_segments([GeoPoint(-1.0, 45.0), GeoPoint(0.0, 45.0), GeoPoint(1e-19, 45.0)], "D")
+        with pytest.raises(DegenerateCurveError, match="curve 'D2' has length 0"):
+            split_at_nearest_vertex(c, GeoPoint(0.0, 45.0))
+
     def test_split_at_endpoint_rejected(self):
         pts = [GeoPoint(x, 45.0) for x in (0.0, 0.1, 0.2)]
         c = build_segments(pts, "D")

@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mapregister.field as field_module
@@ -52,10 +52,12 @@ from mapregister.pipeline import (
     transform_curve,
 )
 from mapregister.report import (
+    CurveInfo,
     HausdorffEntry,
     MatchingBand,
     MatchingEntry,
     MetricsReport,
+    SourceEntry,
     TransformErrors,
     average_row_faces,
     km_face,
@@ -65,6 +67,8 @@ from mapregister.report import (
 )
 
 from oracles import (
+    dict_render_csv_tables,
+    dict_render_human,
     read_field_dump,
     scalar_apply_affine,
     scalar_sample_field,
@@ -243,7 +247,85 @@ class TestStadia:
         assert hi == pytest.approx(n * 0.1973, rel=1e-12)
 
 
+class _LyingHausdorffEntry(HausdorffEntry):
+    @property
+    def mean_km(self):
+        return super().mean_km + 1e6
+
+
+class _LyingBand(MatchingBand):
+    def average_km(self):
+        return super().average_km() + 1.0
+
+
+# Names as the config admits them: no comma, double quote or line break,
+# wide and non-ASCII characters included.
+_table_names = st.text(
+    st.characters(exclude_characters=',"\n\r', exclude_categories=("Cs",)), min_size=1, max_size=30
+)
+_km = st.floats(0.0, 1e4)
+_length_km = st.floats(0.001, 1e5)
+_lie = st.integers(0, 7).map(lambda k: k == 0)
+
+
+@st.composite
+def _reports(draw):
+    # Reports as the pipeline makes them: one transform per set (the cross
+    # matrix is square) and one band per entry for every listed band.  No
+    # command makes matching entries without a band (an empty band list
+    # exits 2), and there the old human renderer fails on `faces[0]`.
+    sets = draw(st.lists(_table_names, max_size=4))
+    matrix = st.lists(st.lists(_km, min_size=len(sets), max_size=len(sets)), min_size=len(sets), max_size=len(sets))
+    bands_km = draw(st.lists(st.sampled_from([10.0, 50.0, 100.0]) | st.floats(0.001, 1e3), max_size=3))
+    hausdorff = [
+        draw(st.builds(
+            _LyingHausdorffEntry if draw(_lie) else HausdorffEntry,
+            _table_names, _table_names, _length_km, _length_km, _km, _km, _km, _km,
+        ))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    matching = [
+        MatchingEntry(draw(_table_names), draw(_table_names), draw(_length_km), draw(_length_km), [
+            (_LyingBand if draw(_lie) else MatchingBand)(km, draw(_km), draw(_km), draw(_km), draw(_km))
+            for km in bands_km
+        ])
+        for _ in range(draw(st.integers(0, 3)) if bands_km else 0)
+    ]
+    return MetricsReport(
+        TransformErrors(sets, list(sets), draw(matrix), draw(matrix)),
+        bands_km,
+        hausdorff,
+        matching,
+        draw(st.lists(st.builds(SourceEntry, _table_names, _table_names, _km), max_size=3)),
+        draw(st.lists(st.builds(CurveInfo, _table_names, st.integers(2, 10**6), _length_km), max_size=3)),
+    )
+
+
+def _outcome(render, report):
+    try:
+        return render(report)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestReportFormatting:
+    @given(_reports())
+    @example(MetricsReport(TransformErrors([], [], [], []), []))
+    @example(MetricsReport(
+        TransformErrors([], [], [], []), [], hausdorff=[_LyingHausdorffEntry("D", "I", 5.0, 4.0, 1.0, 2.0, 0.5, 0.7)]
+    ))
+    @example(MetricsReport(
+        TransformErrors([], [], [], []), [10.0],
+        matching=[MatchingEntry("D", "I", 2714.887, 1421.117, [_LyingBand(10.0, 228.127, 8.4, 185.952, 13.1)])],
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_tables_equal_the_dict_renderers(self, report):
+        # The CSV tables and `report.txt` are the bytes of the renderers
+        # that rounded and cross-checked each table in its own code; a
+        # failed self-check raises the same error with the same message.
+        assert _outcome(render_csv_tables, report) == _outcome(dict_render_csv_tables, report)
+        assert _outcome(render_human, report) == _outcome(dict_render_human, report)
+
     def test_km_and_pct_faces(self):
         assert km_face(7.5274999) == "7.527"
         assert km_face(7.5275001) == "7.528"
@@ -1053,6 +1135,26 @@ class TestCli:
         corr = tmp_path / "corr.txt"
         corr.write_text("set a\n1 1 0 0\n2 2 0.1 0.1\n3 3 0.2 0.2\n4 4 0.3 0.3\n")
         assert cli_main(["fit", "--correspondences", str(corr)]) == 3
+
+    # 0 and 1e-19 degrees are distinct points that the engine puts 0 m
+    # apart: a curve of length 0, on which no metric is defined, exits 3.
+    ZERO_LENGTH = {"type": "LineString", "coordinates": [[0, 45], [1e-19, 45]]}
+
+    def test_zero_length_curve_compare_exits_3(self, tmp_path, capsys):
+        zero = tmp_path / "zero.geojson"
+        zero.write_text(json.dumps(self.ZERO_LENGTH))
+        argv = ["compare", "--curve-a", str(zero), "--curve-b", str(SAMPLE_DATA / "side_river.geojson"),
+                "--output", str(tmp_path / "cmp")]
+        assert cli_main(argv) == 3
+        assert capsys.readouterr() == ("", "error: curve 'zero' has length 0, nothing to measure\n")
+        assert not (tmp_path / "cmp").exists()
+
+    def test_zero_length_reference_curve_run_exits_3(self, tmp_path, capsys):
+        config = _sample_copy(tmp_path / "exp")
+        (config.parent / "side_river.geojson").write_text(json.dumps(self.ZERO_LENGTH))
+        assert cli_main(["run", "--config", str(config)]) == 3
+        assert capsys.readouterr() == ("", "error: curve 'side river' has length 0, nothing to measure\n")
+        assert not (config.parent / "out").exists()
 
     def test_transform_and_compare(self, tmp_path, capsys):
         base = tmp_path / "exp"
