@@ -443,7 +443,7 @@ class Geodesic:
             vertex = calp2 == 0
             dv = np.where(vertex, -2 * np.sqrt(1 - self.e2 * cbet1 * cbet1), m12a)
             dv = dv / np.where(vertex, sbet1, calp2 * cbet2)
-            dalp1 = -v / dv
+            dalp1 = np.divide(-v, dv, out=np.zeros_like(v), where=dv > 0)
             sdalp1, cdalp1 = np.sin(dalp1), np.cos(dalp1)
             nsalp1 = salp1 * cdalp1 + calp1 * sdalp1
             ncalp1 = calp1 * cdalp1 - salp1 * sdalp1

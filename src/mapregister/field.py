@@ -10,11 +10,12 @@ region value but the first) when R <= 6, not at all when R = 1, and as the
 six parameter columns when R >= 7.  `solve_field` solves for the free nodes
 only, by conjugate gradients preconditioned with a geometric-multigrid
 V-cycle (Briggs, Henson & McCormick, *A Multigrid Tutorial*, 2nd ed., SIAM
-2000), one block iteration for all right-hand sides.  Through CG the solve
-holds each level's matrix, smoother and interpolation and at most five
-free-node vectors at a time; the operator's free rows are released before
-CG and built again after it for the residual contract.  Its peak is about
-400 to 520 bytes per node with six columns.
+2000), one column after another with one shared cycle.  Through CG the solve
+holds each level's matrix, Jacobi weights and interpolation, the Dirichlet
+columns of the free rows, the solved columns and at most five free-node
+vectors of the column being solved; the operator's free rows are released
+before CG and built again after it for the residual contract.  Its peak is
+about 210 to 255 bytes per node with six columns.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ _JACOBI_SWEEPS = 2
 _DIRECT_NODES = 30000
 _COARSE_NODES = 4000
 _MIN_COARSEN_SIDE = 5
-#: CG stops when every column's residual max-norm is at most this fraction
-#: of its right-hand side's max-norm.
+#: CG stops when a column's residual max-norm is at most this fraction of
+#: its right-hand side's max-norm.
 _PCG_RTOL = 1e-12
 #: CG iterations allowed before the solve fails with ConvergenceError.
 _PCG_MAX_ITER = 100
@@ -359,9 +360,10 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
     (quartering them at corners) makes the free operator symmetric positive
     definite.  The mean Dirichlet value of each column is subtracted
     before the solve and added back after it, which is exact because every
-    free row sums to zero.  One block CG, preconditioned by a geometric
-    multigrid V-cycle, runs over all columns; it stops once every column's
-    residual max-norm is at most `_PCG_RTOL` of its right-hand side's.
+    free row sums to zero.  Each column is solved by its own CG,
+    preconditioned by one geometric multigrid V-cycle that all columns
+    share, until its residual max-norm is at most `_PCG_RTOL` of its
+    right-hand side's; `ParameterField.iterations` is the largest count.
     Dirichlet entries are then restored bit-for-bit and the residual
     contract re-checked on the free rows, built again for it; Dirichlet
     rows hold exactly.
@@ -379,17 +381,22 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
         # The solved columns on the Dirichlet nodes: indicators of the
         # labels 1..R-1, or the six parameters.
         pinned = (np.eye(len(values))[:, 1:] if measures else values)[system.labels]
-        a, b, shift = _free_system(system.grid, free, pinned)
-        del pinned  # CG does not read it, and scales b in place
-        v, iterations = _pcg(a, b, _VCycle(a, free.reshape(n1, n2)))
-        del a, b  # before u is built
+        shift = pinned.mean(axis=0)
+        a, dirichlet = _free_system(system.grid, free)
+        precondition = _VCycle(a, free.reshape(n1, n2))
+        columns = pinned.shape[1]
+        v = np.empty((a.shape[0], columns))
+        for k in range(columns):
+            v[:, k], count = _pcg(a, dirichlet @ (shift[k] - pinned[:, k]), precondition)
+            iterations = max(iterations, count)
+        del a, dirichlet, precondition, pinned  # before u is built
         v += shift
-        columns = v.shape[1]
         if measures:
             v = values[0] + v @ (values[1:] - values[0])
     u = np.empty((system.grid.node_count, 6))
     u[~free] = values[system.labels]
     u[free] = v
+    del v
 
     # The free rows again, built after CG so that they are not held through it.
     rows = _laplacian(system.grid)[free]
@@ -410,13 +417,13 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
     )
 
 
-def _free_system(grid: GridDomain, free: np.ndarray, pinned: np.ndarray):
-    """Matrix and right-hand sides of the free nodes, symmetric positive
-    definite, from the operator's free rows and the Dirichlet values
-    `pinned` (Dirichlet nodes, columns) less their mean: (matrix, rhs, mean)."""
+def _free_system(grid: GridDomain, free: np.ndarray):
+    """The operator's free rows, symmetric positive definite on the free
+    nodes: (their free columns, their Dirichlet columns).  A column of
+    Dirichlet values d, less its mean, gives the right-hand side
+    `dirichlet @ (mean - d)`."""
     import scipy.sparse as sp
 
-    shift = pinned.mean(axis=0)
     # Halving the rows of edge nodes and quartering those of corners makes
     # the reflected-Neumann operator symmetric.
     side1 = np.ones(grid.n1)
@@ -425,7 +432,7 @@ def _free_system(grid: GridDomain, free: np.ndarray, pinned: np.ndarray):
     side2[[0, -1]] = 0.5
     row_scale = np.outer(side1, side2).reshape(-1)[free]
     rows = sp.diags(row_scale) @ _laplacian(grid)[free]
-    return rows[:, free], rows[:, ~free] @ (shift - pinned), shift
+    return rows[:, free], rows[:, ~free]
 
 
 def _coarse_nodes_1d(n: int) -> np.ndarray:
@@ -449,13 +456,15 @@ def _interpolation_1d(n: int) -> sp.csr_matrix:
 
 
 class _VCycle:
-    """Geometric-multigrid V-cycle on the free nodes of a node grid.
+    """Geometric-multigrid V-cycle on the free nodes of a node grid, for
+    one (n,) vector at a time.
 
     Prolongation is bilinear, restricted to the free fine nodes and to the
     coarse nodes whose fine node is free, so it has full column rank and
     every Galerkin operator P.T @ A @ P stays symmetric positive definite.
-    The smoother is damped Jacobi, the same sweeps before and after the
-    coarse correction, so the cycle is a symmetric preconditioner.
+    Each level keeps its operator, its damped-Jacobi weights and its
+    prolongation; the same sweeps run before and after the coarse
+    correction, so the cycle is a symmetric preconditioner.
     """
 
     def __init__(self, a: sp.csr_matrix, free: np.ndarray):
@@ -469,11 +478,7 @@ class _VCycle:
                 break
             p = sp.kron(_interpolation_1d(free.shape[0]), _interpolation_1d(free.shape[1]), "csr")
             p = p[free.reshape(-1)][:, coarse.reshape(-1)]
-            weight = _JACOBI_OMEGA / a.diagonal()
-            # A sweep x + weight * (b - a @ x) is smoother @ x + weight * b;
-            # the copy drops the one slack entry per row the difference keeps.
-            smoother = (sp.identity(a.shape[0]) - sp.diags(weight) @ a).tocsr(copy=True)
-            self.levels.append((a, weight[:, None], smoother, p))
+            self.levels.append((a, _JACOBI_OMEGA / a.diagonal(), p))
             # p.T, a CSC view, restricts; the Galerkin product keeps its bits with a CSR copy.
             a = (p.T.tocsr() @ a @ p).tocsr()
             free = coarse
@@ -491,67 +496,53 @@ class _VCycle:
             raise SingularSystemError(f"sparse LU factorization failed: {exc}") from exc
 
     def __call__(self, b: np.ndarray, level: int = 0) -> np.ndarray:
+        # A 1-D weight times an (n, 1) block would broadcast to (n, n).
+        assert b.ndim == 1
         if level == len(self.levels):
             return self.coarsest.solve(b)
-        a, weight, smoother, p = self.levels[level]
-        # Damped-Jacobi sweeps x <- smoother @ x + weight * b (from x = 0 the
-        # first gives weight * b).  Besides b, at most two fine vectors are
-        # live at once: wb lives through the pre-sweeps only, and each
-        # post-sweep recomputes weight * b into the iterate its product has
-        # just made dead, with the same bits.
-        wb = weight * b
-        x = wb
+        a, weight, p = self.levels[level]
+        # Damped-Jacobi sweeps x += weight * (b - a @ x); from x = 0 the first gives weight * b.
+        x = weight * b
         for _ in range(_JACOBI_SWEEPS - 1):
-            x = smoother @ x
-            x += wb
-        del wb
-        t = a @ x
-        np.subtract(b, t, out=t)
-        t = p.T @ t  # the fine residual is released before the coarse cycle
-        t = p @ self(t, level + 1)
-        t += x
-        del x
+            x += weight * (b - a @ x)
+        x += p @ self(p.T @ (b - a @ x), level + 1)
         for _ in range(_JACOBI_SWEEPS):
-            x = smoother @ t
-            x += np.multiply(weight, b, out=t)
-            t = x
-        return t
+            x += weight * (b - a @ x)
+        return x
 
 
 def _pcg(a: sp.csr_matrix, b: np.ndarray, precondition) -> tuple[np.ndarray, int]:
-    """Preconditioned CG for every column of `b` at once, one step size per
-    column; returns the solution and the number of iterations.
+    """Preconditioned CG for one (n,) right-hand side `b`; returns the
+    solution and the number of iterations.
 
-    Each column is solved scaled to unit max-norm, so that its inner
-    products neither underflow nor overflow whatever its magnitude.
+    The right-hand side is solved scaled to unit max-norm, so that its
+    inner products neither underflow nor overflow whatever its magnitude.
     """
-    norm = _column_max_abs(b)
-    norm[norm == 0.0] = 1.0
+    assert b.ndim == 1
+    norm = np.abs(b).max(initial=0.0) or 1.0
     x = np.zeros_like(b)
     r = np.divide(b, norm, out=b)  # in place: b is the caller's to give up
     p = np.zeros_like(b)
-    rz = np.zeros(b.shape[1])
+    rz = 0.0
     iterations = 0
-    while True:
-        active = _column_max_abs(r) > _PCG_RTOL
-        if not active.any():
-            return np.multiply(x, norm, out=x), iterations
+    while np.abs(r).max(initial=0.0) > _PCG_RTOL:
         if iterations == _PCG_MAX_ITER:
             raise ConvergenceError(
                 f"multigrid-preconditioned CG did not converge in {_PCG_MAX_ITER} iterations"
             )
         iterations += 1
         z = precondition(r)
-        rz_next = np.einsum("ij,ij->j", r, z)
-        p *= np.divide(rz_next, rz, out=np.zeros_like(rz), where=rz > 0)
+        rz_next = r @ z
+        p *= rz_next / rz if rz > 0 else 0.0
         p += z
         rz = rz_next
         q = a @ p
-        pq = np.einsum("ij,ij->j", p, q)
-        alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=active & (pq > 0))
+        pq = p @ q
+        alpha = rz / pq if pq > 0 else 0.0
         x += np.multiply(p, alpha, out=z)
         r -= np.multiply(q, alpha, out=q)
         del z, q  # released before the next V-cycle allocates
+    return np.multiply(x, norm, out=x), iterations
 
 
 def _column_max_abs(x: np.ndarray) -> np.ndarray:

@@ -20,8 +20,7 @@ array anchor pass before the chord-bound skip test; `coo_laplace_matrix`,
 its Laplace matrix
 assembled from reflected neighbor indices; `kronsum_laplacian`, its
 five-point operator as a Kronecker sum; `lu_solve_field`, its sparse-LU
-field solve; `three_vector_vcycle`, its V-cycle that kept weight * b
-through the post-sweeps; `indexed_newton_many`, its Newton loop of the
+field solve; `indexed_newton_many`, its Newton loop of the
 geodesic inverse that gathered and scattered full-length state each pass;
 `scalar_write_field_dump`, its value-by-value field dump;
 `scalar_transform_curve`, its pixel-by-pixel curve transform with
@@ -833,36 +832,6 @@ def kronsum_laplacian(grid):
         return sp.diags([lower, np.full(n, 2.0), upper], [-1, 0, 1])
 
     return sp.kronsum(second_difference(grid.n2), second_difference(grid.n1), "csr")
-
-
-def three_vector_vcycle(self, b, level=0):
-    """`field._VCycle.__call__` as it was before each post-sweep recomputed
-    weight * b: it kept wb, and so three fine vectors of its own, through
-    the whole cycle.  `self` is a `field._VCycle`."""
-    import numpy as np
-
-    from mapregister.field import _JACOBI_SWEEPS
-
-    if level == len(self.levels):
-        return self.coarsest.solve(b)
-    a, weight, smoother, p = self.levels[level]
-    # Damped-Jacobi sweeps x <- smoother @ x + wb (from x = 0 the first gives wb).  At
-    # most four fine vectors are live at once: b, wb and two iterates.
-    wb = weight * b
-    x = wb
-    for _ in range(_JACOBI_SWEEPS - 1):
-        x = smoother @ x
-        x += wb
-    t = a @ x
-    np.subtract(b, t, out=t)
-    t = p.T @ t  # the fine residual is released before the coarse cycle
-    t = p @ three_vector_vcycle(self, t, level + 1)
-    t += x
-    del x
-    for _ in range(_JACOBI_SWEEPS):
-        t = smoother @ t
-        t += wb
-    return t
 
 
 def indexed_newton_many(self, sbet1, cbet1, sbet2, cbet2, lam12, salp1, calp1):

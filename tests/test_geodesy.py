@@ -608,8 +608,10 @@ class TestInverseMany:
     @pytest.mark.parametrize("alp1", [1e-6, math.pi - 1e-6], ids=["above 0", "below pi"])
     def test_bisection_from_either_end(self, monkeypatch, alp1):
         # Newton started at the ends of (0, pi), on uniform and on nearly
-        # antipodal pairs: where a step would leave (0, pi) or its
-        # derivative is not positive, the bracket is bisected instead.
+        # antipodal pairs and on the special pairs: where a step would leave
+        # (0, pi) or its derivative is not positive (exactly 0 for the
+        # equatorial pair beyond (1-f)180 started above 0), the bracket is
+        # bisected instead, and no step divides by the derivative.
         newton = _geodesic.Geodesic._newton_many
 
         def from_the_end(self, sbet1, cbet1, sbet2, cbet2, lam12, salp1, calp1):
@@ -623,6 +625,8 @@ class TestInverseMany:
         anti = slice(2000, None)
         lat2[anti] = np.clip(rng.uniform(-0.5, 0.5, 2000) - lat1[anti], -90, 90)
         lon2[anti] = lon1[anti] + 180.0 + rng.uniform(-0.5, 0.5, 2000)
+        special = np.array(list(SPECIAL_PAIRS.values())).T
+        lat1, lon1, lat2, lon2 = np.concatenate([np.stack([lat1, lon1, lat2, lon2]), special], axis=1)
         s12, azi1 = WGS84.inverse_many(lat1, lon1, lat2, lon2)
         for i, p in enumerate(zip(lat1.tolist(), lon1.tolist(), lat2.tolist(), lon2.tolist())):
             assert_inverse_close(s12[i], azi1[i], SCALAR_WGS84.inverse(*p))
