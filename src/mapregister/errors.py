@@ -3,7 +3,7 @@
 Exit-code categories used by the CLI:
   2 -- configuration / input problems
   3 -- degenerate geometry or domain violations
-  4 -- solver convergence / singular systems
+  4 -- solver convergence / singular systems / out of memory in the field stage
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class RegionConflictError(GeometryError):
 
 
 class SolverError(MapRegisterError):
-    """Linear-algebra failures."""
+    """Linear-algebra failures, and running out of memory in the field stage."""
 
     exit_code = 4
 

@@ -4,10 +4,10 @@ Each correspondence region pins the six transform parameters (Dirichlet
 data) on the nodes it covers; everywhere else the parameters satisfy the
 five-point discrete Laplace equation, with zero-Neumann conditions realized
 by reflecting values across the domain boundary.  One sparse matrix serves
-every right-hand side.  The field is linear in the Dirichlet data, so with
-R distinct region values it is solved as R - 1 harmonic measures (one per
-region value but the first) when R <= 6, not at all when R = 1, and as the
-six parameter columns when R >= 7.  `solve_field` solves for the free nodes
+every right-hand side.  The field is linear in the Dirichlet data: the first
+region value plus the extension of the differences from it, in one basis of
+R - 1 harmonic measures when R <= 6 (none when R = 1) or of the six
+parameter columns when R >= 7.  `solve_field` solves for the free nodes
 only, by conjugate gradients preconditioned with a geometric-multigrid
 V-cycle (Briggs, Henson & McCormick, *A Multigrid Tutorial*, 2nd ed., SIAM
 2000), one column after another with one shared cycle.  Through CG the solve
@@ -351,22 +351,22 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
     The field is linear in the Dirichlet data, so with R distinct region
     values V_0..V_{R-1} it is V_0 + sum_k phi_k (V_k - V_0), phi_k the
     harmonic measure of region k (1 on its nodes, 0 on the other regions').
-    For R <= 6 the solve is for the R - 1 measures phi_1..phi_{R-1}, and
-    R = 1 needs no solve at all; for R >= 7 it is for the six parameter
-    columns themselves.  `ParameterField.columns` records which.
+    The solve is for one basis of the differences, basis @ mix == V - V_0:
+    for R <= 6 the indicators of V_1..V_{R-1}, whose extensions are the
+    measures, with mix the V_k - V_0 (R = 1 needs no solve); for R >= 7 the
+    six columns of V - V_0, with mix the identity.  `ParameterField.columns`
+    records which.  A column that is zero on every region has a zero
+    right-hand side and takes no CG iteration.
 
     Only the free nodes are unknowns: the Dirichlet columns move into the
     right-hand side, and halving the reflected-Neumann rows at edge nodes
     (quartering them at corners) makes the free operator symmetric positive
-    definite.  The mean Dirichlet value of each column is subtracted
-    before the solve and added back after it, which is exact because every
-    free row sums to zero.  Each column is solved by its own CG,
-    preconditioned by one geometric multigrid V-cycle that all columns
-    share, until its residual max-norm is at most `_PCG_RTOL` of its
-    right-hand side's; `ParameterField.iterations` is the largest count.
-    Dirichlet entries are then restored bit-for-bit and the residual
-    contract re-checked on the free rows, built again for it; Dirichlet
-    rows hold exactly.
+    definite.  Each column is solved by its own CG, preconditioned by one
+    geometric multigrid V-cycle that all columns share, until its residual
+    max-norm is at most `_PCG_RTOL` of its right-hand side's;
+    `ParameterField.iterations` is the largest count.  Dirichlet entries
+    are then restored bit-for-bit and the residual contract re-checked on
+    the free rows, built again for it; Dirichlet rows hold exactly.
     """
     if not system.dirichlet_mask.any():
         raise SingularSystemError("no Dirichlet nodes: the pure-Neumann system is singular")
@@ -375,24 +375,24 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
     n1, n2 = system.grid.n1, system.grid.n2
     free = ~system.dirichlet_mask.reshape(-1)
     iterations = columns = 0
-    measures = len(values) <= 6  # R - 1 measures are no more columns than six parameters
     v = values[0]  # the field on the free nodes
     if len(values) > 1 and free.any():
-        # The solved columns on the Dirichlet nodes: indicators of the
-        # labels 1..R-1, or the six parameters.
-        pinned = (np.eye(len(values))[:, 1:] if measures else values)[system.labels]
-        shift = pinned.mean(axis=0)
+        # basis @ mix == values - values[0]: R - 1 measures are no more
+        # columns than the six parameters.
+        if len(values) <= 6:
+            basis, mix = np.eye(len(values))[:, 1:], values[1:] - values[0]
+        else:
+            basis, mix = values - values[0], np.eye(6)
+        pinned = basis[system.labels]  # the solved columns on the Dirichlet nodes
         a, dirichlet = _free_system(system.grid, free)
         precondition = _VCycle(a, free.reshape(n1, n2))
         columns = pinned.shape[1]
         v = np.empty((a.shape[0], columns))
         for k in range(columns):
-            v[:, k], count = _pcg(a, dirichlet @ (shift[k] - pinned[:, k]), precondition)
+            v[:, k], count = _pcg(a, -(dirichlet @ pinned[:, k]), precondition)
             iterations = max(iterations, count)
         del a, dirichlet, precondition, pinned  # before u is built
-        v += shift
-        if measures:
-            v = values[0] + v @ (values[1:] - values[0])
+        v = values[0] + v @ mix
     u = np.empty((system.grid.node_count, 6))
     u[~free] = values[system.labels]
     u[free] = v
@@ -401,7 +401,7 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
     # The free rows again, built after CG so that they are not held through it.
     rows = _laplacian(system.grid)[free]
     scale = np.maximum(1.0, np.abs(values).max(axis=0))
-    residuals = _column_max_abs(rows @ u)
+    residuals = np.abs(rows @ u).max(axis=0, initial=0.0)
     worst = float((residuals / scale).max())
     if worst > RESIDUAL_RTOL:
         raise ConvergenceError(
@@ -420,8 +420,7 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
 def _free_system(grid: GridDomain, free: np.ndarray):
     """The operator's free rows, symmetric positive definite on the free
     nodes: (their free columns, their Dirichlet columns).  A column of
-    Dirichlet values d, less its mean, gives the right-hand side
-    `dirichlet @ (mean - d)`."""
+    Dirichlet values d gives the right-hand side `-(dirichlet @ d)`."""
     import scipy.sparse as sp
 
     # Halving the rows of edge nodes and quartering those of corners makes
@@ -543,15 +542,6 @@ def _pcg(a: sp.csr_matrix, b: np.ndarray, precondition) -> tuple[np.ndarray, int
         r -= np.multiply(q, alpha, out=q)
         del z, q  # released before the next V-cycle allocates
     return np.multiply(x, norm, out=x), iterations
-
-
-def _column_max_abs(x: np.ndarray) -> np.ndarray:
-    # Rows of 64 nodes are reduced in one contiguous pass, then the rest:
-    # numpy's axis-0 reduction over a few columns, or column by column, is slower.
-    n, k = x.shape
-    whole = n - n % 64
-    head = np.abs(x[:whole]).reshape(-1, 64 * k).max(axis=0, initial=0.0)
-    return np.maximum(head.reshape(64, k).max(axis=0), np.abs(x[whole:]).max(axis=0, initial=0.0))
 
 
 def _check_maximum_principle(grids, values):

@@ -39,7 +39,7 @@ from .curves import (
     source_distance,
     split_at_nearest_vertex,
 )
-from .errors import ConfigError, OutOfDomainError, OutOfRangeError
+from .errors import ConfigError, OutOfDomainError, OutOfRangeError, SolverError
 from .field import (
     GridDomain,
     ParameterField,
@@ -190,8 +190,8 @@ def _number(value) -> float:
 
 def grid_domain(bounds, where: str) -> GridDomain:
     """The node grid whose corner node centers are the pixel bounds
-    (x1_min, x2_min, x1_max, x2_max); it must span whole nodes and at least
-    3x3 of them."""
+    (x1_min, x2_min, x1_max, x2_max); it must span whole nodes, at least
+    3x3 of them, and no more than a (nodes, 6) float64 array numpy can hold."""
     try:
         x1_min, x2_min, x1_max, x2_max = (_number(v) for v in bounds)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -200,7 +200,10 @@ def grid_domain(bounds, where: str) -> GridDomain:
     n2 = x2_max - x2_min + 1
     if not all(math.isfinite(n) and abs(n - round(n)) <= 1e-9 and n >= 3 for n in (n1, n2)):
         raise ConfigError(f"{where}: must span whole nodes and at least 3x3")
-    return GridDomain(PixelPoint(x1_min, x2_min), int(round(n1)), int(round(n2)))
+    n1, n2 = int(round(n1)), int(round(n2))
+    if 48 * n1 * n2 > np.iinfo(np.intp).max:
+        raise ConfigError(f"{where}: a {n1}x{n2} grid's (nodes, 6) float64 field exceeds numpy's largest array")
+    return GridDomain(PixelPoint(x1_min, x2_min), n1, n2)
 
 
 def check_bands(bands, where: str) -> list[float]:
@@ -340,7 +343,11 @@ def build_field(
     regions = [
         region_from_correspondences(s, fits[s.name], use_hull=use_hull) for s in sets
     ]
-    return solve_field(assemble_system(grid, regions))
+    try:
+        return solve_field(assemble_system(grid, regions))
+    except MemoryError as exc:
+        grid_size = f"{grid.n1}x{grid.n2} grid ({grid.node_count} nodes)"
+        raise SolverError(f"out of memory in the field stage on the {grid_size}: {exc}") from exc
 
 
 def transform_curve(f: ParameterField, pixels: list[PixelPoint], name: str = "") -> DiscreteCurve:

@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import mapregister.field as field_module
 from mapregister.affine import AffineParams, PixelPoint
@@ -483,9 +482,8 @@ class TestMultigridSolve:
             f = assert_matches_lu(system)
         assert free > field_module._DIRECT_NODES
         assert coarsest[0] < free / 10  # the multigrid's coarsest level: two coarsenings or more
-        # The largest count over the columns solved one at a time is the
-        # count of the block CG that solved them together.
-        assert f.iterations == {0: 9, 1: 10, 2: 10, 3: 10, 4: 10}[seed]
+        # The largest CG count over the columns.
+        assert f.iterations == {0: 9, 1: 10, 2: 9, 3: 10, 4: 10}[seed]
 
     def test_isolated_free_nodes_without_coarse_nodes(self):
         # Free nodes only where both indices are odd: more than _DIRECT_NODES
@@ -579,22 +577,6 @@ class TestMultigridSolve:
             assert abs(u @ mv - v @ mu) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(mv)
             assert u @ mu > 0 and v @ mv > 0
 
-    @given(arrays(
-        np.float64,
-        st.tuples(st.integers(1, 300), st.sampled_from([1, 2, 3, 6])),
-        elements=st.one_of(
-            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300]),
-            st.floats(allow_nan=False, allow_infinity=False),
-        ),
-    ))
-    @example(np.full((64, 6), -0.0))
-    @example(np.arange(-65.0, 65.0).reshape(65, 2))
-    @settings(max_examples=200, deadline=None)
-    def test_column_max_abs_matches_per_column(self, x):
-        # Rows of 64 nodes and the rest of fewer: the same maxima, bit for bit.
-        want = np.array([np.abs(col).max() for col in x.T])
-        assert field_module._column_max_abs(x).tobytes() == want.tobytes()
-
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(field_module, "_PCG_MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
@@ -646,10 +628,9 @@ class TestHarmonicMeasureBasis:
     def test_column_equal_in_every_region(self, monkeypatch, value):
         # Seven regions whose third parameter is one value: that column's
         # grid holds the value bit for bit, and the other columns still
-        # match the sparse-LU oracle.  The mean of the 0.5s is exact, so the
-        # column's right-hand side is zero and its CG stops before the first
-        # iteration; the mean of the 0.1s is rounded, and the solve of the
-        # rounding-sized right-hand side cancels it.
+        # match the sparse-LU oracle.  The column's differences from the
+        # first region's value are zero, so its right-hand side is zero and
+        # its CG stops before the first iteration, for 0.5 and 0.1 alike.
         counts = []
         pcg = field_module._pcg
 
@@ -673,7 +654,7 @@ class TestHarmonicMeasureBasis:
                 f = assert_matches_lu(system)
             assert f.columns == 6 and f.iterations == max(counts) >= 1
             assert (f.params[..., 2] == value).all()
-            assert (counts[2] == 0) == (value == 0.5)
+            assert counts[2] == 0
 
     def test_equal_values_count_as_one(self):
         v, w = [0.3, -0.2, 0.1, 1.0, 12.0, -7.5], [0.0, 0.5, -0.4, 0.9, -3.0, 4.0]

@@ -45,6 +45,7 @@ from mapregister.pipeline import (
     GLOBAL_NAME,
     compare_pair,
     fit_with_global,
+    grid_domain,
     load_config,
     measure,
     run_experiment,
@@ -1155,6 +1156,42 @@ class TestCli:
         assert cli_main(["run", "--config", str(config)]) == 3
         assert capsys.readouterr() == ("", "error: curve 'side river' has length 0, nothing to measure\n")
         assert not (config.parent / "out").exists()
+
+    def test_domain_numpy_cannot_hold_exits_2(self, capsys):
+        # 10^20 nodes: no (nodes, 6) float64 array can exist, so the domain
+        # is refused before anything is allocated.
+        corr = SAMPLE_DATA / "correspondences.txt"
+        argv = ["field", "--correspondences", str(corr), "--domain", "1", "1", "1e10", "1e10"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --domain: a 10000000000x10000000000 grid's (nodes, 6) "
+                                           "float64 field exceeds numpy's largest array\n")
+        # The limit is the field's 48 bytes per node, not a smaller array's.
+        assert grid_domain([1, 1, 2**26, 2**31], "domain").node_count == 2**57
+        with pytest.raises(ConfigError, match="exceeds numpy's largest array"):
+            grid_domain([1, 1, 2**26, 2**32], "domain")
+
+    def test_out_of_memory_in_field_stage_exits_4(self, tmp_path):
+        # Under a 2 GiB address-space limit a 60000x60000 domain cannot hold
+        # even one region's node mask: numpy's MemoryError becomes a
+        # one-line solver error, and nothing is written.
+        config_path = _sample_copy(tmp_path / "exp")
+        _edit_config(config_path, lambda c: c["domain"].update(x1_max=60000, x2_max=60000))
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from mapregister.cli import main\n"
+            f"sys.exit(main(['run', '--config', {str(config_path)!r}]))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stdout) == (4, "")
+        assert re.fullmatch(
+            r"error: out of memory in the field stage on the 60000x60000 grid \(3600000000 nodes\): "
+            r"Unable to allocate [^\n]+\n",
+            done.stderr,
+        )
+        assert not (tmp_path / "exp" / "out").exists()
 
     def test_transform_and_compare(self, tmp_path, capsys):
         base = tmp_path / "exp"
