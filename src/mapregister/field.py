@@ -8,14 +8,16 @@ every right-hand side.  The field is linear in the Dirichlet data: the first
 region value plus the extension of the differences from it, in one basis of
 R - 1 harmonic measures when R <= 6 (none when R = 1) or of the six
 parameter columns when R >= 7.  `solve_field` solves for the free nodes
-only, by conjugate gradients preconditioned with a geometric-multigrid
-V-cycle (Briggs, Henson & McCormick, *A Multigrid Tutorial*, 2nd ed., SIAM
-2000), one column after another with one shared cycle.  Through CG the solve
-holds each level's matrix, Jacobi weights and interpolation, the Dirichlet
-columns of the free rows, the solved columns and at most five free-node
-vectors of the column being solved; the operator's free rows are released
-before CG and built again after it for the residual contract.  Its peak is
-about 210 to 255 bytes per node with six columns.
+only, by scipy's conjugate gradients preconditioned with a
+geometric-multigrid V-cycle (Briggs, Henson & McCormick, *A Multigrid
+Tutorial*, 2nd ed., SIAM 2000), one column after another with one shared
+cycle.  Through CG the solve holds each level's matrix, Jacobi weights and
+interpolation, the Dirichlet columns of the free rows, the solved columns
+and, through each V-cycle, the six free-node vectors of the column being
+solved that scipy's loop keeps (b, x, r, p and the previous z and q); the
+operator's free rows are released before CG and built again after it for
+the residual contract.  Its peak is about 225 to 280 bytes per node with
+six columns.
 """
 
 from __future__ import annotations
@@ -60,10 +62,12 @@ _JACOBI_SWEEPS = 2
 _DIRECT_NODES = 30000
 _COARSE_NODES = 4000
 _MIN_COARSEN_SIDE = 5
-#: CG stops when a column's residual max-norm is at most this fraction of
-#: its right-hand side's max-norm.
+#: CG stops when a column's residual 2-norm is below this fraction of its
+#: right-hand side's 2-norm.
 _PCG_RTOL = 1e-12
-#: CG iterations allowed before the solve fails with ConvergenceError.
+#: CG iterations allowed: a column that has taken this many fails with
+#: ConvergenceError, as scipy's cg tests the residual before each iteration
+#: and not after its last.
 _PCG_MAX_ITER = 100
 
 
@@ -97,10 +101,10 @@ class DirichletRegion:
     name: str = ""
 
     def __post_init__(self):
-        verts = list(self.polygon)
-        if len(verts) > 1 and verts[0] == verts[-1]:
-            verts = verts[:-1]
+        verts = self.polygon
         deduped = [v for k, v in enumerate(verts) if k == 0 or v != verts[k - 1]]
+        while len(deduped) > 1 and deduped[-1] == deduped[0]:
+            deduped.pop()  # the ring closed once or more
         if len(deduped) < 3:
             raise DegenerateConfigurationError(
                 f"region '{self.name}': polygon needs at least 3 distinct vertices"
@@ -363,10 +367,12 @@ def solve_field(system: LaplaceSystem) -> ParameterField:
     (quartering them at corners) makes the free operator symmetric positive
     definite.  Each column is solved by its own CG, preconditioned by one
     geometric multigrid V-cycle that all columns share, until its residual
-    max-norm is at most `_PCG_RTOL` of its right-hand side's;
-    `ParameterField.iterations` is the largest count.  Dirichlet entries
-    are then restored bit-for-bit and the residual contract re-checked on
-    the free rows, built again for it; Dirichlet rows hold exactly.
+    2-norm is below `_PCG_RTOL` of its right-hand side's; a column that
+    takes `_PCG_MAX_ITER` iterations fails, since scipy's cg does not test
+    its residual after the last.  `ParameterField.iterations` is the
+    largest count.  Dirichlet entries are then restored bit-for-bit and the
+    residual contract re-checked on the free rows, built again for it;
+    Dirichlet rows hold exactly.
     """
     if not system.dirichlet_mask.any():
         raise SingularSystemError("no Dirichlet nodes: the pure-Neumann system is singular")
@@ -511,37 +517,25 @@ class _VCycle:
 
 
 def _pcg(a: sp.csr_matrix, b: np.ndarray, precondition) -> tuple[np.ndarray, int]:
-    """Preconditioned CG for one (n,) right-hand side `b`; returns the
-    solution and the number of iterations.
+    """scipy's preconditioned CG for one (n,) right-hand side `b`; returns
+    the solution and the number of iterations.
 
     The right-hand side is solved scaled to unit max-norm, so that its
     inner products neither underflow nor overflow whatever its magnitude.
     """
-    assert b.ndim == 1
+    import scipy.sparse.linalg as spla
+
     norm = np.abs(b).max(initial=0.0) or 1.0
-    x = np.zeros_like(b)
-    r = np.divide(b, norm, out=b)  # in place: b is the caller's to give up
-    p = np.zeros_like(b)
-    rz = 0.0
-    iterations = 0
-    while np.abs(r).max(initial=0.0) > _PCG_RTOL:
-        if iterations == _PCG_MAX_ITER:
-            raise ConvergenceError(
-                f"multigrid-preconditioned CG did not converge in {_PCG_MAX_ITER} iterations"
-            )
-        iterations += 1
-        z = precondition(r)
-        rz_next = r @ z
-        p *= rz_next / rz if rz > 0 else 0.0
-        p += z
-        rz = rz_next
-        q = a @ p
-        pq = p @ q
-        alpha = rz / pq if pq > 0 else 0.0
-        x += np.multiply(p, alpha, out=z)
-        r -= np.multiply(q, alpha, out=q)
-        del z, q  # released before the next V-cycle allocates
-    return np.multiply(x, norm, out=x), iterations
+    np.divide(b, norm, out=b)  # in place: b is the caller's to give up
+    steps = []  # the iterate, once per iteration
+    # Given no dtype, LinearOperator would find it by running one V-cycle.
+    m = spla.LinearOperator(a.shape, matvec=precondition, dtype=a.dtype)
+    x, info = spla.cg(a, b, rtol=_PCG_RTOL, maxiter=_PCG_MAX_ITER, M=m, callback=steps.append)
+    if info:
+        raise ConvergenceError(
+            f"multigrid-preconditioned CG did not converge in {_PCG_MAX_ITER} iterations"
+        )
+    return np.multiply(x, norm, out=x), len(steps)
 
 
 def _check_maximum_principle(grids, values):

@@ -59,9 +59,12 @@ def row_coeffs(system: LaplaceSystem, i: int, j: int) -> dict[tuple[int, int], f
 
 class TestPolygonValidation:
     def test_closed_input_accepted(self):
-        poly = square(5, 5, 1) + (PixelPoint(4, 4),)
-        r = DirichletRegion(poly, scalar_params(1.0))
-        assert len(r.polygon) == 4
+        # The ring closed once and closed twice: every trailing copy of the
+        # first vertex goes, as the fit counts a repeated landmark once.
+        for closure in (1, 2):
+            poly = square(5, 5, 1) + (PixelPoint(4, 4),) * closure
+            r = DirichletRegion(poly, scalar_params(1.0))
+            assert r.polygon == square(5, 5, 1)
 
     def test_too_few_vertices(self):
         with pytest.raises(DegenerateConfigurationError):
@@ -531,9 +534,10 @@ class TestMultigridSolve:
             assert got.residual.hex() == ref.residual.hex()
 
     def test_solve_leaves_system_unchanged(self):
-        # _pcg scales its right-hand side in place; that array is the
-        # solver's own, so the system's Dirichlet data keep their bits and a
-        # second solve repeats the first bit for bit.
+        # _pcg scales its right-hand side in place, and scipy's cg keeps it
+        # unwritten as its b; that array is the solver's own, so the
+        # system's Dirichlet data keep their bits and a second solve repeats
+        # the first bit for bit.
         for system in (random_system(0, 60, 50), random_system(0, 221, 181)):
             before = [x.copy() for x in (system.dirichlet_mask, system.labels, system.values)]
             first = solve_field(system)
@@ -544,11 +548,12 @@ class TestMultigridSolve:
     def test_solve_peak_memory_per_node(self):
         # Through CG the solve keeps one matrix, Jacobi weights and
         # interpolation per level, the Dirichlet columns of the free rows,
-        # the solved columns and at most five free-node vectors of one
-        # column, and builds the operator's free rows again after it: about
-        # 240 bytes per node on this 40k-node grid, against 490 when one
-        # block CG held five vectors of six columns and a smoother matrix
-        # per level.
+        # the solved columns and, through each V-cycle, the six free-node
+        # vectors of one column that scipy's cg holds (b, x, r, p and the
+        # previous z and q), and builds the operator's free rows again after
+        # it: about 263 bytes per node on this 40k-node grid, against 490
+        # when one block CG held five vectors of six columns and a smoother
+        # matrix per level.
         system = random_system(0, 221, 181)
         _, peak = traced_peak(lambda: solve_field(system))
         assert peak / system.grid.node_count <= 300
@@ -576,6 +581,27 @@ class TestMultigridSolve:
             assert (u.tobytes(), v.tobytes()) == before
             assert abs(u @ mv - v @ mu) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(mv)
             assert u @ mu > 0 and v @ mv > 0
+
+    def test_pcg_contract(self, monkeypatch):
+        # On one free system with its default cycle: a zero right-hand side
+        # takes no iteration; scaling b by 2**k scales x by 2**k bit for bit
+        # with the same count, because b is solved at unit max-norm; and
+        # the iteration cap names itself.
+        system = random_system(0, 221, 181)
+        free = ~system.dirichlet_mask.reshape(-1)
+        a, dirichlet = field_module._free_system(system.grid, free)
+        cycle = field_module._VCycle(a, free.reshape(system.grid.n1, system.grid.n2))
+        x, count = field_module._pcg(a, np.zeros(a.shape[0]), cycle)
+        assert count == 0 and not x.any()
+        b = -(dirichlet @ system.values[system.labels][:, 4])
+        x, count = field_module._pcg(a, b.copy(), cycle)
+        assert count >= 1
+        for k in (-900, 0, 900):
+            xk, count_k = field_module._pcg(a, b * 2.0**k, cycle)
+            assert count_k == count and xk.tobytes() == (x * 2.0**k).tobytes()
+        monkeypatch.setattr(field_module, "_PCG_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
+            field_module._pcg(a, b.copy(), cycle)
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(field_module, "_PCG_MAX_ITER", 1)
